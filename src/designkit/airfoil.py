@@ -163,16 +163,19 @@ class AirfoilPolar:
         cl = np.interp(a, self.alpha, self.cl)   # clamps at the ends
         cd = np.interp(a, self.alpha, self.cd)
         if self.stall_model == "flat-plate-blend":
-            below = a < self.alpha_min
-            above = a > self.alpha_max
-            if np.any(below) or np.any(above):
-                cl_fp, cd_fp = flat_plate(a)
-                # distance past the nearer table edge, 0 inside the table
-                over = np.where(above, a - self.alpha_max,
-                                np.where(below, self.alpha_min - a, 0.0))
+            # blend only the off-table angles (flat indices); the rest
+            # keep their table values
+            off = np.flatnonzero((a < self.alpha_min) | (a > self.alpha_max))
+            if off.size:
+                a_off = np.take(a, off)
+                cl_fp, cd_fp = flat_plate(a_off)
+                # distance past the nearer table edge
+                over = np.where(a_off > self.alpha_max, a_off - self.alpha_max,
+                                self.alpha_min - a_off)
                 w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
-                cl = (1.0 - w) * cl + w * cl_fp
-                cd = (1.0 - w) * cd + w * cd_fp
+                cl, cd = np.asarray(cl), np.asarray(cd)   # 0-d input gives scalars
+                np.put(cl, off, (1.0 - w) * np.take(cl, off) + w * cl_fp)
+                np.put(cd, off, (1.0 - w) * np.take(cd, off) + w * cd_fp)
         return cl, cd
 
     # -- constructors ----------------------------------------------------

@@ -20,9 +20,16 @@ momentum deficit factors built from the tip-loss function
     K_T = 1 - (1 - F) cos(phi),   K_P = 1 - (1 - F) sin(phi)
 
 g has at least one sign change on (0, pi/2) for any lifting condition
-(and on (-pi/2, 0) for descending/negative-lift states); the solver
-brackets the first crossing on a 200-slice scan and polishes it by
-bisection, vectorised over stations and collectives at once.
+(and on (-pi/2, 0) for descending/negative-lift states), and can have
+several.  The root taken is the first crossing on a 200-slice scan of
+(0, pi/2), then of (-pi/2, 0).  The solver finds it without scanning
+most stations: where g changes sign between the ends of (0, pi/2) it
+polishes that bracket by Illinois iterations (Ning's bracketed approach,
+Wind Energy 17(9), 2014), then checks the scan points at or below the
+root in one batched evaluation and re-polishes an earlier crossing if
+there is one.  Only stations the ends do not bracket are scanned, slice
+by slice, and each leaves the scan once bracketed.  All of it is
+vectorised over stations, collectives and advance ratios at once.
 
 Once phi is known the resultant section speed follows from the torque
 balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
@@ -45,10 +52,13 @@ import numpy as np
 from .constants import RHO_SL, RPM_TO_RAD_S
 from .errors import GeometryError, NoRootError
 
-# scan/bisect settings for the per-station root find
-SCAN_SLICES = 200         # slices over (0, pi/2) for the first sign change
+# per-station root find: the root is the first sign change on a scan of
+# (0, pi/2) in SCAN_SLICES slices; Illinois polishes it to POLISH_TOL
+SCAN_SLICES = 200         # slices over (0, pi/2) that define which root is taken
 SCAN_EPS = 1.0e-6         # keep phi = 0 (a spurious fixed point) out of the scan
-BISECT_ITERS = 60         # enough to hit float resolution of the bracket
+POLISH_TOL = 1.0e-14      # bracket width [rad] at which a polish stops
+POLISH_ITERS = 100        # cap; 2e5 random stations needed at most 22
+BLOCK = 4096              # elements per residual call: bounds the working set
 ZERO_LIFT_CL = 1.0e-12    # |cl| below this in hover pins phi = 0 exactly
 _TINY = 1.0e-15
 
@@ -323,75 +333,184 @@ def _residual(phi, r, pitch, sigma, mu, n_blades, polar):
     return (r * s - mu * c) * s - np.sign(phi) * blade
 
 
-def _scan_bracket(r, pitch, sigma, mu, n_blades, polar, lo_arr, hi_arr, g_lo_arr,
-                  found, phi_lo, phi_hi):
-    """Scan [phi_lo, phi_hi] in SCAN_SLICES slices; record the first sign
-    change per element into (lo_arr, hi_arr, g_lo_arr).  Mutates in place."""
-    grid = np.linspace(phi_lo, phi_hi, SCAN_SLICES + 1)
-    g_prev = _residual(grid[0], r, pitch, sigma, mu, n_blades, polar)
-    for k in range(1, grid.size):
-        g_new = _residual(grid[k], r, pitch, sigma, mu, n_blades, polar)
-        cross = (~found) & (g_prev * g_new <= 0.0) & np.isfinite(g_prev) & np.isfinite(g_new)
+def _polish(lo, hi, g_lo, g_hi, k, g):
+    """Illinois iterations (regula falsi with halving of the stale end) on
+    the brackets [lo, hi] with g_lo * g_hi <= 0, one per element index k.
+
+    ``g(phi, k)`` is the residual at angles phi of elements k.  A secant
+    step shorter than POLISH_TOL/2 is lengthened to that, so the stale end
+    is passed as soon as the iterates settle; a point outside the open
+    bracket is replaced by the midpoint.  Each element stops on its own
+    once its bracket is at most POLISH_TOL wide or its residual is exactly
+    zero.  Returns the last iterate and the residual there.
+    """
+    root = np.where(g_lo == 0.0, lo, hi)
+    g_root = np.where(g_lo == 0.0, g_lo, g_hi)
+    live = np.flatnonzero((g_lo != 0.0) & (g_hi != 0.0))
+    a, b, fa, fb = lo[live], hi[live], g_lo[live], g_hi[live]
+    for _ in range(POLISH_ITERS):
+        if live.size == 0:
+            break
+        c = b - fb * (b - a) / (fb - fa)
+        c = np.where(np.abs(c - b) < 0.5 * POLISH_TOL,
+                     b + np.copysign(0.5 * POLISH_TOL, a - b), c)
+        c = np.where((c - a) * (c - b) < 0.0, c, 0.5 * (a + b))
+        fc = g(c, k[live])
+        flip = fc * fb < 0.0
+        a = np.where(flip, b, a)
+        fa = np.where(flip, fb, 0.5 * fa)
+        b, fb = c, fc
+        done = (fc == 0.0) | (np.abs(b - a) <= POLISH_TOL)
+        root[live[done]] = b[done]
+        g_root[live[done]] = fc[done]
+        keep = ~done
+        a, b, fa, fb, live = a[keep], b[keep], fa[keep], fb[keep], live[keep]
+    root[live] = b
+    g_root[live] = fb
+    return root, g_root
+
+
+def _sign_change(g_prev, g_next):
+    """Slices whose end residuals change sign (or touch zero); both finite."""
+    return (g_prev * g_next <= 0.0) & np.isfinite(g_prev) & np.isfinite(g_next)
+
+
+def _scan(k, grid, g, g_start):
+    """Early-exit scan of the slices of ``grid`` for elements k, given the
+    residual ``g_start`` at grid[0].  Returns (elements, slice index,
+    residual at both slice ends) for every element with a sign change,
+    at its first one; the others drop out."""
+    hits = []
+    g_prev = g_start
+    for j in range(1, grid.size):
+        if k.size == 0:
+            break
+        g_next = g(np.full(k.size, grid[j]), k)
+        cross = _sign_change(g_prev, g_next)
         if np.any(cross):
-            lo_arr[cross] = grid[k - 1]
-            hi_arr[cross] = grid[k]
-            g_lo_arr[cross] = g_prev[cross]
-            found |= cross
-        g_prev = g_new
-    return found
+            hits.append((k[cross], np.full(np.count_nonzero(cross), j),
+                         g_prev[cross], g_next[cross]))
+            k, g_next = k[~cross], g_next[~cross]
+        g_prev = g_next
+    if not hits:
+        return k[:0], k[:0], g_start[:0], g_start[:0]
+    return tuple(np.concatenate(col) for col in zip(*hits))
+
+
+def _verify_roots(k, n_pts, g_start, grid, g):
+    """Scan-grid slice of the first sign change at or below each root.
+
+    A ragged evaluation of grid[1..K] per element, where K = n_pts is the
+    slice [grid[K-1], grid[K]] that holds its root, batched over runs of
+    elements with about BLOCK grid points in all.  Returns (slice,
+    residual at both slice ends); slice is 0 where no slice up to K
+    changes sign.
+    """
+    slice_ = np.zeros(k.size, dtype=int)
+    g_lo = np.full(k.size, np.nan)
+    g_hi = np.full(k.size, np.nan)
+    end = np.cumsum(n_pts)
+    first = 0
+    while first < k.size:
+        last = max(first + 1, int(np.searchsorted(end, end[first] - n_pts[first] + BLOCK,
+                                                  side="right")))
+        n = n_pts[first:last]
+        start = np.cumsum(n) - n
+        owner = np.repeat(np.arange(n.size), n)
+        j = np.arange(owner.size) - start[owner] + 1
+        g_next = g(grid[j], k[first:last][owner])
+        g_prev = np.empty_like(g_next)
+        g_prev[1:] = g_next[:-1]
+        g_prev[start] = g_start[first:last]
+        hit = np.flatnonzero(_sign_change(g_prev, g_next))
+        hit_owner, at = np.unique(owner[hit], return_index=True)
+        hit, hit_owner = hit[at], hit_owner + first
+        slice_[hit_owner] = j[hit]
+        g_lo[hit_owner] = g_prev[hit]
+        g_hi[hit_owner] = g_next[hit]
+        first = last
+    return slice_, g_lo, g_hi
 
 
 def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
-    """Inflow angle phi for every element of a broadcast (pitch, r) grid.
+    """Inflow angle phi for every element of a broadcast (pitch, r, sigma,
+    mu) grid.
+
+    The root is the one a scan of (0, pi/2) in SCAN_SLICES slices would
+    bracket first (then of (-pi/2, 0) if allow_negative), polished to
+    POLISH_TOL.  Stations whose residual changes sign between the ends of
+    (0, pi/2) are polished on that bracket directly; the root is accepted
+    once the scan grid at or below it shows no earlier sign change, and
+    otherwise the earlier slice is polished instead.  Only the remaining
+    stations are scanned, slice by slice, dropping each as it brackets.
 
     Returns (phi, solved, residual).  Elements with no bracket anywhere
     come back with solved = False and phi = nan; callers decide whether
     that is fatal.
     """
-    shape = np.broadcast_shapes(np.shape(r), np.shape(pitch))
-    r_b = np.broadcast_to(np.asarray(r, dtype=float), shape)
-    pitch_b = np.broadcast_to(np.asarray(pitch, dtype=float), shape)
-    sigma_b = np.broadcast_to(np.asarray(sigma, dtype=float), shape)
+    shape = np.broadcast_shapes(np.shape(r), np.shape(pitch), np.shape(sigma), np.shape(mu))
+    r_f, pitch_f, sigma_f, mu_f = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+                                   for x in (r, pitch, sigma, mu))
 
-    lo = np.full(shape, np.nan)
-    hi = np.full(shape, np.nan)
-    g_lo = np.full(shape, np.nan)
-    found = np.zeros(shape, dtype=bool)
+    def g(phi, k):
+        """Residual at angles phi of flat elements k, BLOCK at a time."""
+        out = np.empty(k.size)
+        for s in range(0, k.size, BLOCK):
+            kk = k[s:s + BLOCK]
+            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], r_f[kk], pitch_f[kk],
+                                         sigma_f[kk], mu_f[kk], n_blades, polar)
+        return out
+
+    phi = np.full(r_f.size, np.nan)
+    res = np.full(r_f.size, np.nan)
+    found = np.zeros(r_f.size, dtype=bool)
 
     # hover fixed point: zero section lift at phi = 0 is the exact solution
-    pinned = np.zeros(shape, dtype=bool)
-    if mu == 0.0:
-        cl0, _ = polar.cl_cd(pitch_b)
-        pinned = np.abs(cl0) < ZERO_LIFT_CL
-        found |= pinned
+    hover = np.flatnonzero(mu_f == 0.0)
+    if hover.size:
+        cl0, _ = polar.cl_cd(pitch_f[hover])
+        pinned = hover[np.abs(cl0) < ZERO_LIFT_CL]
+        phi[pinned] = 0.0
+        res[pinned] = 0.0
+        found[pinned] = True
 
-    _scan_bracket(r_b, pitch_b, sigma_b, mu, n_blades, polar, lo, hi, g_lo,
-                  found, SCAN_EPS, 0.5 * math.pi - SCAN_EPS)
-    if allow_negative and not np.all(found):
-        _scan_bracket(r_b, pitch_b, sigma_b, mu, n_blades, polar, lo, hi, g_lo,
-                      found, -0.5 * math.pi + SCAN_EPS, -SCAN_EPS)
+    def accept(k, root, g_root):
+        phi[k] = root
+        res[k] = g_root
+        found[k] = True
 
-    solve = found & ~pinned
-    if np.any(solve):
-        # bisection, vectorised; unbracketed elements carry nan through
-        work_lo = np.where(solve, lo, 0.25)
-        work_hi = np.where(solve, hi, 0.5)
-        work_gl = np.where(solve, g_lo, 1.0)
-        for _ in range(BISECT_ITERS):
-            mid = 0.5 * (work_lo + work_hi)
-            g_mid = _residual(mid, r_b, pitch_b, sigma_b, mu, n_blades, polar)
-            same = g_mid * work_gl > 0.0
-            work_lo = np.where(same, mid, work_lo)
-            work_gl = np.where(same, g_mid, work_gl)
-            work_hi = np.where(same, work_hi, mid)
-        phi = np.where(solve, 0.5 * (work_lo + work_hi), np.nan)
-    else:
-        phi = np.full(shape, np.nan)
-    phi = np.where(pinned, 0.0, phi)
+    def polish_slices(k, j, g_lo, g_hi, grid):
+        accept(k, *_polish(grid[j - 1], grid[j], g_lo, g_hi, k, g))
 
-    res = np.where(found, _residual(phi, r_b, pitch_b, sigma_b, mu, n_blades, polar), np.nan)
-    res = np.where(pinned, 0.0, res)
-    return phi, found, res
+    grid = np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1)
+    todo = np.flatnonzero(~found)
+    rest, rest_g = [todo[:0]], [np.empty(0)]
+    for s in range(0, todo.size, BLOCK):
+        k = todo[s:s + BLOCK]
+        g_a = g(np.full(k.size, grid[0]), k)
+        g_b = g(np.full(k.size, grid[-1]), k)
+        ends = _sign_change(g_a, g_b)
+        rest.append(k[~ends])
+        rest_g.append(g_a[~ends])
+        k, g_a, g_b = k[ends], g_a[ends], g_b[ends]
+        root, g_root = _polish(np.full(k.size, grid[0]), np.full(k.size, grid[-1]),
+                               g_a, g_b, k, g)
+        root_slice = np.minimum(np.searchsorted(grid, root, side="right"), SCAN_SLICES)
+        j, g_lo, g_hi = _verify_roots(k, root_slice, g_a, grid, g)
+        same = j == root_slice
+        accept(k[same], root[same], g_root[same])
+        earlier = (j > 0) & ~same
+        polish_slices(k[earlier], j[earlier], g_lo[earlier], g_hi[earlier], grid)
+        rest.append(k[j == 0])
+        rest_g.append(g_a[j == 0])
+    polish_slices(*_scan(np.concatenate(rest), grid, g, np.concatenate(rest_g)), grid)
+
+    todo = np.flatnonzero(~found)
+    if allow_negative and todo.size:
+        grid = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
+        polish_slices(*_scan(todo, grid, g, g(np.full(todo.size, grid[0]), todo)), grid)
+
+    return phi.reshape(shape), found.reshape(shape), res.reshape(shape)
 
 
 def _recover(phi, r, pitch, sigma, mu, n_blades, polar):

@@ -94,6 +94,59 @@ def test_cl_cd_matches_lookup():
     assert np.array_equal(cl, cl2) and np.array_equal(cd, cd2)
 
 
+def _whole_array_cl_cd(polar, alpha):
+    """The blend evaluated on every angle, as ``cl_cd`` once did: the
+    reference that the off-table-only evaluation must reproduce bit for
+    bit."""
+    a = np.asarray(alpha, dtype=float)
+    cl = np.interp(a, polar.alpha, polar.cl)
+    cd = np.interp(a, polar.alpha, polar.cd)
+    if polar.stall_model == "flat-plate-blend":
+        below = a < polar.alpha_min
+        above = a > polar.alpha_max
+        if np.any(below) or np.any(above):
+            cl_fp, cd_fp = flat_plate(a)
+            over = np.where(above, a - polar.alpha_max,
+                            np.where(below, polar.alpha_min - a, 0.0))
+            w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
+            cl = (1.0 - w) * cl + w * cl_fp
+            cd = (1.0 - w) * cd + w * cd_fp
+    return cl, cd
+
+
+def _assert_bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("stall_model", ["flat-plate-blend", "clamp"])
+@pytest.mark.parametrize("alpha", [
+    np.radians(np.linspace(-90.0, 90.0, 361)),                      # mixed
+    np.radians(np.linspace(-90.0, 90.0, 60)).reshape(3, 4, 5),      # mixed, 3-d
+    np.radians([[-70.0, -30.0], [5.0, 40.0]]),                      # all off-table
+    np.radians([-20.0, 0.0, 23.9]),                                 # all in-table
+    np.radians([-60.0, math.nan, 3.0, 31.0, math.nan]),             # NaN mixed in
+    np.float64(math.radians(50.0)),                                 # 0-d, off-table
+    np.float64(math.radians(4.0)),                                  # 0-d, in-table
+    np.float64(math.nan),                                           # 0-d NaN
+], ids=["mixed", "mixed-3d", "off", "in", "nan", "0d-off", "0d-in", "0d-nan"])
+def test_cl_cd_blends_off_table_subset_bit_identically(sc1095, stall_model, alpha):
+    polar = AirfoilPolar(sc1095.alpha, sc1095.cl, sc1095.cd, stall_model=stall_model)
+    cl, cd = polar.cl_cd(alpha)
+    cl_ref, cd_ref = _whole_array_cl_cd(polar, alpha)
+    _assert_bit_identical(cl, cl_ref)
+    _assert_bit_identical(cd, cd_ref)
+
+
+def test_cl_cd_leaves_input_untouched(sc1095):
+    alpha = np.radians(np.linspace(-60.0, 60.0, 25))
+    before = alpha.copy()
+    sc1095.cl_cd(alpha)
+    assert np.array_equal(alpha, before)
+
+
 def test_clamp_model_holds_edge_values():
     polar = simple_polar("clamp")
     cl, cd, _ = polar.lookup(math.radians(60.0))
