@@ -122,10 +122,10 @@ def check_efficiency_bands(paper_polar=PAPER_POLAR_PATH):
     ])
 
 
-def check_grid_optimization(workers=None):
+def check_grid_optimization():
     """Weighted radius x twist search lands in the published neighborhood."""
     start = time.perf_counter()
-    result = explorer.optimize(workers=workers)
+    result = explorer.optimize()
     elapsed = time.perf_counter() - start
     tw_deg = math.degrees(result.twist_star)
     masked_fm = np.where(result.feasible, result.fm, -np.inf)

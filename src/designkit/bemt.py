@@ -787,6 +787,17 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
     return ThrustCurve(collectives=collectives, rows=rows, errors=errors)
 
 
+def rising_branch(values):
+    """Indices of the finite samples up to the first maximum: the
+    pre-stall branch of a thrust curve sampled in rising collective."""
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.any():
+        return np.empty(0, dtype=int)
+    peak = int(np.argmax(np.where(finite, values, -np.inf)))
+    return np.flatnonzero(finite[:peak + 1])
+
+
 # ---------------------------------------------------------------------------
 # polynomial blade description (small propeller validation case)
 # ---------------------------------------------------------------------------

@@ -61,27 +61,43 @@ def _parse_override(raw):
 def _apply_overrides(data, overrides):
     for raw in overrides or ():
         key, value = _parse_override(raw)
-        node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if isinstance(node, list):
-                node = node[int(part)]
-            else:
-                node = node.setdefault(part, {})
-        last = parts[-1]
-        if isinstance(node, list):
-            node[int(last)] = value
-        else:
-            node[last] = value
+        *parents, last = key.split(".")
+        try:
+            node = data
+            for part in parents:
+                node = node[int(part)] if isinstance(node, list) \
+                    else node.setdefault(part, {})
+            node[int(last) if isinstance(node, list) else last] = value
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"--set {key}: no such place in the spec "
+                              f"({exc})") from exc
     return data
 
 
 def _load_json(path, overrides):
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read spec {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"spec {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"spec {path} must hold a JSON object")
     # top-level keys starting with "_" are documentation, not spec fields
     data = {k: v for k, v in data.items() if not k.startswith("_")}
     return _apply_overrides(data, overrides)
+
+
+def _json_safe(value):
+    """Strict JSON: lists for tuples, null for non-finite floats."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return value
 
 
 def _emit(args, filename, text):
@@ -97,7 +113,8 @@ def _emit(args, filename, text):
 
 
 def _emit_json(args, filename, payload):
-    _emit(args, filename, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(args, filename,
+          json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +148,9 @@ def _sweep_spec_from_json(data):
         v_inf=op_data.get("v_inf", 0.0),
         rho=op_data.get("rho", 1.225),
         collective=math.radians(op_data.get("collective_deg", 0.0)))
+    missing = [key for key in ("parameter", "values") if key not in data]
+    if missing:
+        raise ConfigError(f"sweep spec is missing {', '.join(map(repr, missing))}")
     values = data["values"]
     parameter = data["parameter"]
     if parameter in ("twist", "collective"):
@@ -379,14 +399,9 @@ def main(argv=None):
         return args.func(args)
     except DesignError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
-        for attr in ("t_max", "required_w", "available_w", "remaining_m",
-                     "waypoint_index", "line", "stations", "history"):
-            if hasattr(exc, attr):
-                value = getattr(exc, attr)
-                if isinstance(value, tuple):
-                    value = list(value)
-                payload[attr] = value
-        json.dump(payload, sys.stderr, indent=2, default=str)
+        payload.update((k, v) for k, v in vars(exc).items()
+                       if not k.startswith("_"))
+        json.dump(_json_safe(payload), sys.stderr, indent=2, default=str)
         sys.stderr.write("\n")
         return 1
 

@@ -205,11 +205,11 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
                               v_inf=op.v_inf, rho=op.rho,
                               n_stations=n_stations)
     thrusts = curve.thrust   # NaN where the solver failed
-    if np.all(np.isnan(thrusts)):
+    branch = bemt.rising_branch(thrusts)
+    if branch.size == 0:
         raise TrimError("rotor solution failed across the collective range",
                         t_max=float("nan"))
-    i_peak = int(np.nanargmax(thrusts))
-    t_max = float(thrusts[i_peak])
+    t_max = float(thrusts[branch[-1]])
     if target_thrust > t_max:
         raise TrimError(
             f"target {target_thrust:.1f} N exceeds the achievable "
@@ -218,16 +218,12 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
     # first grid point at or above the target on the rising branch;
     # an exact hit (e.g. zero thrust at zero pitch on a symmetric
     # untwisted blade) returns that collective directly
-    idx = None
-    for i in range(i_peak + 1):
-        if np.isnan(thrusts[i]):
-            continue
-        if abs(thrusts[i] - target_thrust) < 1e-9:
-            return float(coarse[i])
-        if thrusts[i] >= target_thrust:
-            idx = i
+    for idx in branch:
+        if abs(thrusts[idx] - target_thrust) < 1e-9:
+            return float(coarse[idx])
+        if thrusts[idx] >= target_thrust:
             break
-    if idx is None:
+    else:
         raise TrimError("no rising-branch bracket for the thrust target",
                         t_max=t_max)
     if idx == 0:
@@ -277,6 +273,11 @@ class OptimizationSpec:
     n_stations: int = 100
 
     def __post_init__(self):
+        for name, size in (("weights", 2), ("radius_grid", 3),
+                           ("twist_grid", 3), ("cruise_scan", 3)):
+            if len(getattr(self, name)) != size:
+                raise ConfigError(f"{name} needs {size} values, "
+                                  f"got {getattr(self, name)!r}")
         w_fm, w_eta = self.weights
         if w_fm < 0.0 or w_eta < 0.0 or abs(w_fm + w_eta - 1.0) > 1e-9:
             raise ConfigError("weights must be non-negative and sum to 1")
@@ -332,85 +333,71 @@ class OptimizationResult:
         return lines
 
 
-def _hover_reference_curve(spec, twist, polar):
-    """Dense nondimensional hover curve CT(theta0), CP(theta0).
-
-    At fixed aspect ratio, taper, and twist the thrust and power
-    coefficients do not depend on the radius, so one dense curve per
-    twist serves every radius in the grid.
-    """
-    geom = bemt.BladeGeometry.from_aspect_ratio(
-        0.38, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
+def _blade(spec, radius, twist):
+    """Grid blade: the spec's planform, preset coupled to the twist."""
+    return bemt.BladeGeometry.from_aspect_ratio(
+        radius, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
         twist=twist, preset=-twist)
+
+
+def _first_crossing(target, values, thetas):
+    """Linear interpolant of ``thetas`` where ``values`` first reaches
+    ``target``; nan if ``values`` starts above it or never reaches it."""
+    above = np.flatnonzero(values >= target)
+    if above.size == 0 or values[0] > target:
+        return math.nan
+    k = above[0]
+    lo = max(k - 1, 0)
+    return float(np.interp(target, values[lo:k + 1], thetas[lo:k + 1]))
+
+
+def _evaluate_twist(args):
+    """Every radius at one twist; returns (fm, eta, theta_h, theta_c).
+
+    At fixed aspect ratio, taper and twist the hover CT and CP do not
+    depend on the radius, so one dense hover curve on a reference blade
+    trims every radius, and one batched solve at the trimmed collectives
+    gives every figure of merit.
+    """
+    spec, twist, polar = args
+    radii = spec.radii()
+    fm, eta, theta_h, theta_c = (np.full(radii.size, math.nan) for _ in range(4))
+
+    reference = _blade(spec, 0.38, twist)
     # negative collectives included: with a high preset the thrust
     # target can sit below zero collective on large radii
     thetas = np.radians(np.arange(-12.0, 24.01, 0.25))
-    curve = bemt.thrust_curve(geom, polar, spec.hover_rpm, thetas,
-                              v_inf=0.0, rho=spec.hover_rho,
-                              n_stations=spec.n_stations)
-    return thetas, curve.ct, curve.cp
+    ct_ref = bemt.thrust_curve(reference, polar, spec.hover_rpm, thetas,
+                               v_inf=0.0, rho=spec.hover_rho,
+                               n_stations=spec.n_stations).ct
+    omega = spec.hover_rpm * math.pi / 30.0
+    for i, radius in enumerate(radii):
+        disc_area = math.pi * radius ** 2
+        thrust = ct_ref * (spec.hover_rho * disc_area * (omega * radius) ** 2)
+        branch = bemt.rising_branch(thrust)
+        theta_h[i] = _first_crossing(spec.thrust_constraint,
+                                     thrust[branch], thetas[branch])
 
+    trimmed = np.flatnonzero(np.isfinite(theta_h))
+    hover = bemt.thrust_curve(reference, polar, spec.hover_rpm,
+                              theta_h[trimmed], v_inf=0.0,
+                              rho=spec.hover_rho, n_stations=spec.n_stations)
+    fm[trimmed] = [math.nan if p is None else p.figure_of_merit
+                   for p in hover.rows]
 
-def _evaluate_column(args):
-    """All twist cells at one radius; returns per-cell tuples."""
-    spec, i_radius, polar, hover_curves = args
-    radius = float(spec.radii()[i_radius])
-    twists = spec.twists()
     scan_lo, scan_hi, scan_step = spec.cruise_scan
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
-    out = []
-    for j, twist in enumerate(twists):
-        geom = bemt.BladeGeometry.from_aspect_ratio(
-            radius, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
-            twist=float(twist), preset=float(-twist))
-
-        # hover: trim the nondimensional curve to the thrust target
-        thetas, ct_ref, cp_ref = hover_curves[j]
-        scale = spec.hover_rho * geom.disc_area \
-            * (spec.hover_rpm * math.pi / 30.0 * radius) ** 2
-        thrust_ref = ct_ref * scale
-        valid = ~np.isnan(thrust_ref)
-        fm = eta = math.nan
-        theta_h = theta_c = math.nan
-        feasible = False
-        if np.any(valid):
-            t_v = thrust_ref[valid]
-            th_v = thetas[valid]
-            i_peak = int(np.argmax(t_v))
-            rising_t = t_v[:i_peak + 1]
-            rising_th = th_v[:i_peak + 1]
-            if rising_t.size >= 2 and rising_t[-1] >= spec.thrust_constraint \
-                    and rising_t[0] <= spec.thrust_constraint:
-                theta_h = float(np.interp(spec.thrust_constraint,
-                                          rising_t, rising_th))
-                hover_op = bemt.OperatingPoint.from_rpm(
-                    spec.hover_rpm, rho=spec.hover_rho, collective=theta_h)
-                try:
-                    perf_h = bemt.evaluate_rotor(geom, hover_op, polar,
-                                                 n_stations=spec.n_stations)
-                    fm = perf_h.figure_of_merit
-                    feasible = math.isfinite(fm)
-                except NoRootError:
-                    feasible = False
-
-        if feasible:
-            cruise = bemt.thrust_curve(
-                geom, polar, spec.cruise_rpm, scan,
-                v_inf=spec.cruise_speed, rho=spec.cruise_rho,
-                n_stations=spec.n_stations)
-            etas = np.array([
-                (p.eta_p if (p is not None and p.power > 0.0 and p.thrust > 0.0)
-                 else math.nan)
-                for p in cruise.rows])
-            if np.any(np.isfinite(etas)):
-                k = int(np.nanargmax(etas))
-                eta = float(etas[k])
-                theta_c = float(scan[k])
-            else:
-                feasible = False
-
-        out.append((j, feasible, fm, eta, theta_h, theta_c))
-    return i_radius, out
+    for i in np.flatnonzero(np.isfinite(fm)):
+        cruise = bemt.thrust_curve(
+            _blade(spec, float(radii[i]), twist), polar, spec.cruise_rpm, scan,
+            v_inf=spec.cruise_speed, rho=spec.cruise_rho,
+            n_stations=spec.n_stations)
+        etas = [p.eta_p if p is not None and p.power > 0.0 and p.thrust > 0.0
+                else -math.inf for p in cruise.rows]
+        k = int(np.argmax(etas))
+        if etas[k] > -math.inf:
+            eta[i], theta_c[i] = etas[k], scan[k]
+    return fm, eta, theta_h, theta_c
 
 
 def optimize(spec=None, polar=None, workers=None):
@@ -427,33 +414,17 @@ def optimize(spec=None, polar=None, workers=None):
 
     radii = spec.radii()
     twists = spec.twists()
-    n_r, n_t = len(radii), len(twists)
-    if n_r == 0 or n_t == 0:
+    if radii.size == 0 or twists.size == 0:
         raise ConfigError("optimization grids are empty")
 
-    hover_curves = [_hover_reference_curve(spec, float(tw), polar)
-                    for tw in twists]
-
-    shape = (n_r, n_t)
-    fm = np.full(shape, math.nan)
-    eta = np.full(shape, math.nan)
-    theta_h = np.full(shape, math.nan)
-    theta_c = np.full(shape, math.nan)
-    feasible = np.zeros(shape, dtype=bool)
-
-    jobs = [(spec, i, polar, hover_curves) for i in range(n_r)]
+    jobs = [(spec, float(tw), polar) for tw in twists]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_evaluate_column, jobs))
+            columns = list(pool.map(_evaluate_twist, jobs))
     else:
-        columns = [_evaluate_column(job) for job in jobs]
-    for i_radius, cells in columns:
-        for j, ok, fm_ij, eta_ij, th_h, th_c in cells:
-            feasible[i_radius, j] = ok
-            fm[i_radius, j] = fm_ij
-            eta[i_radius, j] = eta_ij
-            theta_h[i_radius, j] = th_h
-            theta_c[i_radius, j] = th_c
+        columns = [_evaluate_twist(job) for job in jobs]
+    fm, eta, theta_h, theta_c = (np.stack(c, axis=1) for c in zip(*columns))
+    feasible = np.isfinite(eta)
 
     w_fm, w_eta = spec.weights
     cost = np.where(feasible, w_fm * fm + w_eta * eta, -math.inf)
@@ -462,15 +433,9 @@ def optimize(spec=None, polar=None, workers=None):
                         t_max=float("nan"))
 
     # argmax with ties toward smaller radius, then smaller |twist|
-    best = (0, 0)
-    best_cost = -math.inf
-    order = sorted(
-        ((i, j) for i in range(n_r) for j in range(n_t)),
-        key=lambda ij: (radii[ij[0]], abs(twists[ij[1]])))
-    for i, j in order:
-        if cost[i, j] > best_cost:
-            best_cost = float(cost[i, j])
-            best = (i, j)
+    best = min(map(tuple, np.argwhere(cost == cost.max()).tolist()),
+               key=lambda ij: (radii[ij[0]], abs(twists[ij[1]])))
+    best_cost = float(cost[best])
 
     return OptimizationResult(
         radii=radii, twists=twists, fm=fm, eta=eta, cost=cost,

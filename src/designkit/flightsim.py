@@ -316,13 +316,11 @@ class PitchMap:
     def __init__(self, collectives, cts):
         collectives = np.asarray(collectives, dtype=float)
         cts = np.asarray(cts, dtype=float)
-        keep = np.isfinite(cts)
-        collectives, cts = collectives[keep], cts[keep]
-        if cts.size < 3:
+        if np.count_nonzero(np.isfinite(cts)) < 3:
             raise ConfigError("pitch map needs at least three valid points")
-        peak = int(np.argmax(cts))
-        self.collectives = collectives[:peak + 1]
-        self.cts = cts[:peak + 1]
+        branch = bemt.rising_branch(cts)
+        self.collectives = collectives[branch]
+        self.cts = cts[branch]
         if self.cts.size < 3 or np.any(np.diff(self.cts) <= 0.0):
             raise ConfigError("pitch map is not monotone below the peak")
 
@@ -480,7 +478,11 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=0.005,
         rows["ct"].append(cts.copy())
         rows["th"].append(pitches)
 
-        state = step_dynamics(state, cts, params, dt)
+        try:
+            state = step_dynamics(state, cts, params, dt)
+        except SimulationAbort as exc:
+            exc.t = t + dt
+            raise
         t += dt
         wp_clock += dt
 

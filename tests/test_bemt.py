@@ -483,6 +483,19 @@ def test_thrust_curve_matches_pointwise(baseline_rotor, naca0012):
     assert np.all(np.diff(curve.thrust) > 0.0)   # below stall: monotone
 
 
+
+@pytest.mark.parametrize("values, expected", [
+    ([math.nan, math.nan, 1.0, 2.0, 3.0, 2.5], [2, 3, 4]),   # leading NaNs
+    ([1.0, math.nan, 3.0, 3.0, 2.0], [0, 2]),                # tie: first peak
+    ([math.nan, math.nan], []),                              # nothing finite
+    ([3.0, 2.0, 1.0], [0]),                                  # falling curve
+])
+def test_rising_branch(values, expected):
+    branch = bemt.rising_branch(values)
+    assert branch.dtype.kind == "i"
+    assert branch.tolist() == expected
+
+
 def test_thrust_curve_csv(baseline_rotor, naca0012):
     curve = bemt.thrust_curve(baseline_rotor, naca0012, 3200.0,
                               np.radians([4.0, 8.0]))

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from designkit import acceptance, bemt
+from designkit import acceptance, bemt, cli
 from designkit.cli import main
+from designkit.errors import NoRootError, SimulationAbort
 
 REPO = Path(__file__).resolve().parent.parent
 FIGURES = REPO / "figures"
@@ -224,3 +225,78 @@ def test_validate_formatting(capsys, monkeypatch):
     assert lines[0].startswith("alpha") and "PASS" in lines[0]
     assert lines[1].startswith("beta") and "FAIL" in lines[1]
     assert lines[-1] == "1 failing / 2 checks"
+
+
+# ---------------------------------------------------------------------------
+# config mistakes and error payloads
+
+def strict_json(text):
+    """Parse JSON that must not hold NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def assert_config_error(rc, err, *names):
+    assert rc == 1
+    payload = strict_json(err)
+    assert payload["error"] == "ConfigError"
+    for name in names:
+        assert name in payload["message"]
+
+
+def test_optimize_missing_spec_file(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    rc, _, err = run(capsys, "optimize", "--spec", str(missing))
+    assert_config_error(rc, err, str(missing))
+
+
+def test_sweep_spec_without_values(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"parameter": "rpm"}))
+    rc, _, err = run(capsys, "sweep", "--spec", str(spec))
+    assert_config_error(rc, err, "values")
+
+
+def test_override_bad_list_index(capsys):
+    rc, _, err = run(capsys, "sweep", "--spec", str(FIGURES / "fig07.json"),
+                     "--set", "collectives_deg.x=1")
+    assert_config_error(rc, err, "collectives_deg.x")
+
+
+def test_override_short_grid(capsys):
+    rc, _, err = run(capsys, "optimize", "--set", "radius_grid_m=[0.3]")
+    assert_config_error(rc, err, "radius_grid")
+
+
+@pytest.mark.parametrize("command, error", [
+    ("cmd_analyze", NoRootError("no root", stations=[0.5],
+                                bracket=(-1.5, 1.5))),
+    ("cmd_simulate", SimulationAbort("tipped over", t=1.25)),
+])
+def test_error_payload_carries_every_attribute(monkeypatch, capsys,
+                                               command, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, command, fail)
+    rc, _, err = run(capsys, command.removeprefix("cmd_"))
+    assert rc == 1
+    payload = strict_json(err)
+    assert payload["error"] == type(error).__name__
+    assert payload["message"] == str(error)
+    for name, value in vars(error).items():
+        assert payload[name] == (list(value) if isinstance(value, tuple)
+                                 else value)
+
+
+def test_infeasible_grid_payload_is_strict_json(capsys):
+    rc, _, err = run(capsys, "optimize",
+                     "--set", "radius_grid_m=[0.3, 0.3, 0.01]",
+                     "--set", "twist_grid_deg=[-20, -20, 1]",
+                     "--set", "n_stations=20",
+                     "--set", "thrust_n=1e6")
+    assert rc == 1
+    payload = strict_json(err)
+    assert payload["error"] == "TrimError"
+    assert payload["t_max"] is None

@@ -2,8 +2,8 @@
 
 Sweep rows are checked against direct solver calls, trim against the
 thrust it claims to hit, and the grid search for exact agreement
-between its serial and multiprocess paths and for internal consistency
-of the reported optimum.
+between its serial and multiprocess paths, for agreement with per-cell
+solves, and for internal consistency of the reported optimum.
 """
 
 import math
@@ -232,6 +232,8 @@ def test_optimization_spec_validation():
         OptimizationSpec(radius_grid=(0.5, 0.4, 0.01))
     with pytest.raises(ConfigError):
         OptimizationSpec(twist_grid=(-0.5, -0.1, 0.0))
+    with pytest.raises(ConfigError, match="radius_grid"):
+        OptimizationSpec(radius_grid=(0.3,))
 
 
 def test_default_grids():
@@ -272,6 +274,53 @@ def test_grid_search_multiprocess_identical(sc1095, tiny_result, monkeypatch):
         assert np.array_equal(getattr(parallel, name), getattr(tiny_result, name))
     assert parallel.index == tiny_result.index
     assert parallel.cost_star == tiny_result.cost_star
+
+
+def test_grid_search_matches_per_cell_solves(sc1095, tiny_result):
+    """Batching oracle: each cell solved on its own geometry, with
+    ``evaluate_rotor`` at the trimmed collective and a cruise scan."""
+    spec, res = tiny_spec(), tiny_result
+    scan = np.arange(spec.cruise_scan[0],
+                     spec.cruise_scan[1] + 0.5 * spec.cruise_scan[2],
+                     spec.cruise_scan[2])
+    for i, radius in enumerate(res.radii):
+        for j, twist in enumerate(res.twists):
+            geom = bemt.BladeGeometry.from_aspect_ratio(
+                radius, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
+                twist=twist, preset=-twist)
+            hover = bemt.evaluate_rotor(
+                geom, bemt.OperatingPoint.from_rpm(
+                    spec.hover_rpm, rho=spec.hover_rho,
+                    collective=res.hover_collective[i, j]),
+                sc1095, n_stations=spec.n_stations)
+            cruise = bemt.thrust_curve(
+                geom, sc1095, spec.cruise_rpm, scan, v_inf=spec.cruise_speed,
+                rho=spec.cruise_rho, n_stations=spec.n_stations)
+            etas = [p.eta_p for p in cruise.rows
+                    if p is not None and p.thrust > 0.0 and p.power > 0.0]
+            assert res.feasible[i, j] == (math.isfinite(hover.figure_of_merit)
+                                          and len(etas) > 0)
+            assert abs(res.fm[i, j] - hover.figure_of_merit) < 1e-12
+            assert abs(res.eta[i, j] - max(etas)) < 1e-12
+
+
+def test_grid_trim_takes_first_crossing_of_wavy_branch(naca0012):
+    """On the naca0012 stall plateau the hover curve is not monotone
+    below its peak; the grid trims where the target is first reached,
+    as ``trim_collective`` does on the same blade."""
+    twist = math.radians(-45.0)
+    spec = OptimizationSpec(
+        radius_grid=(0.38, 0.38, 0.01),
+        twist_grid=(twist, twist, math.radians(1.0)),
+        polar_name="naca0012", thrust_constraint=56.633)
+    res = optimize(spec, polar=naca0012, workers=1)
+    geom = bemt.BladeGeometry.from_aspect_ratio(
+        0.38, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
+        twist=twist, preset=-twist)
+    trimmed = trim_collective(
+        geom, bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho),
+        naca0012, spec.thrust_constraint, n_stations=spec.n_stations)
+    assert abs(math.degrees(res.hover_collective[0, 0] - trimmed)) < 0.5
 
 
 def test_pure_hover_weighting_selects_fm(sc1095, tiny_result):

@@ -316,6 +316,15 @@ def test_pitch_singularity_abort(params):
             state = step_dynamics(state, np.zeros(4), params, 0.01)
 
 
+
+def test_mission_abort_carries_time():
+    initial = VehicleState(euler=np.array([0.0, 1.47, 0.0]),
+                           rates=np.array([0.0, 5.0, 0.0]))
+    with pytest.raises(SimulationAbort) as info:
+        run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005, initial_state=initial)
+    assert info.value.t == pytest.approx(0.005, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # missions
 
