@@ -267,7 +267,7 @@ def check_simulation():
         ("final within 0.1 m of (0,2,0)", final_error <= 0.1,
          f"{final_error:.3f} m"),
         ("attitude error < 5 deg settled", att_err < 5.0, f"{att_err:.2f} deg"),
-        ("runtime < 30 s", elapsed < 30.0, f"{elapsed:.1f} s"),
+        ("runtime < 5 s", elapsed < 5.0, f"{elapsed:.1f} s"),
     ])
 
 

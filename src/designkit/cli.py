@@ -100,6 +100,16 @@ def _json_safe(value):
     return value
 
 
+def _number_list(data, key):
+    """``data[key]`` checked to be a JSON list of numbers."""
+    value = data[key]
+    if not isinstance(value, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in value):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return value
+
+
 def _emit(args, filename, text):
     """Write one artifact; stdout when no --out directory was given."""
     if args.out:
@@ -151,16 +161,16 @@ def _sweep_spec_from_json(data):
     missing = [key for key in ("parameter", "values") if key not in data]
     if missing:
         raise ConfigError(f"sweep spec is missing {', '.join(map(repr, missing))}")
-    values = data["values"]
+    values = _number_list(data, "values")
     parameter = data["parameter"]
     if parameter in ("twist", "collective"):
         values = [math.radians(v) for v in values]
     kwargs = {}
     if "collectives_deg" in data:
         kwargs["collectives"] = tuple(
-            math.radians(v) for v in data["collectives_deg"])
+            math.radians(v) for v in _number_list(data, "collectives_deg"))
     if "speeds" in data:
-        kwargs["speeds"] = tuple(float(v) for v in data["speeds"])
+        kwargs["speeds"] = tuple(map(float, _number_list(data, "speeds")))
     if "couple_preset" in data:
         kwargs["couple_preset"] = bool(data["couple_preset"])
     return explorer.SweepSpec(
@@ -180,15 +190,15 @@ def cmd_sweep(args):
 def _optimization_spec_from_json(data):
     kwargs = {}
     if "radius_grid_m" in data:
-        kwargs["radius_grid"] = tuple(data["radius_grid_m"])
+        kwargs["radius_grid"] = tuple(_number_list(data, "radius_grid_m"))
     if "twist_grid_deg" in data:
         kwargs["twist_grid"] = tuple(
-            math.radians(v) for v in data["twist_grid_deg"])
+            math.radians(v) for v in _number_list(data, "twist_grid_deg"))
     for key in ("weights", "hover_rpm", "hover_rho", "cruise_rpm",
                 "cruise_speed", "cruise_rho", "aspect_ratio", "taper_ratio",
                 "n_stations"):
         if key in data:
-            kwargs[key] = (tuple(data[key]) if key == "weights"
+            kwargs[key] = (tuple(_number_list(data, key)) if key == "weights"
                            else data[key])
     if "thrust_n" in data:
         kwargs["thrust_constraint"] = data["thrust_n"]

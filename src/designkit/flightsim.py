@@ -21,7 +21,6 @@ from . import bemt
 from .constants import G, RHO_SL
 from .errors import ConfigError, MissionTimeout, SimulationAbort
 
-SPIN = np.array([-1.0, 1.0, -1.0, 1.0])
 GIMBAL_LIMIT = math.radians(85.0)
 MAX_DT = 0.01   # [s]
 
@@ -136,6 +135,15 @@ def euler_rate_matrix(euler):
     ])
 
 
+def _euler_rates(phi, theta, p, q, r):
+    """``euler_rate_matrix(euler) @ (p, q, r)`` written out in floats."""
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, tth = math.cos(theta), math.tan(theta)
+    return (p + sph * tth * q + cph * tth * r,
+            cph * q - sph * r,
+            sph / cth * q + cph / cth * r)
+
+
 # ---------------------------------------------------------------------------
 # controllers
 
@@ -164,27 +172,35 @@ class GainSet:
 DEFAULT_GAINS = GainSet()
 
 
+def _pid(integral, errors, rates, gains_p, gains_i, gains_d, limit, dt):
+    """Per-axis -(P e + I int(e) + D rate) in floats.  ``integral`` is
+    advanced in place and clamped to +-limit."""
+    out = []
+    for axis, (error, rate) in enumerate(zip(errors, rates)):
+        total = min(max(integral[axis] + error * dt, -limit), limit)
+        integral[axis] = total
+        out.append(-gains_p[axis] * error - gains_i[axis] * total
+                   - gains_d[axis] * rate)
+    return out
+
+
 class AttitudeController:
     """PID on Euler-angle error; moments oppose the error."""
 
     def __init__(self, gains=DEFAULT_GAINS):
         self.gains = gains
-        self.integral = np.zeros(3)
+        self.integral = [0.0, 0.0, 0.0]
 
     def reset(self):
-        self.integral[:] = 0.0
+        self.integral = [0.0, 0.0, 0.0]
 
     def update(self, state, euler_desired, dt):
         g = self.gains
-        error = state.euler - np.asarray(euler_desired, dtype=float)
-        self.integral += error * dt
-        np.clip(self.integral, -g.att_integrator_limit,
-                g.att_integrator_limit, out=self.integral)
-        euler_rates = euler_rate_matrix(state.euler) @ state.rates
-        moments = (-np.asarray(g.att_p) * error
-                   - np.asarray(g.att_i) * self.integral
-                   - np.asarray(g.att_d) * euler_rates)
-        return moments
+        euler = state.euler.tolist()
+        error = [a - float(d) for a, d in zip(euler, euler_desired)]
+        euler_rates = _euler_rates(euler[0], euler[1], *state.rates.tolist())
+        return np.array(_pid(self.integral, error, euler_rates, g.att_p,
+                             g.att_i, g.att_d, g.att_integrator_limit, dt))
 
 
 class PositionController:
@@ -193,12 +209,12 @@ class PositionController:
     def __init__(self, gains=DEFAULT_GAINS, params=None):
         self.gains = gains
         self.params = default_params() if params is None else params
-        self.integral = np.zeros(3)
+        self.integral = [0.0, 0.0, 0.0]
         self.tilt_limited = False
         self.thrust_clamped = False
 
     def reset(self):
-        self.integral[:] = 0.0
+        self.integral = [0.0, 0.0, 0.0]
         self.tilt_limited = False
         self.thrust_clamped = False
 
@@ -206,24 +222,21 @@ class PositionController:
                accel_feedforward=(0.0, 0.0, 0.0)):
         g = self.gains
         p = self.params
-        error = state.position - np.asarray(position_desired, dtype=float)
-        self.integral += error * dt
-        np.clip(self.integral, -g.pos_integrator_limit,
-                g.pos_integrator_limit, out=self.integral)
-        accel_fb = (-np.asarray(g.pos_p) * error
-                    - np.asarray(g.pos_i) * self.integral
-                    - np.asarray(g.pos_d) * state.velocity)
+        error = [x - float(d)
+                 for x, d in zip(state.position.tolist(), position_desired)]
+        accel_fb = _pid(self.integral, error, state.velocity.tolist(),
+                        g.pos_p, g.pos_i, g.pos_d, g.pos_integrator_limit, dt)
+        accel = [float(ff) + a for ff, a in zip(accel_feedforward, accel_fb)]
         # demanded specific force: desired accel minus gravity (z down)
-        accel = np.asarray(accel_feedforward, dtype=float) + accel_fb \
-            - np.array([0.0, 0.0, p.gravity])
-        thrust = p.mass * float(np.linalg.norm(accel))
+        accel[2] -= p.gravity
+        thrust = p.mass * math.hypot(*accel)
         self.thrust_clamped = False
         if thrust <= 0.0:
             thrust = p.hover_thrust
             self.thrust_clamped = True
-            u = np.array([0.0, 0.0, 1.0])
+            u = (0.0, 0.0, 1.0)
         else:
-            u = -p.mass * accel / thrust
+            u = [-p.mass * a / thrust for a in accel]
 
         cps, sps = math.cos(yaw_desired), math.sin(yaw_desired)
         self.tilt_limited = False
@@ -290,14 +303,15 @@ def mixing_forward(cts, params, exact_yaw=False):
     """(T, l, m, n) produced by the given thrust coefficients."""
     p = params
     cts = np.asarray(cts, dtype=float)
-    thrust = p.k_f * cts.sum()
-    l = p.k_f * p.arm_length * (-cts[0] - cts[1] + cts[2] + cts[3])
-    m = p.k_f * p.arm_length * (cts[0] - cts[1] - cts[2] + cts[3])
+    c1, c2, c3, c4 = cts.tolist()
+    thrust = p.k_f * (c1 + c2 + c3 + c4)
+    l = p.k_f * p.arm_length * (-c1 - c2 + c3 + c4)
+    m = p.k_f * p.arm_length * (c1 - c2 - c3 + c4)
     if exact_yaw:
-        n = p.k_f * p.rotor_radius / math.sqrt(2.0) * float(
-            np.sum(SPIN * np.sign(cts) * np.abs(cts) ** 1.5))
+        t1, t2, t3, t4 = (np.sign(cts) * np.abs(cts) ** 1.5).tolist()
+        n = p.k_f * p.rotor_radius / math.sqrt(2.0) * (-t1 + t2 - t3 + t4)
     else:
-        n = p.yaw_gain * float(np.sum(SPIN * cts))
+        n = p.yaw_gain * (-c1 + c2 - c3 + c4)
     return thrust, l, m, n
 
 
@@ -357,19 +371,29 @@ def ct_to_pitch(ct, pitch_map):
 # ---------------------------------------------------------------------------
 # rigid-body dynamics
 
-def _derivatives(vec, cts, params):
+def _derivatives(x, wrench, params):
+    """Rate of the 12 state components (position, velocity, euler, body
+    rates) under the body wrench (T, l, m, n), in floats."""
     p = params
-    state = VehicleState.unpack(vec)
-    thrust, l, m, n = mixing_forward(cts, p, exact_yaw=True)
-    r_bw = rotation_matrix(state.euler)
-    accel = np.array([0.0, 0.0, p.gravity]) \
-        - (thrust / p.mass) * r_bw[:, 2]
-    inertia = np.asarray(p.inertia)
-    omega = state.rates
-    moments = np.array([l, m, n])
-    omega_dot = (moments - np.cross(omega, inertia * omega)) / inertia
-    euler_dot = euler_rate_matrix(state.euler) @ omega
-    return np.concatenate([state.velocity, accel, euler_dot, omega_dot])
+    thrust, l, m, n = wrench
+    phi, theta, psi, wx, wy, wz = x[6:]
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cps, sps = math.cos(psi), math.sin(psi)
+    f = thrust / p.mass
+    ix, iy, iz = p.inertia
+    hx, hy, hz = ix * wx, iy * wy, iz * wz
+    return (x[3], x[4], x[5],
+            # gravity minus thrust along body z, the third column of
+            # rotation_matrix
+            0.0 - f * (cph * sth * cps + sph * sps),
+            0.0 - f * (cph * sth * sps - sph * cps),
+            p.gravity - f * (cph * cth),
+            *_euler_rates(phi, theta, wx, wy, wz),
+            # Euler's equations, (M - omega x I omega) / I
+            (l - (wy * hz - wz * hy)) / ix,
+            (m - (wz * hx - wx * hz)) / iy,
+            (n - (wx * hy - wy * hx)) / iz)
 
 
 def step_dynamics(state, cts, params, dt):
@@ -380,19 +404,21 @@ def step_dynamics(state, cts, params, dt):
     """
     if not 0.0 < dt <= MAX_DT:
         raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
-    cts = np.asarray(cts, dtype=float)
-    vec = state.pack()
-    k1 = _derivatives(vec, cts, params)
-    k2 = _derivatives(vec + 0.5 * dt * k1, cts, params)
-    k3 = _derivatives(vec + 0.5 * dt * k2, cts, params)
-    k4 = _derivatives(vec + dt * k3, cts, params)
-    new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out = VehicleState.unpack(new)
-    if abs(out.euler[1]) > GIMBAL_LIMIT:
+    wrench = mixing_forward(cts, params, exact_yaw=True)
+    x = state.pack().tolist()
+    half = 0.5 * dt
+    k1 = _derivatives(x, wrench, params)
+    k2 = _derivatives([a + half * b for a, b in zip(x, k1)], wrench, params)
+    k3 = _derivatives([a + half * b for a, b in zip(x, k2)], wrench, params)
+    k4 = _derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params)
+    sixth = dt / 6.0
+    new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if abs(new[7]) > GIMBAL_LIMIT:
         raise SimulationAbort(
-            f"pitch {math.degrees(out.euler[1]):.1f} deg beyond the "
+            f"pitch {math.degrees(new[7]):.1f} deg beyond the "
             f"{math.degrees(GIMBAL_LIMIT):.0f} deg Euler limit")
-    return out
+    return VehicleState.unpack(np.array(new))
 
 
 # ---------------------------------------------------------------------------
@@ -411,23 +437,18 @@ class MissionLog:
     capture_times: tuple = ()
     CSV_HEADER = ("t,x,y,z,phi,theta,psi,T,l,m,n,"
                   "ct1,ct2,ct3,ct4,theta01,theta02,theta03,theta04")
+    CSV_ROW = "{:.4f}" + ",{:.6g}" * 18
 
     @property
     def final_position(self):
         return self.position[-1]
 
     def csv_lines(self):
-        lines = [self.CSV_HEADER]
-        for i in range(self.time.size):
-            row = [f"{self.time[i]:.4f}"]
-            row += [f"{v:.6g}" for v in self.position[i]]
-            row += [f"{v:.6g}" for v in self.euler[i]]
-            row.append(f"{self.thrust[i]:.6g}")
-            row += [f"{v:.6g}" for v in self.moments[i]]
-            row += [f"{v:.6g}" for v in self.cts[i]]
-            row += [f"{v:.6g}" for v in self.pitches[i]]
-            lines.append(",".join(row))
-        return lines
+        table = np.column_stack([self.time, self.position, self.euler,
+                                 self.thrust, self.moments, self.cts,
+                                 self.pitches])
+        return [self.CSV_HEADER] + [self.CSV_ROW.format(*row.tolist())
+                                    for row in table]
 
 
 def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=0.005,
@@ -460,22 +481,24 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=0.005,
     while True:
         target = waypoints[wp_index]
         thrust, phi_d, theta_d = pos.update(state, target[:3], target[3], dt)
-        euler_d = np.array([phi_d, theta_d, target[3]])
+        euler_d = (phi_d, theta_d, target[3])
         moments = att.update(state, euler_d, dt)
-        cts = allocate(ControlCommand(thrust, tuple(moments)), params)
+        cts = allocate(ControlCommand(thrust, tuple(moments.tolist())), params)
         cts = np.clip(cts, max(ct_lo, 0.0), ct_hi)
         if pitch_map is None:
-            pitches = np.full(4, math.nan)
+            pitches = (math.nan,) * 4
         else:
-            pitches = np.array([pitch_map.pitch(c)[0] for c in cts])
+            # PitchMap.pitch of all four: cts already lie in ct_range
+            pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
 
+        # step_dynamics returns fresh arrays, so the log needs no copies
         rows["t"].append(t)
-        rows["pos"].append(state.position.copy())
-        rows["eul"].append(state.euler.copy())
+        rows["pos"].append(state.position)
+        rows["eul"].append(state.euler)
         rows["eud"].append(euler_d)
         rows["T"].append(thrust)
-        rows["M"].append(moments.copy())
-        rows["ct"].append(cts.copy())
+        rows["M"].append(moments)
+        rows["ct"].append(cts)
         rows["th"].append(pitches)
 
         try:
@@ -486,7 +509,7 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=0.005,
         t += dt
         wp_clock += dt
 
-        distance = float(np.linalg.norm(state.position - np.array(target[:3])))
+        distance = math.dist(state.position, target[:3])
         if settle is None:
             if distance <= capture_radius:
                 capture_times.append(t)

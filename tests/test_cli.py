@@ -7,6 +7,9 @@ exit status 2 for usage errors.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,16 @@ def test_help_exits_clean(command, capsys):
         main([command, "--help"])
     assert info.value.code == 0
     assert command in capsys.readouterr().out
+
+
+def test_python_dash_m_entry_point():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "designkit", "gears"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -262,6 +275,22 @@ def test_override_bad_list_index(capsys):
     rc, _, err = run(capsys, "sweep", "--spec", str(FIGURES / "fig07.json"),
                      "--set", "collectives_deg.x=1")
     assert_config_error(rc, err, "collectives_deg.x")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["optimize", "--set", "radius_grid_m=0.3"], "radius_grid_m"),
+    (["optimize", "--set", "twist_grid_deg=-20"], "twist_grid_deg"),
+    (["optimize", "--set", "weights=0.5"], "weights"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "values=3"],
+     "values"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"),
+      "--set", "collectives_deg=2"], "collectives_deg"),
+    (["sweep", "--spec", str(FIGURES / "fig10b.json"),
+      "--set", 'speeds=["fast"]'], "speeds"),
+])
+def test_scalar_where_list_expected(capsys, argv, key):
+    rc, _, err = run(capsys, *argv)
+    assert_config_error(rc, err, key)
 
 
 def test_override_short_grid(capsys):

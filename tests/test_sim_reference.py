@@ -1,0 +1,323 @@
+"""The float simulator against the NumPy one it replaced.
+
+``flightsim`` steps the rigid body, the PID loops and the mixing in
+plain Python floats.  The NumPy versions below are kept verbatim as the
+oracle: one ``step_dynamics`` must match to 1e-12 per state component
+(relative, absolute near zero), the gimbal abort must fire on the same
+inputs, and missions must take the same steps and capture times with
+position, attitude, C_T, thrust and pitch within 1e-12.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from designkit.errors import SimulationAbort
+from designkit.flightsim import (DEFAULT_GAINS, GIMBAL_LIMIT,
+                                 AttitudeController, ControlCommand,
+                                 PitchMap, PositionController,
+                                 VehicleState, allocate, default_params,
+                                 euler_rate_matrix, mixing_forward,
+                                 rotation_matrix, run_mission, step_dynamics)
+
+TOL = 1e-12
+SPIN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the NumPy reference, as it stood before the float rewrite
+
+def reference_mixing_forward(cts, params, exact_yaw=False):
+    """(T, l, m, n) produced by the given thrust coefficients."""
+    p = params
+    cts = np.asarray(cts, dtype=float)
+    thrust = p.k_f * cts.sum()
+    l = p.k_f * p.arm_length * (-cts[0] - cts[1] + cts[2] + cts[3])
+    m = p.k_f * p.arm_length * (cts[0] - cts[1] - cts[2] + cts[3])
+    if exact_yaw:
+        n = p.k_f * p.rotor_radius / math.sqrt(2.0) * float(
+            np.sum(SPIN * np.sign(cts) * np.abs(cts) ** 1.5))
+    else:
+        n = p.yaw_gain * float(np.sum(SPIN * cts))
+    return thrust, l, m, n
+
+
+def _derivatives(vec, cts, params):
+    p = params
+    state = VehicleState.unpack(vec)
+    thrust, l, m, n = mixing_forward(cts, p, exact_yaw=True)
+    r_bw = rotation_matrix(state.euler)
+    accel = np.array([0.0, 0.0, p.gravity]) \
+        - (thrust / p.mass) * r_bw[:, 2]
+    inertia = np.asarray(p.inertia)
+    omega = state.rates
+    moments = np.array([l, m, n])
+    omega_dot = (moments - np.cross(omega, inertia * omega)) / inertia
+    euler_dot = euler_rate_matrix(state.euler) @ omega
+    return np.concatenate([state.velocity, accel, euler_dot, omega_dot])
+
+
+def reference_step(state, cts, params, dt):
+    cts = np.asarray(cts, dtype=float)
+    vec = state.pack()
+    k1 = _derivatives(vec, cts, params)
+    k2 = _derivatives(vec + 0.5 * dt * k1, cts, params)
+    k3 = _derivatives(vec + 0.5 * dt * k2, cts, params)
+    k4 = _derivatives(vec + dt * k3, cts, params)
+    new = vec + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    out = VehicleState.unpack(new)
+    if abs(out.euler[1]) > GIMBAL_LIMIT:
+        raise SimulationAbort(
+            f"pitch {math.degrees(out.euler[1]):.1f} deg beyond the "
+            f"{math.degrees(GIMBAL_LIMIT):.0f} deg Euler limit")
+    return out
+
+
+class ReferenceAttitude(AttitudeController):
+    def __init__(self, gains=DEFAULT_GAINS):
+        super().__init__(gains)
+        self.integral = np.zeros(3)
+
+    def update(self, state, euler_desired, dt):
+        g = self.gains
+        error = state.euler - np.asarray(euler_desired, dtype=float)
+        self.integral += error * dt
+        np.clip(self.integral, -g.att_integrator_limit,
+                g.att_integrator_limit, out=self.integral)
+        euler_rates = euler_rate_matrix(state.euler) @ state.rates
+        moments = (-np.asarray(g.att_p) * error
+                   - np.asarray(g.att_i) * self.integral
+                   - np.asarray(g.att_d) * euler_rates)
+        return moments
+
+
+class ReferencePosition(PositionController):
+    def __init__(self, gains=DEFAULT_GAINS, params=None):
+        super().__init__(gains, params)
+        self.integral = np.zeros(3)
+
+    def update(self, state, position_desired, yaw_desired, dt,
+               accel_feedforward=(0.0, 0.0, 0.0)):
+        g = self.gains
+        p = self.params
+        error = state.position - np.asarray(position_desired, dtype=float)
+        self.integral += error * dt
+        np.clip(self.integral, -g.pos_integrator_limit,
+                g.pos_integrator_limit, out=self.integral)
+        accel_fb = (-np.asarray(g.pos_p) * error
+                    - np.asarray(g.pos_i) * self.integral
+                    - np.asarray(g.pos_d) * state.velocity)
+        # demanded specific force: desired accel minus gravity (z down)
+        accel = np.asarray(accel_feedforward, dtype=float) + accel_fb \
+            - np.array([0.0, 0.0, p.gravity])
+        thrust = p.mass * float(np.linalg.norm(accel))
+        self.thrust_clamped = False
+        if thrust <= 0.0:
+            thrust = p.hover_thrust
+            self.thrust_clamped = True
+            u = np.array([0.0, 0.0, 1.0])
+        else:
+            u = -p.mass * accel / thrust
+
+        cps, sps = math.cos(yaw_desired), math.sin(yaw_desired)
+        self.tilt_limited = False
+        s_phi = u[0] * sps - u[1] * cps
+        if abs(s_phi) > 1.0:
+            s_phi = math.copysign(1.0, s_phi)
+            self.tilt_limited = True
+        phi_d = math.asin(s_phi)
+        s_theta = (u[0] * cps + u[1] * sps) / math.cos(phi_d)
+        if abs(s_theta) > 1.0:
+            s_theta = math.copysign(1.0, s_theta)
+            self.tilt_limited = True
+        theta_d = math.asin(s_theta)
+        return thrust, phi_d, theta_d
+
+
+def reference_mission(waypoints, params, pitch_map, dt=0.005,
+                      capture_radius=0.1, hold_time=1.0):
+    """The old ``run_mission`` loop (no timeout) on the reference parts."""
+    state = VehicleState()
+    att = ReferenceAttitude()
+    pos = ReferencePosition(params=params)
+    ct_lo, ct_hi = pitch_map.ct_range
+    rows = {k: [] for k in ("pos", "eul", "T", "ct", "th")}
+    capture_times = []
+    t = 0.0
+    wp_index = 0
+    settle = None
+    while True:
+        target = waypoints[wp_index]
+        thrust, phi_d, theta_d = pos.update(state, target[:3], target[3], dt)
+        euler_d = np.array([phi_d, theta_d, target[3]])
+        moments = att.update(state, euler_d, dt)
+        cts = allocate(ControlCommand(thrust, tuple(moments)), params)
+        cts = np.clip(cts, max(ct_lo, 0.0), ct_hi)
+        pitches = np.array([pitch_map.pitch(c)[0] for c in cts])
+        rows["pos"].append(state.position.copy())
+        rows["eul"].append(state.euler.copy())
+        rows["T"].append(thrust)
+        rows["ct"].append(cts.copy())
+        rows["th"].append(pitches)
+        state = reference_step(state, cts, params, dt)
+        t += dt
+        distance = float(np.linalg.norm(state.position - np.array(target[:3])))
+        if settle is None:
+            if distance <= capture_radius:
+                capture_times.append(t)
+                if wp_index + 1 < len(waypoints):
+                    wp_index += 1
+                else:
+                    settle = hold_time
+        else:
+            settle -= dt
+            if settle <= 0.0:
+                break
+    return {k: np.array(v) for k, v in rows.items()}, tuple(capture_times)
+
+
+def reference_csv_lines(log):
+    lines = [log.CSV_HEADER]
+    for i in range(log.time.size):
+        row = [f"{log.time[i]:.4f}"]
+        row += [f"{v:.6g}" for v in log.position[i]]
+        row += [f"{v:.6g}" for v in log.euler[i]]
+        row.append(f"{log.thrust[i]:.6g}")
+        row += [f"{v:.6g}" for v in log.moments[i]]
+        row += [f"{v:.6g}" for v in log.cts[i]]
+        row += [f"{v:.6g}" for v in log.pitches[i]]
+        lines.append(",".join(row))
+    return lines
+
+
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def params():
+    return default_params()
+
+
+@pytest.fixture(scope="module")
+def pitch_map(final_rotor, sc1095):
+    return PitchMap.from_rotor(final_rotor, sc1095)
+
+
+def assert_close(got, want, tol=TOL):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= tol * np.maximum(np.abs(want), 1.0))
+
+
+def span(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def triple(lo, hi):
+    return st.tuples(span(lo, hi), span(lo, hi), span(lo, hi))
+
+
+quad_cts = st.tuples(*[span(-0.01, 0.03)] * 4)
+time_steps = st.floats(0.0, 0.01, exclude_min=True)
+LEVEL = math.radians(80.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(position=triple(-100.0, 100.0), velocity=triple(-20.0, 20.0),
+       phi=span(-math.pi, math.pi), theta=span(-LEVEL, LEVEL),
+       psi=span(-math.pi, math.pi), rates=triple(-5.0, 5.0),
+       cts=quad_cts, dt=time_steps)
+def test_step_matches_numpy_reference(params, position, velocity, phi, theta,
+                                      psi, rates, cts, dt):
+    state = VehicleState(np.array(position), np.array(velocity),
+                         np.array([phi, theta, psi]), np.array(rates))
+    got = step_dynamics(state, np.array(cts), params, dt)
+    want = reference_step(state, np.array(cts), params, dt)
+    assert_close(got.pack(), want.pack())
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=span(1.35, 1.5), rates=triple(-5.0, 5.0), cts=quad_cts,
+       dt=time_steps)
+@example(theta=1.47, rates=(0.0, 5.0, 0.0), cts=(0.0,) * 4, dt=0.01)
+@example(theta=1.40, rates=(0.0, 0.0, 0.0), cts=(0.0,) * 4, dt=0.01)
+def test_gimbal_abort_matches_reference(params, theta, rates, cts, dt):
+    state = VehicleState(euler=np.array([0.1, theta, -0.2]),
+                         rates=np.array(rates))
+
+    def outcome(step):
+        try:
+            return "step", step(state, np.array(cts), params, dt).pack()
+        except SimulationAbort as exc:
+            return "abort", str(exc)
+
+    (kind, got), (want_kind, want) = outcome(step_dynamics), \
+        outcome(reference_step)
+    assert kind == want_kind
+    if kind == "abort":
+        assert got == want
+    else:
+        assert_close(got, want)
+
+
+def test_mixing_forward_is_bit_identical(params):
+    rng = np.random.default_rng(5)
+    cases = list(rng.uniform(-0.01, 0.03, (500, 4)))
+    cases += [np.zeros(4), np.array([0.0, -0.0, 1e-300, -1e-300])]
+    for cts in cases:
+        for exact_yaw in (False, True):
+            got = mixing_forward(cts, params, exact_yaw=exact_yaw)
+            want = reference_mixing_forward(cts, params, exact_yaw=exact_yaw)
+            assert got == tuple(map(float, want))
+
+
+def test_controllers_match_reference(params):
+    """Five updates in a row (integrators carried, some clamped) from
+    random states toward random targets."""
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        att, ref_att = AttitudeController(), ReferenceAttitude()
+        pos, ref_pos = (PositionController(params=params),
+                        ReferencePosition(params=params))
+        target = rng.uniform(-50.0, 50.0, 3)
+        yaw = rng.uniform(-math.pi, math.pi)
+        for _ in range(5):
+            state = VehicleState(rng.uniform(-50.0, 50.0, 3),
+                                 rng.uniform(-10.0, 10.0, 3),
+                                 rng.uniform(-1.2, 1.2, 3),
+                                 rng.uniform(-5.0, 5.0, 3))
+            dt = rng.uniform(0.001, 0.5)
+            got = pos.update(state, target, yaw, dt)
+            want = ref_pos.update(state, target, yaw, dt)
+            assert_close(got, want)
+            assert (pos.tilt_limited, pos.thrust_clamped) == \
+                (ref_pos.tilt_limited, ref_pos.thrust_clamped)
+            euler_d = (got[1], got[2], yaw)
+            assert_close(att.update(state, euler_d, dt),
+                         ref_att.update(state, euler_d, dt))
+            assert_close(pos.integral, ref_pos.integral)
+            assert_close(att.integral, ref_att.integral)
+
+
+@pytest.mark.parametrize("waypoints", [
+    [(0.0, 0.0, -2.0, 0.0)],
+    # a climb, then a sidestep with a yaw turn: four different C_T per step
+    [(0.0, 0.0, -1.0, 0.0), (0.5, -0.5, -1.0, 0.3)],
+], ids=["climb", "sidestep"])
+def test_mission_matches_reference(params, pitch_map, waypoints):
+    log = run_mission(waypoints, params=params, pitch_map=pitch_map)
+    rows, capture_times = reference_mission(waypoints, params, pitch_map)
+    assert log.time.size == rows["T"].size
+    assert log.capture_times == capture_times
+    for got, want in ((log.position, rows["pos"]), (log.euler, rows["eul"]),
+                      (log.cts, rows["ct"]), (log.thrust, rows["T"]),
+                      (log.pitches, rows["th"])):
+        assert np.max(np.abs(got - want)) <= TOL
+    assert log.csv_lines() == reference_csv_lines(log)
+
+
+def test_csv_lines_keep_nan_pitches():
+    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005)
+    assert np.all(np.isnan(log.pitches))
+    assert log.csv_lines() == reference_csv_lines(log)
