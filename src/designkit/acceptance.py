@@ -141,7 +141,7 @@ def check_grid_optimization():
          f"{tw_deg:.0f} deg"),
         ("FM-only argmax |twist| < 20 deg", fm_tw < 20.0, f"{fm_tw:.0f} deg"),
         ("eta-only argmax |twist| > 30 deg", eta_tw > 30.0, f"{eta_tw:.0f} deg"),
-        ("runtime < 150 s", elapsed < 150.0, f"{elapsed:.1f} s"),
+        ("runtime < 40 s", elapsed < 40.0, f"{elapsed:.1f} s"),
     ])
 
 

@@ -31,6 +31,9 @@ from .errors import PolarDataError, PolarFormatError
 # Blend width between table-edge values and the flat-plate laws [rad]
 BLEND_WIDTH = math.radians(10.0)
 
+# Off-table segment width over which cl_cd_bounds holds flat-plate ranges [rad]
+BOUNDS_STEP = math.radians(1.0)
+
 STALL_MODELS = ("clamp", "flat-plate-blend")
 
 # Recommended minimum sampled range [rad]; narrower tables still load but
@@ -45,6 +48,42 @@ def flat_plate(alpha):
     """
     a = np.asarray(alpha, dtype=float)
     return 1.1 * np.sin(2.0 * a), 1.7 * np.sin(a) ** 2
+
+
+def flat_plate_bounds(lo, hi):
+    """Bounds (cl_min, cl_max, cd_min, cd_max) of the flat-plate laws over
+    the angles [lo, hi] (arrays, lo <= hi).
+
+    The end values, widened to each extreme the interval holds: sin(2a)
+    peaks at +/-45 and +/-135 deg, sin^2(a) at 0, +/-90 and +/-180 deg.
+    Where the interval leaves [-pi, pi], the global range.
+    """
+    cl_lo, cd_lo = flat_plate(lo)
+    cl_hi, cd_hi = flat_plate(hi)
+
+    def holds(*angles):
+        return np.logical_or.reduce([(lo <= a) & (a <= hi) for a in angles])
+
+    wide = (lo < -math.pi) | (hi > math.pi)
+    q = 0.25 * math.pi
+    return (np.where(wide | holds(-q, 3.0 * q), -1.1, np.minimum(cl_lo, cl_hi)),
+            np.where(wide | holds(q, -3.0 * q), 1.1, np.maximum(cl_lo, cl_hi)),
+            np.where(wide | holds(0.0, -math.pi, math.pi), 0.0, np.minimum(cd_lo, cd_hi)),
+            np.where(wide | holds(-2.0 * q, 2.0 * q), 1.7, np.maximum(cd_lo, cd_hi)))
+
+
+def _range_minima(values):
+    """Sparse table of running minima of each column of ``values`` (n, m):
+    row c of the result holds, at l * n + i, the minimum of
+    ``values[i : i + 2**l, c]`` wherever that window fits."""
+    levels = [values]
+    width = 1
+    while 2 * width <= len(values):
+        level = levels[-1].copy()
+        level[:-width] = np.minimum(level[:-width], level[width:])
+        levels.append(level)
+        width *= 2
+    return np.ascontiguousarray(np.concatenate(levels).T)
 
 
 @dataclass(frozen=True)
@@ -123,6 +162,7 @@ class AirfoilPolar:
         self.cd = cd
         self.name = name
         self.stall_model = stall_model
+        self._bounds = None     # segment bounds table, built by cl_cd_bounds
 
     # -- properties ------------------------------------------------------
 
@@ -177,6 +217,63 @@ class AirfoilPolar:
                 np.put(cl, off, (1.0 - w) * np.take(cl, off) + w * cl_fp)
                 np.put(cd, off, (1.0 - w) * np.take(cd, off) + w * cd_fp)
         return cl, cd
+
+    def cl_cd_bounds(self, lo, hi):
+        """Bounds (cl_min, cl_max, cd_min, cd_max) on what :meth:`cl_cd`
+        gives at any angle in [lo, hi] (arrays, lo <= hi).
+
+        The extremes over the segments of the angle line that the interval
+        touches, from a range-minimum table built on first use.  Linear
+        interpolation stays between its two nodes, so a table segment holds
+        the range of its two rows.  Off the table, ``clamp`` holds the edge
+        row.  ``flat-plate-blend`` mixes the edge row with the flat-plate
+        laws, so each BOUNDS_STEP segment out to +/-pi holds the hull of the
+        edge row and the flat-plate range over it, and beyond that the
+        global range.
+        """
+        if self._bounds is None:
+            self._bounds = self._segment_bounds()
+        edges, minima = self._bounds
+        n_seg = edges.size - 1                      # segment i: edges[i]..edges[i + 1]
+        i = np.minimum(np.searchsorted(edges, lo, side="right") - 1, n_seg - 1)
+        j = np.clip(np.searchsorted(edges, hi, side="left") - 1, i, n_seg - 1)
+        # two windows of 2**level segments cover i..j: one from each end
+        level = np.frexp(j - i + 1)[1] - 1          # floor(log2(segments touched))
+        row = level * n_seg
+        first, last = row + i, row + j + 1 - np.left_shift(1, level)
+        cl_min, cd_min, cl_max, cd_max = (np.minimum(m[first], m[last]) for m in minima)
+        return cl_min, -cl_max, cd_min, -cd_max
+
+    def _segment_bounds(self):
+        """Edges of segments that cover the whole angle line, and the
+        range-minimum table of each segment's (cl_min, cd_min, -cl_max,
+        -cd_max)."""
+        a, cl, cd = self.alpha, self.cl, self.cd
+
+        def extremes(cl_min, cl_max, cd_min, cd_max):
+            return np.stack(np.broadcast_arrays(cl_min, cd_min, -cl_max, -cd_max), axis=-1)
+
+        first = extremes(cl[0], cl[0], cd[0], cd[0])[None]
+        last = extremes(cl[-1], cl[-1], cd[-1], cd[-1])[None]
+        table = extremes(np.minimum(cl[:-1], cl[1:]), np.maximum(cl[:-1], cl[1:]),
+                         np.minimum(cd[:-1], cd[1:]), np.maximum(cd[:-1], cd[1:]))
+        if self.stall_model == "clamp":
+            return (np.concatenate([[-np.inf], a, [np.inf]]),
+                    _range_minima(np.concatenate([first, table, last])))
+
+        def plate(x0, x1):
+            n = max(int(math.ceil((x1 - x0) / BOUNDS_STEP)), 0)
+            x = np.linspace(x0, x1, n + 1)
+            return x, extremes(*flat_plate_bounds(x[:-1], x[1:]))
+
+        everything = extremes(-1.1, 1.1, 0.0, 1.7)[None]
+        x_lo, below = plate(min(-math.pi, a[0]), a[0])
+        x_hi, above = plate(a[-1], max(math.pi, a[-1]))
+        edges = np.concatenate([[-np.inf], x_lo[:-1], a, x_hi[1:], [np.inf]])
+        segments = np.concatenate([np.minimum(everything, first), np.minimum(below, first),
+                                   table,
+                                   np.minimum(above, last), np.minimum(everything, last)])
+        return edges, _range_minima(segments)
 
     # -- constructors ----------------------------------------------------
 

@@ -22,14 +22,20 @@ momentum deficit factors built from the tip-loss function
 g has at least one sign change on (0, pi/2) for any lifting condition
 (and on (-pi/2, 0) for descending/negative-lift states), and can have
 several.  The root taken is the first crossing on a 200-slice scan of
-(0, pi/2), then of (-pi/2, 0).  The solver finds it without scanning
-most stations: where g changes sign between the ends of (0, pi/2) it
-polishes that bracket by Illinois iterations (Ning's bracketed approach,
-Wind Energy 17(9), 2014), then checks the scan points at or below the
-root in one batched evaluation and re-polishes an earlier crossing if
-there is one.  Only stations the ends do not bracket are scanned, slice
-by slice, and each leaves the scan once bracketed.  All of it is
-vectorised over stations, collectives and advance ratios at once.
+(0, pi/2), then of (-pi/2, 0).  Where g changes sign between the ends
+of (0, pi/2) the solver polishes that bracket by Illinois iterations
+(Ning's bracketed approach, Wind Energy 17(9), 2014), then looks for a
+crossing in an earlier slice and re-polishes there if it finds one; the
+stations the ends do not bracket get the same search over all 200
+slices.  That search proves runs of slices free of crossings instead of
+evaluating their points: an interval enclosure of g over a cell of
+slices (Moore, Interval Analysis, 1966) that excludes zero by a margin
+above rounding shows every point value in the cell has one sign.  Cells
+of 32 slices are enclosed, the uncertified ones cut into 8-slice cells
+and enclosed again, and only the nodes of cells still uncertified are
+evaluated, which gives the same slice and end residuals as evaluating
+every node.  All of it is vectorised over stations, collectives and
+advance ratios at once.
 
 Once phi is known the resultant section speed follows from the torque
 balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
@@ -59,6 +65,9 @@ SCAN_EPS = 1.0e-6         # keep phi = 0 (a spurious fixed point) out of the sca
 POLISH_TOL = 1.0e-14      # bracket width [rad] at which a polish stops
 POLISH_ITERS = 100        # cap; 2e5 random stations needed at most 22
 BLOCK = 4096              # elements per residual call: bounds the working set
+CELLS = (32, 8)           # slices per enclosed cell: coarse cells, then their cuts
+CERT_MARGIN = 1.0e-12     # relative margin by which a certified enclosure clears 0
+CERT_FLOOR = 1.0e-150     # absolute margin: products of certified residuals stay normal
 ZERO_LIFT_CL = 1.0e-12    # |cl| below this in hover pins phi = 0 exactly
 _TINY = 1.0e-15
 
@@ -308,10 +317,15 @@ class OperatingPoint:
 # per-station residual and vectorised root find
 # ---------------------------------------------------------------------------
 
+def _tip_loss_factor(abs_sin, r, n_blades):
+    """Prandtl tip-loss F; it falls as |sin(phi)| grows."""
+    f = 0.5 * n_blades * (1.0 - r) / np.maximum(r * abs_sin, _TINY)
+    return (2.0 / math.pi) * np.arccos(np.exp(-np.minimum(f, 700.0)))
+
+
 def _tip_loss(phi_sin, phi_cos, abs_sin, r, n_blades):
     """Tip-loss F and momentum factors (K_T, K_P) at inflow angle phi."""
-    f = 0.5 * n_blades * (1.0 - r) / np.maximum(r * abs_sin, _TINY)
-    F = (2.0 / math.pi) * np.arccos(np.exp(-np.minimum(f, 700.0)))
+    F = _tip_loss_factor(abs_sin, r, n_blades)
     one_minus_f = 1.0 - F
     k_t = 1.0 - one_minus_f * phi_cos
     k_p = 1.0 - one_minus_f * phi_sin
@@ -375,60 +389,199 @@ def _sign_change(g_prev, g_next):
     return (g_prev * g_next <= 0.0) & np.isfinite(g_prev) & np.isfinite(g_next)
 
 
-def _scan(k, grid, g, g_start):
-    """Early-exit scan of the slices of ``grid`` for elements k, given the
-    residual ``g_start`` at grid[0].  Returns (elements, slice index,
-    residual at both slice ends) for every element with a sign change,
-    at its first one; the others drop out."""
-    hits = []
-    g_prev = g_start
-    for j in range(1, grid.size):
-        if k.size == 0:
-            break
-        g_next = g(np.full(k.size, grid[j]), k)
-        cross = _sign_change(g_prev, g_next)
-        if np.any(cross):
-            hits.append((k[cross], np.full(np.count_nonzero(cross), j),
-                         g_prev[cross], g_next[cross]))
-            k, g_next = k[~cross], g_next[~cross]
-        g_prev = g_next
-    if not hits:
-        return k[:0], k[:0], g_start[:0], g_start[:0]
-    return tuple(np.concatenate(col) for col in zip(*hits))
+def _hull(a, b):
+    """Interval spanned by two values."""
+    return np.minimum(a, b), np.maximum(a, b)
 
 
-def _verify_roots(k, n_pts, g_start, grid, g):
-    """Scan-grid slice of the first sign change at or below each root.
+def _mul(a_lo, a_hi, b_lo, b_hi):
+    """Interval product."""
+    p, q = a_lo * b_lo, a_lo * b_hi
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    for p in (a_hi * b_lo, a_hi * b_hi):
+        np.minimum(lo, p, out=lo)
+        np.maximum(hi, p, out=hi)
+    return lo, hi
 
-    A ragged evaluation of grid[1..K] per element, where K = n_pts is the
-    slice [grid[K-1], grid[K]] that holds its root, batched over runs of
-    elements with about BLOCK grid points in all.  Returns (slice,
-    residual at both slice ends); slice is 0 where no slice up to K
-    changes sign.
+
+def _mul_pos(a_lo, a_hi, b_lo, b_hi):
+    """Interval product where a >= 0."""
+    return (np.minimum(a_lo * b_lo, a_hi * b_lo),
+            np.maximum(a_lo * b_hi, a_hi * b_hi))
+
+
+def _enclose(lo, hi, r, pitch, sigma, mu, n_blades, polar):
+    """Bounds (lower, upper) on every value :func:`_residual` computes at
+    angles in [lo, hi], per element; lo <= hi on one side of 0.
+
+    Plain interval arithmetic over the terms of g: sin and cos are
+    monotone on each side of 0, F falls as |sin(phi)| grows, K_T and K_P
+    follow from F, sin and cos, and cl, cd are bounded by the polar over
+    [pitch - hi, pitch - lo] (never through ``polar.cl_cd``).  Both bounds
+    are widened by CERT_MARGIN times the sum of the bounds on g's terms
+    (plus CERT_FLOOR), which covers the rounding of this and of the point
+    evaluation: where they exclude 0, every computed residual in the
+    cell has that sign.  Elements off that domain (mu < 0, a cell
+    touching 0 or leaving [-pi/2, pi/2], non-finite data) get
+    (-inf, inf).
     """
+    s_lo, s_hi = np.sin(lo), np.sin(hi)                  # sin rises on (-pi/2, pi/2)
+    c_lo, c_hi = _hull(np.cos(lo), np.cos(hi))
+    a_lo, a_hi = _hull(np.abs(s_lo), np.abs(s_hi))
+    # 1 - F rises with |sin(phi)|; K_T = 1 - (1 - F) cos, K_P = 1 - (1 - F) sin
+    f_lo = 1.0 - _tip_loss_factor(a_lo, r, n_blades)
+    f_hi = 1.0 - _tip_loss_factor(a_hi, r, n_blades)
+    kt_lo, kt_hi = 1.0 - f_hi * c_hi, 1.0 - f_lo * c_lo
+    fs_lo, fs_hi = _mul_pos(f_lo, f_hi, s_lo, s_hi)
+    kp_lo, kp_hi = 1.0 - fs_hi, 1.0 - fs_lo
+    ok = ((kt_lo > 0.0) & (kp_lo > 0.0) & (lo * hi > 0.0) & (mu >= 0.0)
+          & (np.maximum(-lo, hi) <= 0.5 * math.pi) & np.isfinite(pitch + sigma + r + mu))
+
+    # blade = sigma / (8 r) (mu (cl s + cd c) / K_P + r (cl c - cd s) / K_T)
+    cl_lo, cl_hi, cd_lo, cd_hi = polar.cl_cd_bounds(pitch - hi, pitch - lo)
+    x_lo, x_hi = _mul(cl_lo, cl_hi, s_lo, s_hi)          # cl s + cd c
+    x_lo += cd_lo * c_lo
+    x_hi += cd_hi * c_hi
+    y_lo, y_hi = _mul_pos(c_lo, c_hi, cl_lo, cl_hi)      # cl c - cd s
+    ds_lo, ds_hi = _mul_pos(cd_lo, cd_hi, s_lo, s_hi)
+    y_lo -= ds_hi
+    y_hi -= ds_lo
+    q_lo, q_hi = mu / kp_hi, mu / kp_lo
+    w_lo, w_hi = r / kt_hi, r / kt_lo
+    p_lo, p_hi = _mul_pos(q_lo, q_hi, x_lo, x_hi)
+    t_lo, t_hi = _mul_pos(w_lo, w_hi, y_lo, y_hi)
+    scale = sigma / (8.0 * r)
+    bl_lo, bl_hi = scale * (p_lo + t_lo), scale * (p_hi + t_hi)
+
+    # g = (r sin(phi) - mu cos(phi)) sin(phi) - sign(phi) blade
+    lower, upper = _mul(r * s_lo - mu * c_hi, r * s_hi - mu * c_lo, s_lo, s_hi)
+    neg = hi < 0.0
+    lower += np.where(neg, bl_lo, -bl_hi)
+    upper += np.where(neg, bl_hi, -bl_lo)
+    # the margin scales with the bounds on the size of every term of g
+    cl_m = np.maximum(np.abs(cl_lo), np.abs(cl_hi))
+    size = ((r * a_hi + mu * c_hi) * a_hi
+            + scale * (q_hi * (cl_m * a_hi + cd_hi * c_hi) + w_hi * (cl_m * c_hi + cd_hi * a_hi)))
+    pad = CERT_MARGIN * size + CERT_FLOOR
+    return np.where(ok, lower - pad, -np.inf), np.where(ok, upper + pad, np.inf)
+
+
+class _Residual:
+    """g over flat station arrays, BLOCK elements per call: at angles phi
+    of elements k (``g(phi, k)``), and as a test of the cells [lo, hi] of
+    elements k whose enclosure does not rule out a zero."""
+
+    def __init__(self, r, pitch, sigma, mu, n_blades, polar):
+        self.stations = (r, pitch, sigma, mu)
+        self.n_blades = n_blades
+        self.polar = polar
+
+    def _args(self, k):
+        return (*(x[k] for x in self.stations), self.n_blades, self.polar)
+
+    def __call__(self, phi, k):
+        out = np.empty(k.size)
+        for s in range(0, k.size, BLOCK):
+            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], *self._args(k[s:s + BLOCK]))
+        return out
+
+    def uncertified(self, lo, hi, k):
+        """False where every residual on [lo, hi] is certified to share
+        one sign."""
+        out = np.empty(k.size, dtype=bool)
+        for s in range(0, k.size, BLOCK):
+            lower, upper = _enclose(lo[s:s + BLOCK], hi[s:s + BLOCK],
+                                    *self._args(k[s:s + BLOCK]))
+            out[s:s + BLOCK] = ~((lower > 0.0) | (upper < 0.0))
+        return out
+
+
+def _runs(sizes, block):
+    """(first, last) of consecutive runs of items holding about ``block``
+    of ``sizes`` in all; an item larger than that is a run on its own."""
+    end = np.cumsum(sizes)
+    first = 0
+    while first < sizes.size:
+        last = max(first + 1, int(np.searchsorted(end, end[first] - sizes[first] + block,
+                                                  side="right")))
+        yield first, last
+        first = last
+
+
+def _cut(j0, j1, width):
+    """Cut each range of slices [j0, j1] into cells of ``width`` slices,
+    the last one shorter.  Returns (range index, first node) of every
+    cell, in order."""
+    n = -(-(j1 - j0) // width)
+    run = np.repeat(np.arange(n.size), n)
+    return run, j0[run] + width * (np.arange(run.size) - (np.cumsum(n) - n)[run])
+
+
+def _open_cells(owner, j0, j1, width, k, grid, g):
+    """Cut the cells [j0, j1] of elements k[owner] into cells of ``width``
+    slices; returns (owner, first node) of those g may vanish in.
+
+    A cell no wider than ``width`` stays open without a new enclosure: it
+    is an open cell of the stage before, or a range that short, which in
+    a verify holds the root."""
+    kept = [(owner[:0], j0[:0])]
+    for first, last in _runs(-(-(j1 - j0) // width), BLOCK // 2):
+        run, lo = _cut(j0[first:last], j1[first:last], width)
+        own = owner[first:last][run]
+        open_ = np.ones(run.size, dtype=bool)
+        cut = np.flatnonzero((j1[first:last] - j0[first:last] > width)[run])
+        hi = np.minimum(lo[cut] + width, j1[first:last][run[cut]])
+        open_[cut] = g.uncertified(grid[lo[cut]], grid[hi], k[own[cut]])
+        kept.append((own[open_], lo[open_]))
+    return tuple(np.concatenate(col) for col in zip(*kept))
+
+
+def _first_change(k, stop, g_start, grid, g):
+    """First slice j in 1..stop of ``grid`` whose end residuals change
+    sign (under :func:`_sign_change`'s rule), per element k, given the
+    residual ``g_start`` at grid[0].
+
+    Returns (slice, residual at both slice ends); slice is 0 and the
+    residuals nan where no slice up to ``stop`` changes sign.  Cells of
+    CELLS[0] slices whose enclosure excludes 0 are skipped; the others
+    are cut into cells of CELLS[1] slices and enclosed again, and only
+    the nodes of the cells still uncertified are evaluated, as ragged
+    batches.  A range or cell no wider than the next cell width goes on
+    without a new enclosure.  A certified cell's nodes share one sign and
+    neighbouring cells share their end node, so every sign change lies
+    in a cell whose nodes were evaluated.  Each stage runs in batches of
+    about BLOCK nodes, or BLOCK / 2 cells: an enclosure holds about twice
+    the arrays of a point evaluation.
+    """
+    stop = np.broadcast_to(stop, k.shape)
     slice_ = np.zeros(k.size, dtype=int)
     g_lo = np.full(k.size, np.nan)
     g_hi = np.full(k.size, np.nan)
-    end = np.cumsum(n_pts)
-    first = 0
-    while first < k.size:
-        last = max(first + 1, int(np.searchsorted(end, end[first] - n_pts[first] + BLOCK,
-                                                  side="right")))
-        n = n_pts[first:last]
-        start = np.cumsum(n) - n
-        owner = np.repeat(np.arange(n.size), n)
-        j = np.arange(owner.size) - start[owner] + 1
-        g_next = g(grid[j], k[first:last][owner])
+    # open cells [j0, j1] of elements k[owner], in order
+    owner = np.arange(k.size)
+    j0 = np.zeros(k.size, dtype=int)
+    j1 = stop
+    for width in CELLS:
+        owner, j0 = _open_cells(owner, j0, j1, width, k, grid, g)
+        j1 = np.minimum(j0 + width, stop[owner])
+
+    for first, last in _runs(j1 - j0 + 1, BLOCK):
+        cell, j = _cut(j0[first:last], j1[first:last] + 1, 1)
+        own = owner[first:last][cell]
+        g_next = g(grid[j], k[own])
+        at0 = np.flatnonzero(j == 0)
+        g_next[at0] = g_start[own[at0]]
         g_prev = np.empty_like(g_next)
         g_prev[1:] = g_next[:-1]
-        g_prev[start] = g_start[first:last]
-        hit = np.flatnonzero(_sign_change(g_prev, g_next))
-        hit_owner, at = np.unique(owner[hit], return_index=True)
-        hit, hit_owner = hit[at], hit_owner + first
+        inner = np.zeros(j.size, dtype=bool)     # slice [j - 1, j] inside one cell
+        inner[1:] = cell[1:] == cell[:-1]
+        hit = np.flatnonzero(inner & _sign_change(g_prev, g_next))
+        hit_owner, at = np.unique(own[hit], return_index=True)
+        new = slice_[hit_owner] == 0             # an element's first hit comes first
+        hit, hit_owner = hit[at][new], hit_owner[new]
         slice_[hit_owner] = j[hit]
         g_lo[hit_owner] = g_prev[hit]
         g_hi[hit_owner] = g_next[hit]
-        first = last
     return slice_, g_lo, g_hi
 
 
@@ -440,9 +593,10 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
     bracket first (then of (-pi/2, 0) if allow_negative), polished to
     POLISH_TOL.  Stations whose residual changes sign between the ends of
     (0, pi/2) are polished on that bracket directly; the root is accepted
-    once the scan grid at or below it shows no earlier sign change, and
-    otherwise the earlier slice is polished instead.  Only the remaining
-    stations are scanned, slice by slice, dropping each as it brackets.
+    once no slice of the scan grid up to it changes sign, and otherwise
+    the earlier slice is polished instead.  The remaining stations are
+    searched for their first sign change over all SCAN_SLICES slices
+    (:func:`_first_change` both times).
 
     Returns (phi, solved, residual).  Elements with no bracket anywhere
     come back with solved = False and phi = nan; callers decide whether
@@ -451,15 +605,7 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
     shape = np.broadcast_shapes(np.shape(r), np.shape(pitch), np.shape(sigma), np.shape(mu))
     r_f, pitch_f, sigma_f, mu_f = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
                                    for x in (r, pitch, sigma, mu))
-
-    def g(phi, k):
-        """Residual at angles phi of flat elements k, BLOCK at a time."""
-        out = np.empty(k.size)
-        for s in range(0, k.size, BLOCK):
-            kk = k[s:s + BLOCK]
-            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], r_f[kk], pitch_f[kk],
-                                         sigma_f[kk], mu_f[kk], n_blades, polar)
-        return out
+    g = _Residual(r_f, pitch_f, sigma_f, mu_f, n_blades, polar)
 
     phi = np.full(r_f.size, np.nan)
     res = np.full(r_f.size, np.nan)
@@ -482,6 +628,12 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
     def polish_slices(k, j, g_lo, g_hi, grid):
         accept(k, *_polish(grid[j - 1], grid[j], g_lo, g_hi, k, g))
 
+    def scan(k, g_start, grid):
+        if k.size:
+            j, g_lo, g_hi = _first_change(k, SCAN_SLICES, g_start, grid, g)
+            hit = j > 0
+            polish_slices(k[hit], j[hit], g_lo[hit], g_hi[hit], grid)
+
     grid = np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1)
     todo = np.flatnonzero(~found)
     rest, rest_g = [todo[:0]], [np.empty(0)]
@@ -496,19 +648,19 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
         root, g_root = _polish(np.full(k.size, grid[0]), np.full(k.size, grid[-1]),
                                g_a, g_b, k, g)
         root_slice = np.minimum(np.searchsorted(grid, root, side="right"), SCAN_SLICES)
-        j, g_lo, g_hi = _verify_roots(k, root_slice, g_a, grid, g)
+        j, g_lo, g_hi = _first_change(k, root_slice, g_a, grid, g)
         same = j == root_slice
         accept(k[same], root[same], g_root[same])
         earlier = (j > 0) & ~same
         polish_slices(k[earlier], j[earlier], g_lo[earlier], g_hi[earlier], grid)
         rest.append(k[j == 0])
         rest_g.append(g_a[j == 0])
-    polish_slices(*_scan(np.concatenate(rest), grid, g, np.concatenate(rest_g)), grid)
+    scan(np.concatenate(rest), np.concatenate(rest_g), grid)
 
     todo = np.flatnonzero(~found)
-    if allow_negative and todo.size:
+    if allow_negative:
         grid = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
-        polish_slices(*_scan(todo, grid, g, g(np.full(todo.size, grid[0]), todo)), grid)
+        scan(todo, g(np.full(todo.size, grid[0]), todo), grid)
 
     return phi.reshape(shape), found.reshape(shape), res.reshape(shape)
 

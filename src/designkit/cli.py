@@ -100,13 +100,32 @@ def _json_safe(value):
     return value
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number_list(data, key):
     """``data[key]`` checked to be a JSON list of numbers."""
     value = data[key]
-    if not isinstance(value, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in value):
+    if not isinstance(value, list) or not all(map(_is_number, value)):
         raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return value
+
+
+def _number(data, key, default=None, name=None):
+    """``data[key]``, or ``default`` if absent, checked to be a JSON number;
+    errors name the key as ``name`` if given."""
+    value = data.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{name or key} must be a number, got {value!r}")
+    return value
+
+
+def _integer(data, key):
+    """``data[key]`` checked to be a JSON integer."""
+    value = data[key]
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -154,10 +173,11 @@ def _sweep_spec_from_json(data):
         geometry = ROTOR_PRESETS[preset]()
     op_data = data.get("op", {})
     op = bemt.OperatingPoint.from_rpm(
-        op_data.get("rpm", presets.HOVER_RPM),
-        v_inf=op_data.get("v_inf", 0.0),
-        rho=op_data.get("rho", 1.225),
-        collective=math.radians(op_data.get("collective_deg", 0.0)))
+        _number(op_data, "rpm", presets.HOVER_RPM, "op.rpm"),
+        v_inf=_number(op_data, "v_inf", 0.0, "op.v_inf"),
+        rho=_number(op_data, "rho", 1.225, "op.rho"),
+        collective=math.radians(_number(op_data, "collective_deg", 0.0,
+                                        "op.collective_deg")))
     missing = [key for key in ("parameter", "values") if key not in data]
     if missing:
         raise ConfigError(f"sweep spec is missing {', '.join(map(repr, missing))}")
@@ -194,14 +214,16 @@ def _optimization_spec_from_json(data):
     if "twist_grid_deg" in data:
         kwargs["twist_grid"] = tuple(
             math.radians(v) for v in _number_list(data, "twist_grid_deg"))
-    for key in ("weights", "hover_rpm", "hover_rho", "cruise_rpm",
-                "cruise_speed", "cruise_rho", "aspect_ratio", "taper_ratio",
-                "n_stations"):
+    if "weights" in data:
+        kwargs["weights"] = tuple(_number_list(data, "weights"))
+    for key in ("hover_rpm", "hover_rho", "cruise_rpm", "cruise_speed",
+                "cruise_rho", "aspect_ratio", "taper_ratio"):
         if key in data:
-            kwargs[key] = (tuple(_number_list(data, key)) if key == "weights"
-                           else data[key])
+            kwargs[key] = _number(data, key)
+    if "n_stations" in data:
+        kwargs["n_stations"] = _integer(data, "n_stations")
     if "thrust_n" in data:
-        kwargs["thrust_constraint"] = data["thrust_n"]
+        kwargs["thrust_constraint"] = _number(data, "thrust_n")
     if "polar" in data:
         kwargs["polar_name"] = data["polar"]
     return explorer.OptimizationSpec(**kwargs)
@@ -293,20 +315,25 @@ def cmd_simulate(args):
         data = _load_json(args.mission, args.set)
     else:
         data = _apply_overrides({}, args.set)
-    waypoints = [
-        (w[0], w[1], w[2], math.radians(w[3]))
-        for w in data.get("waypoints",
-                          [[w[0], w[1], w[2], math.degrees(w[3])]
-                           for w in presets.MISSION_WAYPOINTS])]
+    if "waypoints" in data:
+        raw = data["waypoints"]
+        if not isinstance(raw, list) or not all(
+                isinstance(w, list) and len(w) == 4 and all(map(_is_number, w))
+                for w in raw):
+            raise ConfigError("waypoints must be a list of [x_m, y_m, z_m, yaw_deg] "
+                              f"number lists, got {raw!r}")
+        waypoints = [(w[0], w[1], w[2], math.radians(w[3])) for w in raw]
+    else:
+        waypoints = list(presets.MISSION_WAYPOINTS)
+    dt = _number(data, "dt_s", presets.MISSION_DT)
+    capture_radius = _number(data, "capture_radius_m", presets.MISSION_CAPTURE_RADIUS)
+    timeout = _number(data, "timeout_s", presets.MISSION_TIMEOUT)
     params = flightsim.default_params()
     pitch_map = flightsim.PitchMap.from_rotor(
         _load_rotor(args.rotor), _load_polar(args.polar))
     log = flightsim.run_mission(
-        waypoints, params=params,
-        dt=data.get("dt_s", presets.MISSION_DT),
-        capture_radius=data.get("capture_radius_m", presets.MISSION_CAPTURE_RADIUS),
-        timeout=data.get("timeout_s", presets.MISSION_TIMEOUT),
-        pitch_map=pitch_map)
+        waypoints, params=params, dt=dt, capture_radius=capture_radius,
+        timeout=timeout, pitch_map=pitch_map)
     _emit(args, "trajectory.csv", "\n".join(log.csv_lines()) + "\n")
     return 0
 

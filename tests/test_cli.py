@@ -293,6 +293,19 @@ def test_scalar_where_list_expected(capsys, argv, key):
     assert_config_error(rc, err, key)
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["optimize", "--set", "n_stations=[3]"], "n_stations"),
+    (["optimize", "--set", 'hover_rpm="x"'], "hover_rpm"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "op.rpm=[1]"],
+     "op.rpm"),
+    (["simulate", "--set", 'dt_s="x"'], "dt_s"),
+    (["simulate", "--set", "waypoints=3"], "waypoints"),
+])
+def test_config_value_of_wrong_json_type(capsys, argv, key):
+    rc, _, err = run(capsys, *argv)
+    assert_config_error(rc, err, key)
+
+
 def test_override_short_grid(capsys):
     rc, _, err = run(capsys, "optimize", "--set", "radius_grid_m=[0.3]")
     assert_config_error(rc, err, "radius_grid")
