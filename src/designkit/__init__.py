@@ -13,11 +13,13 @@ from .bemt import (
     InflowSolution,
     OperatingPoint,
     RotorPerformance,
+    SpeedCurve,
     StationSolution,
     ThrustCurve,
     evaluate_rotor,
     geometry_from_polynomials,
     solve_station,
+    speed_curve,
     thrust_curve,
 )
 from .errors import (

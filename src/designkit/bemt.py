@@ -814,12 +814,47 @@ def solve_station(geometry, op, polar, r):
                            **{k: float(v[0]) for k, v in state.items()})
 
 
-def _integrate(phi, r, dr, pitch, sigma, mu, n_blades, polar):
-    """Station recovery plus span integration; returns (ct, cp, inflow)."""
-    state = _recover(phi, r, pitch, sigma, mu, n_blades, polar)
-    ct = float(np.sum(state["dct_dr"]) * dr)
-    cp = float(np.sum(state["dcp_dr"]) * dr)
-    return ct, cp, state
+def _solve_rows(geometry, polar, r, dr, pitch, mu):
+    """CT and CP of every row of a (row x station) grid, in one inflow solve.
+
+    Row i is the blade at stations ``r`` with pitches ``pitch[i]`` and
+    advance ratio ``mu[i]``; ``pitch`` and ``mu`` broadcast to (rows,
+    stations), so a row can differ from the next in collective, in speed
+    or in both.  Returns (ct, cp, found, phi, residual, state): ct and cp
+    per row (nan on a row where a station has no root), the rest per
+    element, ``state`` as :func:`_recover` gives it.
+    """
+    sigma = geometry.local_solidity(r)
+    phi, found, res = _solve_phi_grid(r, pitch, sigma, mu, geometry.n_blades, polar)
+    state = _recover(phi, r, pitch, sigma, mu, geometry.n_blades, polar)
+    ct = np.sum(state["dct_dr"], axis=1) * dr
+    cp = np.sum(state["dcp_dr"], axis=1) * dr
+    return ct, cp, found, phi, res, state
+
+
+def _no_root(bad):
+    """The error for a solve whose stations ``bad`` found no root."""
+    return NoRootError(
+        f"inflow solve failed at {bad.size} station(s): r = "
+        + ", ".join(f"{x:.4f}" for x in bad[:8]),
+        stations=bad.tolist(),
+        bracket=(-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS))
+
+
+def _rows(ct, cp, found, r, geometry, ops, failure):
+    """One :class:`RotorPerformance` per row solved at ``ops[i]``, or None
+    with ``failure(failed stations)`` in the errors where a station failed."""
+    rows, errors = [], []
+    solved = np.all(found, axis=1)
+    for i, op in enumerate(ops):
+        if solved[i]:
+            rows.append(_performance(float(ct[i]), float(cp[i]), geometry, op))
+            errors.append(None)
+        else:
+            rows.append(None)
+            errors.append(failure(r[~found[i]]))
+    return rows, errors
+
 
 def _performance(ct, cp, geometry, op):
     mu = op.advance_ratio(geometry.radius)
@@ -844,26 +879,21 @@ def _performance(ct, cp, geometry, op):
 def evaluate_rotor(geometry, op, polar, n_stations=100, return_inflow=False):
     """Integrated CT, CP and dimensional performance at one operating point.
 
-    Midpoint rule over ``n_stations`` equal cells on [root_cutout, 1].
-    Raises :class:`NoRootError` naming the failed stations if any station
-    does not converge.
+    Midpoint rule over ``n_stations`` equal cells on [root_cutout, 1]; a
+    one-row solve of the same core as :func:`thrust_curve` and
+    :func:`speed_curve`.  Raises :class:`NoRootError` naming the failed
+    stations if any station does not converge.
     """
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    mu = op.advance_ratio(geometry.radius)
-    pitch = geometry.pitch(r, op.collective)
-    sigma = geometry.local_solidity(r)
-    phi, found, res = _solve_phi_grid(r, pitch, sigma, mu, geometry.n_blades, polar)
-    if not np.all(found):
-        bad = r[~found]
-        raise NoRootError(
-            f"inflow solve failed at {bad.size} station(s): r = "
-            + ", ".join(f"{x:.4f}" for x in bad[:8]),
-            stations=bad.tolist(),
-            bracket=(-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS))
-    ct, cp, state = _integrate(phi, r, dr, pitch, sigma, mu, geometry.n_blades, polar)
-    perf = _performance(ct, cp, geometry, op)
+    ct, cp, found, phi, res, state = _solve_rows(
+        geometry, polar, r, dr, geometry.pitch(r, op.collective)[None, :],
+        op.advance_ratio(geometry.radius))
+    if not found.all():
+        raise _no_root(r[~found[0]])
+    perf = _performance(float(ct[0]), float(cp[0]), geometry, op)
     if return_inflow:
-        inflow = InflowSolution(r=r, phi=phi, residual=res, **state)
+        inflow = InflowSolution(r=r, phi=phi[0], residual=res[0],
+                                **{k: v[0] for k, v in state.items()})
         return perf, inflow
     return perf
 
@@ -909,34 +939,52 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
                  n_stations=100):
     """Sweep collective at fixed RPM and axial speed; one batched solve.
 
-    Stations that fail to converge invalidate only their own row.
+    One row per collective through the core of :func:`evaluate_rotor`,
+    with the collective added to the zero-collective pitch law.  Stations
+    that fail to converge invalidate only their own row.
     """
     collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
     op0 = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    mu = op0.advance_ratio(geometry.radius)
-    base = geometry.pitch(r, 0.0)
-    pitch = collectives[:, None] + base[None, :]
-    sigma = np.broadcast_to(geometry.local_solidity(r), pitch.shape)
-    r2 = np.broadcast_to(r, pitch.shape)
-
-    phi, found, _ = _solve_phi_grid(r2, pitch, sigma, mu, geometry.n_blades, polar)
-    state = _recover(phi, r2, pitch, sigma, mu, geometry.n_blades, polar)
-    ct_rows = np.sum(state["dct_dr"], axis=1) * dr
-    cp_rows = np.sum(state["dcp_dr"], axis=1) * dr
-
-    rows, errors = [], []
-    ok_rows = np.all(found, axis=1)
-    for i, theta0 in enumerate(collectives):
-        if ok_rows[i]:
-            op = replace(op0, collective=float(theta0))
-            rows.append(_performance(float(ct_rows[i]), float(cp_rows[i]), geometry, op))
-            errors.append(None)
-        else:
-            bad = r[~found[i]]
-            rows.append(None)
-            errors.append(f"no inflow root at r = {', '.join(f'{x:.3f}' for x in bad[:5])}")
+    pitch = collectives[:, None] + geometry.pitch(r, 0.0)[None, :]
+    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr, pitch,
+                                    op0.advance_ratio(geometry.radius))
+    ops = [replace(op0, collective=float(theta0)) for theta0 in collectives]
+    rows, errors = _rows(ct, cp, found, r, geometry, ops, lambda bad: (
+        f"no inflow root at r = {', '.join(f'{x:.3f}' for x in bad[:5])}"))
     return ThrustCurve(collectives=collectives, rows=rows, errors=errors)
+
+
+@dataclass
+class SpeedCurve:
+    """Performance versus axial speed at fixed collective and RPM.
+
+    ``rows[i]`` is the :class:`RotorPerformance` at ``speeds[i]``, or None
+    with, in ``errors[i]``, the :class:`NoRootError` that
+    :func:`evaluate_rotor` raises there.
+    """
+
+    speeds: tuple
+    rows: list
+    errors: list
+
+
+def speed_curve(geometry, polar, op, speeds, n_stations=100):
+    """Sweep axial speed [m/s] at the RPM, collective and density of
+    ``op``; one batched solve, one row per speed.
+
+    Each row is, bit for bit, what :func:`evaluate_rotor` gives at
+    ``replace(op, v_inf=speed)``: the same core, with the advance ratio
+    varying over the rows.
+    """
+    speeds = tuple(speeds)
+    ops = [replace(op, v_inf=v) for v in speeds]
+    r, dr = station_grid(geometry.root_cutout, n_stations)
+    mu = np.array([o.advance_ratio(geometry.radius) for o in ops], dtype=float)
+    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr,
+                                    geometry.pitch(r, op.collective), mu[:, None])
+    rows, errors = _rows(ct, cp, found, r, geometry, ops, _no_root)
+    return SpeedCurve(speeds=speeds, rows=rows, errors=errors)
 
 
 def rising_branch(values):

@@ -121,6 +121,23 @@ def _number(data, key, default=None, name=None):
     return value
 
 
+def _object(data, key):
+    """``data[key]``, or an empty object if absent, checked to be a JSON
+    object."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _polar_name(data):
+    """``data["polar"]``, or "sc1095" if absent, checked to be a string."""
+    value = data.get("polar", "sc1095")
+    if not isinstance(value, str):
+        raise ConfigError(f"polar must be a string naming a bundled polar, got {value!r}")
+    return value
+
+
 def _integer(data, key):
     """``data[key]`` checked to be a JSON integer."""
     value = data[key]
@@ -163,7 +180,7 @@ def cmd_analyze(args):
 
 def _sweep_spec_from_json(data):
     if "rotor" in data:
-        geometry = bemt.BladeGeometry.from_dict(data["rotor"])
+        geometry = bemt.BladeGeometry.from_dict(_object(data, "rotor"))
     else:
         preset = data.get("rotor_preset", "final")
         if preset not in ROTOR_PRESETS:
@@ -171,7 +188,7 @@ def _sweep_spec_from_json(data):
                 f"unknown rotor_preset {preset!r}; "
                 f"expected one of {', '.join(sorted(ROTOR_PRESETS))}")
         geometry = ROTOR_PRESETS[preset]()
-    op_data = data.get("op", {})
+    op_data = _object(data, "op")
     op = bemt.OperatingPoint.from_rpm(
         _number(op_data, "rpm", presets.HOVER_RPM, "op.rpm"),
         v_inf=_number(op_data, "v_inf", 0.0, "op.v_inf"),
@@ -196,7 +213,7 @@ def _sweep_spec_from_json(data):
     return explorer.SweepSpec(
         base_geometry=geometry, base_op=op, parameter=parameter,
         values=tuple(values), response=data.get("response", "PL_vs_T"),
-        polar_name=data.get("polar", "sc1095"), **kwargs)
+        polar_name=_polar_name(data), **kwargs)
 
 
 def cmd_sweep(args):
@@ -224,9 +241,7 @@ def _optimization_spec_from_json(data):
         kwargs["n_stations"] = _integer(data, "n_stations")
     if "thrust_n" in data:
         kwargs["thrust_constraint"] = _number(data, "thrust_n")
-    if "polar" in data:
-        kwargs["polar_name"] = data["polar"]
-    return explorer.OptimizationSpec(**kwargs)
+    return explorer.OptimizationSpec(polar_name=_polar_name(data), **kwargs)
 
 
 def cmd_optimize(args):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bemt
 from .constants import RHO_CRUISE, RHO_SL
-from .errors import ConfigError, NoRootError, TrimError
+from .errors import ConfigError, TrimError
 
 SWEEP_PARAMETERS = ("aspect_ratio", "taper_ratio", "twist", "rpm",
                     "radius", "collective")
@@ -152,18 +152,15 @@ def _curve_rows(spec, value, geometry, op, polar):
                 else:
                     gaps.append((value, x_deg, "non-positive power"))
     elif spec.response == "eta_vs_V":
-        for v in spec.speeds:
-            try:
-                perf = bemt.evaluate_rotor(
-                    geometry, replace(op, v_inf=v), polar,
-                    n_stations=spec.n_stations)
-            except NoRootError as exc:
-                gaps.append((value, v, str(exc)))
-                continue
-            if perf.thrust <= 0.0 or perf.power <= 0.0:
+        curve = bemt.speed_curve(geometry, polar, op, spec.speeds,
+                                 n_stations=spec.n_stations)
+        for v, perf, err in zip(curve.speeds, curve.rows, curve.errors):
+            if perf is None:
+                gaps.append((value, v, str(err)))
+            elif perf.thrust <= 0.0 or perf.power <= 0.0:
                 gaps.append((value, v, "non-propulsive"))
-                continue
-            rows.append((value, v, perf.eta_p))
+            else:
+                rows.append((value, v, perf.eta_p))
     return rows, gaps
 
 

@@ -17,6 +17,7 @@ recovery relations) or validation of the public contracts.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -481,6 +482,67 @@ def test_thrust_curve_matches_pointwise(baseline_rotor, naca0012):
         assert row.ct == single.ct
         assert row.cp == single.cp
     assert np.all(np.diff(curve.thrust) > 0.0)   # below stall: monotone
+
+
+def _span_solve(geometry, polar, rpm, v_inf, pitch, n_stations=100):
+    """One inflow solve over the stations, recovered and integrated by
+    hand: ``pitch(r)`` is a station row or a (collective x station) grid."""
+    r, dr = bemt.station_grid(geometry.root_cutout, n_stations)
+    pitch = pitch(r)
+    mu = OperatingPoint.from_rpm(rpm, v_inf=v_inf).advance_ratio(geometry.radius)
+    sigma = geometry.local_solidity(r)
+    phi, found, res = bemt._solve_phi_grid(r, pitch, sigma, mu, geometry.n_blades, polar)
+    state = bemt._recover(phi, r, pitch, sigma, mu, geometry.n_blades, polar)
+    ct = np.sum(state["dct_dr"], axis=-1) * dr
+    cp = np.sum(state["dcp_dr"], axis=-1) * dr
+    return ct, cp, phi, res, state
+
+
+@pytest.mark.parametrize("v_inf, collective_deg", [(0.0, 8.0), (20.0, 16.0)])
+def test_shared_core_keeps_evaluate_rotor_and_thrust_curve(rpm_study_rotor, sc1095,
+                                                          v_inf, collective_deg):
+    """evaluate_rotor and thrust_curve give, bit for bit, what a
+    single-row solve and a (collective x station) solve give: the pitch
+    law at the collective for the one, collective plus zero-collective
+    pitch for the other (the two differ in the last bits on a twisted
+    blade)."""
+    theta = math.radians(collective_deg)
+    op = OperatingPoint.from_rpm(2600.0, v_inf=v_inf, collective=theta)
+    perf, inflow = bemt.evaluate_rotor(rpm_study_rotor, op, sc1095, return_inflow=True)
+    ct, cp, phi, res, state = _span_solve(
+        rpm_study_rotor, sc1095, 2600.0, v_inf, lambda r: rpm_study_rotor.pitch(r, theta))
+    assert (perf.ct, perf.cp) == (float(ct), float(cp))
+    assert np.array_equal(inflow.phi, phi) and np.array_equal(inflow.residual, res)
+    for key, value in state.items():
+        assert np.array_equal(getattr(inflow, key), value), key
+
+    collectives = np.radians([2.0, collective_deg, 14.0])
+    curve = bemt.thrust_curve(rpm_study_rotor, sc1095, 2600.0, collectives, v_inf=v_inf)
+    ct, cp, *_ = _span_solve(
+        rpm_study_rotor, sc1095, 2600.0, v_inf,
+        lambda r: collectives[:, None] + rpm_study_rotor.pitch(r, 0.0)[None, :])
+    assert [(row.ct, row.cp) for row in curve.rows] == list(zip(ct.tolist(), cp.tolist()))
+
+
+def test_speed_curve_rows_are_evaluate_rotor(rpm_study_rotor, sc1095):
+    """Each speed-curve row equals evaluate_rotor at that speed, field for
+    field, hover row included; a speed with no root carries the error
+    evaluate_rotor raises there."""
+    op = OperatingPoint.from_rpm(3200.0, rho=1.167, collective=math.radians(75.0))
+    speeds = (0.0, 12.0, 30.0, 240.0)
+    curve = bemt.speed_curve(rpm_study_rotor, sc1095, op, speeds)
+    assert curve.speeds == speeds
+    for v, row, err in zip(speeds, curve.rows, curve.errors):
+        try:
+            direct = bemt.evaluate_rotor(rpm_study_rotor, replace(op, v_inf=v), sc1095)
+        except NoRootError as exc:
+            assert row is None
+            assert (str(err), err.stations, err.bracket) == (str(exc), exc.stations, exc.bracket)
+            continue
+        assert err is None
+        np.testing.assert_equal(vars(row), vars(direct))
+    assert curve.rows[0].eta_p == 0.0
+    assert curve.rows[-1] is None
 
 
 

@@ -300,6 +300,12 @@ def test_scalar_where_list_expected(capsys, argv, key):
      "op.rpm"),
     (["simulate", "--set", 'dt_s="x"'], "dt_s"),
     (["simulate", "--set", "waypoints=3"], "waypoints"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "op=3"], "op"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "polar=3"],
+     "polar"),
+    (["optimize", "--set", "polar=3"], "polar"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "rotor=3"],
+     "rotor"),
 ])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)

@@ -7,15 +7,20 @@ solves, and for internal consistency of the reported optimum.
 """
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from designkit import bemt, explorer
-from designkit.errors import ConfigError, TrimError
+from designkit import bemt, cli, explorer
+from designkit.airfoil import AirfoilPolar
+from designkit.errors import ConfigError, NoRootError, TrimError
 from designkit.explorer import (OptimizationSpec, SweepSpec, apply_parameter,
                                 optimize, run_sweep, trim_collective,
                                 worker_count)
+
+FIGURES = Path(__file__).resolve().parent.parent / "figures"
 
 
 def hover_op(collective_deg=8.0, rpm=3200.0, rho=1.225):
@@ -160,6 +165,52 @@ def test_efficiency_sweep_gaps_windmill(baseline_rotor, sc1095):
     assert any(reason == "non-propulsive" for _, _, reason in table.gaps)
     for _, _, eta in table.rows:
         assert 0.0 < eta < 1.0
+
+
+def per_speed_sweep(spec, polar):
+    """An efficiency sweep as one evaluate_rotor call per speed."""
+    rows, gaps = [], []
+    for value in spec.values:
+        geometry, op = apply_parameter(spec.base_geometry, spec.base_op,
+                                       spec.parameter, value,
+                                       couple_preset=spec.couple_preset)
+        for v in spec.speeds:
+            try:
+                perf = bemt.evaluate_rotor(geometry, replace(op, v_inf=v), polar,
+                                           n_stations=spec.n_stations)
+            except NoRootError as exc:
+                gaps.append((value, v, str(exc)))
+                continue
+            if perf.thrust <= 0.0 or perf.power <= 0.0:
+                gaps.append((value, v, "non-propulsive"))
+            else:
+                rows.append((value, v, perf.eta_p))
+    return tuple(rows), tuple(gaps)
+
+
+@pytest.mark.parametrize("polar_name", ["sc1095", "naca0012"])
+@pytest.mark.parametrize("figure", ["fig10b", "fig11"])
+def test_batched_efficiency_sweep_equals_per_speed_solves(figure, polar_name):
+    """The one-solve-per-curve sweep gives the rows and gaps, ==, of one
+    solve per speed: the figure's speeds plus hover (eta = 0) and a
+    windmilling speed at its own collective, and at 75 deg collective a
+    speed where stations have no root (gap text = str(NoRootError))."""
+    polar = AirfoilPolar.bundled(polar_name)
+    data = cli._load_json(FIGURES / f"{figure}.json", [f"polar={polar_name}"])
+    data["speeds"] = [0.0] + data["speeds"] + [60.0]
+    specs = [cli._sweep_spec_from_json(data)]
+    data["op"]["collective_deg"] = 75.0
+    data["speeds"] = [0.0, 30.0, 240.0]
+    specs.append(cli._sweep_spec_from_json(data))
+
+    tables = [run_sweep(spec, polar=polar) for spec in specs]
+    for spec, table in zip(specs, tables):
+        assert (table.rows, table.gaps) == per_speed_sweep(spec, polar)
+    (rows, gaps), (_, stalled_gaps) = [(t.rows, t.gaps) for t in tables]
+    assert any(v == 0.0 and eta == 0.0 for _, v, eta in rows)
+    assert any(v == 60.0 and reason == "non-propulsive" for _, v, reason in gaps)
+    assert any(v == 240.0 and reason.startswith("inflow solve failed")
+               for _, v, reason in stalled_gaps)
 
 
 def test_twist_raises_peak_efficiency(rpm_study_rotor, sc1095):
