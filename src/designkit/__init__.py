@@ -7,7 +7,7 @@ simulation (``flightsim``).  ``presets`` holds the reference vehicle that
 the studies and the acceptance checks are built around.
 """
 
-from .airfoil import AirfoilPolar, ParametricPolarSpec, from_parametric, load_polar, lookup
+from .airfoil import AirfoilPolar, ParametricPolarSpec
 from .bemt import (
     BladeGeometry,
     InflowSolution,

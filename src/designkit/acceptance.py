@@ -101,7 +101,7 @@ def check_efficiency_bands(paper_polar=PAPER_POLAR_PATH):
     paper_polar = Path(paper_polar)
     have_paper = paper_polar.is_file()
     rotor = presets.rpm_study_rotor()
-    polar = (airfoil.load_polar(paper_polar) if have_paper
+    polar = (airfoil.AirfoilPolar.from_csv(paper_polar) if have_paper
              else presets.proprotor_polar())
     slow, fast = (
         bemt.evaluate_rotor(rotor, presets.cruise_op(

@@ -288,19 +288,13 @@ class AirfoilPolar:
                 if not line:
                     continue
                 parts = [p.strip() for p in line.replace("\t", ",").split(",") if p.strip()]
-                if lineno == 1 or not rows:
-                    # tolerate a single header row of column names
-                    try:
-                        vals = [float(p) for p in parts]
-                    except ValueError:
-                        if any(ch.isalpha() for ch in line):
-                            continue
-                        raise PolarFormatError(f"unparseable row {line!r}", line=lineno)
-                else:
-                    try:
-                        vals = [float(p) for p in parts]
-                    except ValueError:
-                        raise PolarFormatError(f"unparseable row {line!r}", line=lineno)
+                try:
+                    vals = [float(p) for p in parts]
+                except ValueError:
+                    # tolerate a header row of column names before the data
+                    if not rows and any(ch.isalpha() for ch in line):
+                        continue
+                    raise PolarFormatError(f"unparseable row {line!r}", line=lineno)
                 if len(vals) != 3:
                     raise PolarFormatError(
                         f"expected 3 columns (alpha_deg, cl, cd), got {len(vals)}", line=lineno)
@@ -347,21 +341,3 @@ class AirfoilPolar:
                 f"[{math.degrees(self.alpha_min):+.1f}, {math.degrees(self.alpha_max):+.1f}] deg, "
                 f"stall={self.stall_model})")
 
-
-# -- module-level operation surface -------------------------------------
-
-def load_polar(path, fmt="csv", stall_model="flat-plate-blend"):
-    """Load a polar table from file.  Only the CSV format is defined."""
-    if fmt != "csv":
-        raise PolarDataError(f"unsupported polar format {fmt!r}")
-    return AirfoilPolar.from_csv(path, stall_model=stall_model)
-
-
-def lookup(polar, alpha):
-    """(cl, cd, gamma) of ``polar`` at angle(s) of attack [rad]."""
-    return polar.lookup(alpha)
-
-
-def from_parametric(spec, n_samples=101, stall_model="flat-plate-blend"):
-    """Tabulated polar from an analytic description."""
-    return AirfoilPolar.from_parametric(spec, n_samples=n_samples, stall_model=stall_model)

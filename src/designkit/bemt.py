@@ -57,6 +57,7 @@ import numpy as np
 
 from .constants import RHO_SL, RPM_TO_RAD_S
 from .errors import GeometryError, NoRootError
+from .schema import INTEGER, NUMBER, STRING, Key, read, rows
 
 # per-station root find: the root is the first sign change on a scan of
 # (0, pi/2) in SCAN_SLICES slices; Illinois polishes it to POLISH_TOL
@@ -122,7 +123,7 @@ class BladeGeometry:
     name: str = ""
 
     def __post_init__(self):
-        if self.radius <= 0.0:
+        if self.radius is None or self.radius <= 0.0:
             raise GeometryError(f"radius must be positive, got {self.radius}")
         if self.n_blades < 1:
             raise GeometryError(f"need at least one blade, got {self.n_blades}")
@@ -240,29 +241,10 @@ class BladeGeometry:
         return d
 
     @classmethod
-    def from_dict(cls, d):
-        try:
-            kwargs = {
-                "radius": float(d["radius_m"]),
-                "n_blades": int(d.get("n_blades", 2)),
-                "root_cutout": float(d.get("root_cutout", 0.10)),
-                "name": str(d.get("name", "")),
-            }
-        except KeyError as exc:
-            raise GeometryError(f"rotor description missing field {exc}") from None
-        if "chord_table" in d:
-            kwargs["chord_table"] = np.asarray(d["chord_table"], dtype=float)
-        else:
-            kwargs["root_chord"] = float(d["root_chord_m"])
-            kwargs["tip_chord"] = float(d.get("tip_chord_m", d["root_chord_m"]))
-        if "pitch_table" in d:
-            tab = np.asarray(d["pitch_table"], dtype=float)
-            tab[:, 1] = np.radians(tab[:, 1])
-            kwargs["pitch_table"] = tab
-        else:
-            kwargs["twist"] = math.radians(float(d.get("twist_deg", 0.0)))
-            kwargs["preset"] = math.radians(float(d.get("preset_deg", 0.0)))
-        return cls(**kwargs)
+    def from_dict(cls, d, prefix=""):
+        """Read a rotor description by :data:`ROTOR_KEYS`; ``prefix`` is
+        its dotted path in an enclosing spec."""
+        return cls(**read(ROTOR_KEYS, d, prefix))
 
     @classmethod
     def from_file(cls, path):
@@ -273,6 +255,22 @@ class BladeGeometry:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+#: JSON keys of a rotor description.  A missing radius_m reaches __post_init__ as
+#: None, which makes it a GeometryError like any other unusable radius.
+ROTOR_KEYS = {
+    "radius_m": Key("radius", NUMBER, None),
+    "n_blades": Key("n_blades", INTEGER),
+    "root_cutout": Key("root_cutout", NUMBER),
+    "name": Key("name", STRING),
+    "root_chord_m": Key("root_chord", NUMBER),
+    "tip_chord_m": Key("tip_chord", NUMBER),
+    "twist_deg": Key("twist", NUMBER, deg=True),
+    "preset_deg": Key("preset", NUMBER, deg=True),
+    "chord_table": Key("chord_table", rows(2)),
+    "pitch_table": Key("pitch_table", rows(2), deg=True),
+}
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 from . import bemt, explorer, powertrain, presets, wing
 from .airfoil import AirfoilPolar
 from .errors import ConfigError, DesignError
+from .schema import BOOLEAN, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, Key, read, rows
 
 ROTOR_PRESETS = {
     "final": presets.final_rotor,
@@ -31,36 +32,32 @@ def _load_polar(name_or_path):
         return AirfoilPolar.bundled("sc1095")
     path = Path(name_or_path)
     if path.suffix.lower() == ".csv" or path.exists():
-        return AirfoilPolar.from_csv(path)
+        try:
+            return AirfoilPolar.from_csv(path)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read polar {path}: {exc}") from exc
     return AirfoilPolar.bundled(str(name_or_path))
 
 
 def _load_rotor(spec):
-    if spec is None:
-        return presets.final_rotor()
     if spec in ROTOR_PRESETS:
         return ROTOR_PRESETS[spec]()
     if not Path(spec).exists():
         raise ConfigError(
             f"rotor {spec!r} is neither a preset "
             f"({', '.join(sorted(ROTOR_PRESETS))}) nor a file")
-    return bemt.BladeGeometry.from_file(spec)
-
-
-def _parse_override(raw):
-    if "=" not in raw:
-        raise ConfigError(f"--set expects key=value, got {raw!r}")
-    key, value = raw.split("=", 1)
-    try:
-        parsed = json.loads(value)
-    except json.JSONDecodeError:
-        parsed = value
-    return key, parsed
+    return bemt.BladeGeometry.from_dict(_load_json(spec, None))
 
 
 def _apply_overrides(data, overrides):
     for raw in overrides or ():
-        key, value = _parse_override(raw)
+        if "=" not in raw:
+            raise ConfigError(f"--set expects key=value, got {raw!r}")
+        key, value = raw.split("=", 1)
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError:
+            pass   # a bare word is a string
         *parents, last = key.split(".")
         try:
             node = data
@@ -75,17 +72,18 @@ def _apply_overrides(data, overrides):
 
 
 def _load_json(path, overrides):
+    """The JSON object in file ``path`` (empty if None) with the --set overrides applied."""
+    if path is None:
+        return _apply_overrides({}, overrides)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read spec {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"spec {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"spec {path} must hold a JSON object")
-    # top-level keys starting with "_" are documentation, not spec fields
-    data = {k: v for k, v in data.items() if not k.startswith("_")}
     return _apply_overrides(data, overrides)
 
 
@@ -97,52 +95,6 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
-    return value
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _number_list(data, key):
-    """``data[key]`` checked to be a JSON list of numbers."""
-    value = data[key]
-    if not isinstance(value, list) or not all(map(_is_number, value)):
-        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
-    return value
-
-
-def _number(data, key, default=None, name=None):
-    """``data[key]``, or ``default`` if absent, checked to be a JSON number;
-    errors name the key as ``name`` if given."""
-    value = data.get(key, default)
-    if not _is_number(value):
-        raise ConfigError(f"{name or key} must be a number, got {value!r}")
-    return value
-
-
-def _object(data, key):
-    """``data[key]``, or an empty object if absent, checked to be a JSON
-    object."""
-    value = data.get(key, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
-
-
-def _polar_name(data):
-    """``data["polar"]``, or "sc1095" if absent, checked to be a string."""
-    value = data.get("polar", "sc1095")
-    if not isinstance(value, str):
-        raise ConfigError(f"polar must be a string naming a bundled polar, got {value!r}")
-    return value
-
-
-def _integer(data, key):
-    """``data[key]`` checked to be a JSON integer."""
-    value = data[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -178,42 +130,41 @@ def cmd_analyze(args):
     return 0
 
 
+OP_KEYS = {
+    "rpm": Key("rpm", NUMBER, presets.HOVER_RPM),
+    "v_inf": Key("v_inf", NUMBER),
+    "rho": Key("rho", NUMBER),
+    "collective_deg": Key("collective", NUMBER, deg=True),
+}
+
+SWEEP_KEYS = {
+    "rotor": Key("rotor", OBJECT),
+    "rotor_preset": Key("rotor_preset", STRING, "final"),
+    "op": Key("op", OBJECT, {}),
+    "parameter": Key("parameter", STRING, REQUIRED),
+    "values": Key("values", NUMBERS, REQUIRED),
+    "response": Key("response", STRING),
+    "collectives_deg": Key("collectives", NUMBERS, deg=True),
+    "speeds": Key("speeds", NUMBERS),
+    "couple_preset": Key("couple_preset", BOOLEAN),
+    "polar": Key("polar_name", STRING),
+}
+
+
 def _sweep_spec_from_json(data):
-    if "rotor" in data:
-        geometry = bemt.BladeGeometry.from_dict(_object(data, "rotor"))
-    else:
-        preset = data.get("rotor_preset", "final")
-        if preset not in ROTOR_PRESETS:
-            raise ConfigError(
-                f"unknown rotor_preset {preset!r}; "
-                f"expected one of {', '.join(sorted(ROTOR_PRESETS))}")
+    fields = read(SWEEP_KEYS, data)
+    op = bemt.OperatingPoint.from_rpm(**read(OP_KEYS, fields.pop("op"), "op."))
+    preset = fields.pop("rotor_preset")
+    if "rotor" in fields:
+        geometry = bemt.BladeGeometry.from_dict(fields.pop("rotor"), "rotor.")
+    elif preset in ROTOR_PRESETS:
         geometry = ROTOR_PRESETS[preset]()
-    op_data = _object(data, "op")
-    op = bemt.OperatingPoint.from_rpm(
-        _number(op_data, "rpm", presets.HOVER_RPM, "op.rpm"),
-        v_inf=_number(op_data, "v_inf", 0.0, "op.v_inf"),
-        rho=_number(op_data, "rho", 1.225, "op.rho"),
-        collective=math.radians(_number(op_data, "collective_deg", 0.0,
-                                        "op.collective_deg")))
-    missing = [key for key in ("parameter", "values") if key not in data]
-    if missing:
-        raise ConfigError(f"sweep spec is missing {', '.join(map(repr, missing))}")
-    values = _number_list(data, "values")
-    parameter = data["parameter"]
-    if parameter in ("twist", "collective"):
-        values = [math.radians(v) for v in values]
-    kwargs = {}
-    if "collectives_deg" in data:
-        kwargs["collectives"] = tuple(
-            math.radians(v) for v in _number_list(data, "collectives_deg"))
-    if "speeds" in data:
-        kwargs["speeds"] = tuple(map(float, _number_list(data, "speeds")))
-    if "couple_preset" in data:
-        kwargs["couple_preset"] = bool(data["couple_preset"])
-    return explorer.SweepSpec(
-        base_geometry=geometry, base_op=op, parameter=parameter,
-        values=tuple(values), response=data.get("response", "PL_vs_T"),
-        polar_name=_polar_name(data), **kwargs)
+    else:
+        raise ConfigError(f"unknown rotor_preset {preset!r}; "
+                          f"expected one of {', '.join(sorted(ROTOR_PRESETS))}")
+    if fields["parameter"] in ("twist", "collective"):
+        fields["values"] = tuple(map(math.radians, fields["values"]))
+    return explorer.SweepSpec(base_geometry=geometry, base_op=op, **fields)
 
 
 def cmd_sweep(args):
@@ -224,30 +175,26 @@ def cmd_sweep(args):
     return 0
 
 
-def _optimization_spec_from_json(data):
-    kwargs = {}
-    if "radius_grid_m" in data:
-        kwargs["radius_grid"] = tuple(_number_list(data, "radius_grid_m"))
-    if "twist_grid_deg" in data:
-        kwargs["twist_grid"] = tuple(
-            math.radians(v) for v in _number_list(data, "twist_grid_deg"))
-    if "weights" in data:
-        kwargs["weights"] = tuple(_number_list(data, "weights"))
-    for key in ("hover_rpm", "hover_rho", "cruise_rpm", "cruise_speed",
-                "cruise_rho", "aspect_ratio", "taper_ratio"):
-        if key in data:
-            kwargs[key] = _number(data, key)
-    if "n_stations" in data:
-        kwargs["n_stations"] = _integer(data, "n_stations")
-    if "thrust_n" in data:
-        kwargs["thrust_constraint"] = _number(data, "thrust_n")
-    return explorer.OptimizationSpec(polar_name=_polar_name(data), **kwargs)
+OPTIMIZE_KEYS = {
+    "radius_grid_m": Key("radius_grid", NUMBERS),
+    "twist_grid_deg": Key("twist_grid", NUMBERS, deg=True),
+    "weights": Key("weights", NUMBERS),
+    "hover_rpm": Key("hover_rpm", NUMBER),
+    "hover_rho": Key("hover_rho", NUMBER),
+    "cruise_rpm": Key("cruise_rpm", NUMBER),
+    "cruise_speed": Key("cruise_speed", NUMBER),
+    "cruise_rho": Key("cruise_rho", NUMBER),
+    "aspect_ratio": Key("aspect_ratio", NUMBER),
+    "taper_ratio": Key("taper_ratio", NUMBER),
+    "n_stations": Key("n_stations", INTEGER),
+    "thrust_n": Key("thrust_constraint", NUMBER),
+    "polar": Key("polar_name", STRING),
+}
 
 
 def cmd_optimize(args):
-    data = _load_json(args.spec, args.set) if args.spec else \
-        _apply_overrides({}, args.set)
-    spec = _optimization_spec_from_json(data)
+    data = _load_json(args.spec, args.set)
+    spec = explorer.OptimizationSpec(**read(OPTIMIZE_KEYS, data))
     result = explorer.optimize(spec, workers=args.workers)
     _emit_json(args, "optimization.json", result.summary_dict())
     if args.out:
@@ -257,13 +204,18 @@ def cmd_optimize(args):
     return 0
 
 
+WING_KEYS = {
+    **wing.INPUT_KEYS,
+    "wing_loading_n_m2": Key("wing_loading", NUMBER, 130.0),
+    "gap_m": Key("gap", NUMBER, wing.DEFAULT_GAP),
+}
+
+
 def cmd_wing(args):
-    data = _load_json(args.spec, args.set) if args.spec else \
-        _apply_overrides({}, args.set)
-    loading = data.pop("wing_loading_n_m2", 130.0)
-    gap = data.pop("gap_m", wing.DEFAULT_GAP)
-    inputs = wing.WingDesignInputs.from_dict(data) if data else \
-        wing.WingDesignInputs()
+    data = _load_json(args.spec, args.set)
+    fields = read(WING_KEYS, data)
+    loading, gap = fields.pop("wing_loading"), fields.pop("gap")
+    inputs = wing.WingDesignInputs(**fields)
     sizing = wing.size_biplane(inputs, loading, gap=gap)
     study = wing.power_vs_wing_loading(
         inputs, np.arange(60.0, 150.01, 2.0))
@@ -324,31 +276,22 @@ def cmd_weights(args):
     return 0
 
 
+SIMULATE_KEYS = {
+    "waypoints": Key("waypoints", rows(4), presets.MISSION_WAYPOINTS, deg=True),
+    "dt_s": Key("dt", NUMBER, presets.MISSION_DT),
+    "capture_radius_m": Key("capture_radius", NUMBER, presets.MISSION_CAPTURE_RADIUS),
+    "timeout_s": Key("timeout", NUMBER, presets.MISSION_TIMEOUT),
+}
+
+
 def cmd_simulate(args):
     from . import flightsim
-    if args.mission:
-        data = _load_json(args.mission, args.set)
-    else:
-        data = _apply_overrides({}, args.set)
-    if "waypoints" in data:
-        raw = data["waypoints"]
-        if not isinstance(raw, list) or not all(
-                isinstance(w, list) and len(w) == 4 and all(map(_is_number, w))
-                for w in raw):
-            raise ConfigError("waypoints must be a list of [x_m, y_m, z_m, yaw_deg] "
-                              f"number lists, got {raw!r}")
-        waypoints = [(w[0], w[1], w[2], math.radians(w[3])) for w in raw]
-    else:
-        waypoints = list(presets.MISSION_WAYPOINTS)
-    dt = _number(data, "dt_s", presets.MISSION_DT)
-    capture_radius = _number(data, "capture_radius_m", presets.MISSION_CAPTURE_RADIUS)
-    timeout = _number(data, "timeout_s", presets.MISSION_TIMEOUT)
-    params = flightsim.default_params()
+    data = _load_json(args.mission, args.set)
+    fields = read(SIMULATE_KEYS, data)
     pitch_map = flightsim.PitchMap.from_rotor(
         _load_rotor(args.rotor), _load_polar(args.polar))
     log = flightsim.run_mission(
-        waypoints, params=params, dt=dt, capture_radius=capture_radius,
-        timeout=timeout, pitch_map=pitch_map)
+        params=flightsim.default_params(), pitch_map=pitch_map, **fields)
     _emit(args, "trajectory.csv", "\n".join(log.csv_lines()) + "\n")
     return 0
 
@@ -383,7 +326,7 @@ def build_parser():
                        help="dotted-path spec override, repeatable")
 
     p = sub.add_parser("analyze", help="single-point rotor performance")
-    p.add_argument("--rotor", help="rotor JSON or preset "
+    p.add_argument("--rotor", default="final", help="rotor JSON or preset "
                    f"({', '.join(ROTOR_PRESETS)})")
     p.add_argument("--polar", help="bundled polar name or CSV path")
     p.add_argument("--rpm", type=float, default=presets.HOVER_RPM)
@@ -430,7 +373,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="waypoint mission")
     p.add_argument("--mission", help="mission JSON (defaults to the "
                    "reference square)")
-    p.add_argument("--rotor", help="rotor JSON or preset")
+    p.add_argument("--rotor", default="final", help="rotor JSON or preset")
     p.add_argument("--polar", help="bundled polar name or CSV path")
     common(p)
     p.set_defaults(func=cmd_simulate)

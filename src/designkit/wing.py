@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import RHO_CRUISE, RHO_SL
 from .errors import ConfigError, StallLimitError
+from .schema import NUMBER, Key, read
 
 #: lift retained by each wing of the pair relative to an isolated wing,
 #: reported alongside sizing results; not fed back into the areas.
@@ -62,38 +63,26 @@ class WingDesignInputs:
         return 1.0 / (math.pi * self.aspect_ratio * self.oswald)
 
     def to_dict(self):
-        return {
-            "gross_weight_n": self.gross_weight,
-            "cruise_speed_m_s": self.cruise_speed,
-            "stall_speed_m_s": self.stall_speed,
-            "rho_kg_m3": self.rho,
-            "cd0": self.cd0,
-            "oswald": self.oswald,
-            "cl_max": self.cl_max,
-            "aspect_ratio": self.aspect_ratio,
-            "taper": self.taper,
-            "span_ratio": self.span_ratio,
-        }
+        return {key: getattr(self, entry.field) for key, entry in INPUT_KEYS.items()}
 
     @classmethod
     def from_dict(cls, data):
-        keys = {
-            "gross_weight_n": "gross_weight",
-            "cruise_speed_m_s": "cruise_speed",
-            "stall_speed_m_s": "stall_speed",
-            "rho_kg_m3": "rho",
-            "cd0": "cd0",
-            "oswald": "oswald",
-            "cl_max": "cl_max",
-            "aspect_ratio": "aspect_ratio",
-            "taper": "taper",
-            "span_ratio": "span_ratio",
-        }
-        kwargs = {attr: data[key] for key, attr in keys.items() if key in data}
-        unknown = set(data) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown wing input fields: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**read(INPUT_KEYS, data))
+
+
+#: JSON keys of :class:`WingDesignInputs`
+INPUT_KEYS = {
+    "gross_weight_n": Key("gross_weight", NUMBER),
+    "cruise_speed_m_s": Key("cruise_speed", NUMBER),
+    "stall_speed_m_s": Key("stall_speed", NUMBER),
+    "rho_kg_m3": Key("rho", NUMBER),
+    "cd0": Key("cd0", NUMBER),
+    "oswald": Key("oswald", NUMBER),
+    "cl_max": Key("cl_max", NUMBER),
+    "aspect_ratio": Key("aspect_ratio", NUMBER),
+    "taper": Key("taper", NUMBER),
+    "span_ratio": Key("span_ratio", NUMBER),
+}
 
 
 @dataclass(frozen=True)

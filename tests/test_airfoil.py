@@ -10,9 +10,6 @@ from designkit.airfoil import (
     BLEND_WIDTH,
     ParametricPolarSpec,
     flat_plate,
-    from_parametric,
-    load_polar,
-    lookup,
 )
 from designkit.errors import PolarDataError, PolarFormatError
 
@@ -181,11 +178,6 @@ def test_flat_plate_laws():
     assert cd == pytest.approx([0.0, 0.85, 1.7], abs=1e-12)
 
 
-def test_module_level_lookup_delegates():
-    polar = simple_polar()
-    assert lookup(polar, 0.05) == polar.lookup(0.05)
-
-
 # ---------------------------------------------------------------------------
 # parametric polars
 
@@ -193,7 +185,7 @@ def test_parametric_linear_region_exact():
     spec = ParametricPolarSpec(cl_alpha=6.0, alpha0=math.radians(-2.0),
                                cd0=0.008, cd2=0.5, cl_max=1.4,
                                alpha_stall=math.radians(14.0))
-    polar = from_parametric(spec, n_samples=401)
+    polar = AirfoilPolar.from_parametric(spec, n_samples=401)
     for a_deg in (-8.0, -2.0, 0.0, 5.0, 9.0):
         a = math.radians(a_deg)
         cl, cd, _ = polar.lookup(a)
@@ -204,7 +196,7 @@ def test_parametric_linear_region_exact():
 def test_parametric_cap_applies():
     spec = ParametricPolarSpec(cl_alpha=6.0, cl_max=1.0,
                                alpha_stall=math.radians(12.0))
-    polar = from_parametric(spec, n_samples=801)
+    polar = AirfoilPolar.from_parametric(spec, n_samples=801)
     cl, _, _ = polar.lookup(math.radians(20.0))   # past stall, inside table
     assert cl == pytest.approx(1.0, abs=1e-6)
 
@@ -269,11 +261,6 @@ def test_from_csv_too_short(tmp_path):
     path.write_text("alpha_deg,cl,cd\n0,0,0.01\n1,0.1,0.01\n")
     with pytest.raises(PolarDataError):
         AirfoilPolar.from_csv(path)
-
-
-def test_load_polar_rejects_unknown_format(tmp_path):
-    with pytest.raises(PolarDataError):
-        load_polar(tmp_path / "polar.xml", fmt="xml")
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,24 @@ exit status 2 for usage errors.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from designkit import acceptance, bemt, cli
+from designkit import acceptance, bemt, cli, schema
 from designkit.cli import main
 from designkit.errors import NoRootError, SimulationAbort
 
 REPO = Path(__file__).resolve().parent.parent
 FIGURES = REPO / "figures"
 CONFIGS = REPO / "configs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -306,10 +310,131 @@ def test_scalar_where_list_expected(capsys, argv, key):
     (["optimize", "--set", "polar=3"], "polar"),
     (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set", "rotor=3"],
      "rotor"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set",
+      'rotor={"radius_m": 0.4, "root_chord_m": 0.03, "pitch_table": [1, 2]}'],
+     "rotor.pitch_table"),
+    (["sweep", "--spec", str(FIGURES / "fig07.json"), "--set",
+      'rotor={"radius_m": 0.4, "root_chord_m": 0.03, "n_blades": 2.7}'],
+     "rotor.n_blades"),
+    (["sweep", "--spec", str(FIGURES / "fig10a.json"),
+      "--set", 'couple_preset="no"'], "couple_preset"),
+    (["sweep", "--spec", str(FIGURES / "fig08.json"),
+      "--set", "op.rpm=Infinity"], "op.rpm"),
+    (["optimize", "--set", "hover_rpm=1" + "0" * 400], "hover_rpm"),
+    (["analyze", "--rotor", str(REPO / "README.md")], "README.md"),
+    (["analyze", "--rotor", str(DATA / "not_an_object.json")],
+     "not_an_object.json"),
+    (["analyze", "--polar", str(REPO / "no" / "such.csv")], "such.csv"),
 ])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)
     assert_config_error(rc, err, key)
+
+
+# every table a command reads: the argv that reads it, and the dotted
+# prefix of its keys in the spec
+SPEC_TABLES = [
+    (["sweep", "--spec", str(FIGURES / "fig09.json")], "", cli.SWEEP_KEYS),
+    (["sweep", "--spec", str(FIGURES / "fig09.json")], "op.", cli.OP_KEYS),
+    (["sweep", "--spec", str(FIGURES / "fig09.json")], "rotor.",
+     bemt.ROTOR_KEYS),
+    (["optimize"], "", cli.OPTIMIZE_KEYS),
+    (["wing"], "", cli.WING_KEYS),
+    (["simulate"], "", cli.SIMULATE_KEYS),
+]
+
+
+def fits(kind, value):
+    """Whether ``value`` has the JSON type ``kind`` asks for, written out
+    apart from designkit.schema."""
+    def number(v):
+        return type(v) in (int, float) and math.isfinite(v)
+
+    def rows(n):
+        return type(value) is list and all(
+            type(row) is list and len(row) == n and all(map(number, row))
+            for row in value)
+
+    return {
+        schema.NUMBER: number(value),
+        schema.INTEGER: type(value) is int,
+        schema.BOOLEAN: type(value) is bool,
+        schema.STRING: type(value) is str,
+        schema.OBJECT: type(value) is dict,
+        schema.NUMBERS: type(value) is list and all(map(number, value)),
+        schema.rows(2): rows(2),
+        schema.rows(4): rows(4),
+    }[kind]
+
+
+SCALARS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6), st.floats(),
+    st.text(max_size=6), st.booleans(), st.none())
+
+# every JSON type; NaN and +-Infinity, lists of numbers and lists of
+# number rows get strategies of their own
+JSON_TYPES = [
+    st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.lists(st.one_of(SCALARS, st.lists(SCALARS, max_size=5)), max_size=4),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                      max_size=5), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=4), SCALARS, max_size=3),
+]
+
+
+@pytest.mark.parametrize("argv, key, kind", [
+    pytest.param(argv, prefix + key, entry.kind, id=f"{argv[0]}:{prefix}{key}")
+    for argv, prefix, table in SPEC_TABLES for key, entry in table.items()])
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_spec_key_rejects_every_wrong_json_type(capsys, argv, key, kind,
+                                                      data):
+    for json_type in JSON_TYPES:
+        value = data.draw(json_type)
+        if fits(kind, value):
+            continue
+        rc, _, err = run(capsys, *argv, "--set", f"{key}={json.dumps(value)}")
+        assert rc == 1
+        payload = strict_json(err)
+        assert payload["error"] == "ConfigError"
+        assert payload["message"].startswith(f"{key} must be ")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (argv, prefix) for argv, prefix, _ in SPEC_TABLES])
+def test_unknown_spec_key(capsys, argv, prefix):
+    rc, _, err = run(capsys, *argv, "--set", f"{prefix}bogus=1")
+    assert_config_error(rc, err, f"unknown key {prefix}bogus")
+
+
+SHIPPED_SPECS = {
+    "baseline.json": "rotor", "table1.json": "rotor",
+    "mission.json": "simulate", "wing.json": "wing", "fig12.json": "optimize",
+    **{f"fig{n}.json": "sweep"
+       for n in ("07", "08", "09", "10a", "10b", "10c", "11")},
+}
+
+
+@pytest.mark.parametrize("path", sorted(
+    [*CONFIGS.glob("*.json"), *FIGURES.glob("*.json")]),
+    ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_shipped_spec_parses(path):
+    data = cli._load_json(path, None)
+    command = SHIPPED_SPECS[path.name]
+    if command == "rotor":
+        bemt.BladeGeometry.from_dict(data)
+    elif command == "sweep":
+        cli._sweep_spec_from_json(data)
+    else:
+        schema.read({"optimize": cli.OPTIMIZE_KEYS, "wing": cli.WING_KEYS,
+                     "simulate": cli.SIMULATE_KEYS}[command], data)
 
 
 def test_override_short_grid(capsys):
