@@ -12,10 +12,9 @@ from .bemt import (
     BladeGeometry,
     InflowSolution,
     OperatingPoint,
+    RotorCurve,
     RotorPerformance,
-    SpeedCurve,
     StationSolution,
-    ThrustCurve,
     evaluate_rotor,
     geometry_from_polynomials,
     solve_station,

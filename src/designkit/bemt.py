@@ -839,21 +839,6 @@ def _no_root(bad):
         bracket=(-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS))
 
 
-def _rows(ct, cp, found, r, geometry, ops, failure):
-    """One :class:`RotorPerformance` per row solved at ``ops[i]``, or None
-    with ``failure(failed stations)`` in the errors where a station failed."""
-    rows, errors = [], []
-    solved = np.all(found, axis=1)
-    for i, op in enumerate(ops):
-        if solved[i]:
-            rows.append(_performance(float(ct[i]), float(cp[i]), geometry, op))
-            errors.append(None)
-        else:
-            rows.append(None)
-            errors.append(failure(r[~found[i]]))
-    return rows, errors
-
-
 def _performance(ct, cp, geometry, op):
     mu = op.advance_ratio(geometry.radius)
     v_tip = op.tip_speed(geometry.radius)
@@ -897,40 +882,38 @@ def evaluate_rotor(geometry, op, polar, n_stations=100, return_inflow=False):
 
 
 @dataclass
-class ThrustCurve:
-    """Thrust/power versus collective at fixed speed and RPM.
+class RotorCurve:
+    """Performance over a batch of operating points, from one inflow solve.
 
-    ``rows[i]`` is the :class:`RotorPerformance` for ``collectives[i]``, or
-    None with a message in ``errors[i]`` if that collective failed.
+    ``rows[i]`` is the :class:`RotorPerformance` at ``ops[i]``, or None
+    with, in ``errors[i]``, the :class:`NoRootError` that
+    :func:`evaluate_rotor` raises there.
     """
 
-    collectives: np.ndarray
+    ops: list
     rows: list
     errors: list
 
-    def _array(self, attr):
+    def column(self, attr):
+        """One :class:`RotorPerformance` field per row; nan on failed rows."""
         return np.array([math.nan if p is None else getattr(p, attr) for p in self.rows])
-
-    @property
-    def thrust(self):
-        return self._array("thrust")
-
-    @property
-    def power(self):
-        return self._array("power")
-
-    @property
-    def ct(self):
-        return self._array("ct")
-
-    @property
-    def cp(self):
-        return self._array("cp")
 
     def csv_lines(self):
         lines = [RotorPerformance.CSV_HEADER]
         lines += [p.csv_row() for p in self.rows if p is not None]
         return lines
+
+
+def _curve(geometry, polar, r, dr, pitch, ops):
+    """One :class:`RotorCurve` row per operating point ``ops[i]``, solved
+    with the station pitches ``pitch[i]`` in one batch."""
+    mu = np.array([op.advance_ratio(geometry.radius) for op in ops], dtype=float)
+    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr, pitch, mu[:, None])
+    solved = np.all(found, axis=1)
+    rows = [_performance(float(ct[i]), float(cp[i]), geometry, op) if solved[i] else None
+            for i, op in enumerate(ops)]
+    errors = [None if solved[i] else _no_root(r[~found[i]]) for i in range(len(ops))]
+    return RotorCurve(ops=ops, rows=rows, errors=errors)
 
 
 def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
@@ -942,29 +925,10 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
     that fail to converge invalidate only their own row.
     """
     collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
-    op0 = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
+    op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    pitch = collectives[:, None] + geometry.pitch(r, 0.0)[None, :]
-    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr, pitch,
-                                    op0.advance_ratio(geometry.radius))
-    ops = [replace(op0, collective=float(theta0)) for theta0 in collectives]
-    rows, errors = _rows(ct, cp, found, r, geometry, ops, lambda bad: (
-        f"no inflow root at r = {', '.join(f'{x:.3f}' for x in bad[:5])}"))
-    return ThrustCurve(collectives=collectives, rows=rows, errors=errors)
-
-
-@dataclass
-class SpeedCurve:
-    """Performance versus axial speed at fixed collective and RPM.
-
-    ``rows[i]`` is the :class:`RotorPerformance` at ``speeds[i]``, or None
-    with, in ``errors[i]``, the :class:`NoRootError` that
-    :func:`evaluate_rotor` raises there.
-    """
-
-    speeds: tuple
-    rows: list
-    errors: list
+    return _curve(geometry, polar, r, dr, collectives[:, None] + geometry.pitch(r, 0.0),
+                  [replace(op, collective=float(theta0)) for theta0 in collectives])
 
 
 def speed_curve(geometry, polar, op, speeds, n_stations=100):
@@ -975,14 +939,9 @@ def speed_curve(geometry, polar, op, speeds, n_stations=100):
     ``replace(op, v_inf=speed)``: the same core, with the advance ratio
     varying over the rows.
     """
-    speeds = tuple(speeds)
     ops = [replace(op, v_inf=v) for v in speeds]
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    mu = np.array([o.advance_ratio(geometry.radius) for o in ops], dtype=float)
-    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr,
-                                    geometry.pitch(r, op.collective), mu[:, None])
-    rows, errors = _rows(ct, cp, found, r, geometry, ops, _no_root)
-    return SpeedCurve(speeds=speeds, rows=rows, errors=errors)
+    return _curve(geometry, polar, r, dr, geometry.pitch(r, op.collective), ops)
 
 
 def rising_branch(values):

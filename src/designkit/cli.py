@@ -3,14 +3,16 @@
 Each subcommand wires JSON configs into one module and emits CSV/JSON
 artifacts, either to stdout or into ``--out``.  Failures serialize as a
 machine-readable error JSON on stderr with exit status 1; usage errors
-exit 2.  ``--set key=value`` applies dotted-path overrides to the
-loaded spec before anything runs.
+exit 2.  On the commands that read a spec (``sweep``, ``optimize``,
+``wing``, ``simulate``), ``--set key=value`` applies dotted-path
+overrides to it before anything runs.
 """
 
 import argparse
 import json
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -121,9 +123,8 @@ def _emit_json(args, filename, payload):
 def cmd_analyze(args):
     geometry = _load_rotor(args.rotor)
     polar = _load_polar(args.polar)
-    op = bemt.OperatingPoint.from_rpm(
-        args.rpm, v_inf=args.v_inf, rho=args.rho,
-        collective=math.radians(args.collective))
+    # the flags go through the sweep spec's op table, so non-finite values are ConfigErrors
+    op = bemt.OperatingPoint.from_rpm(**read(OP_KEYS, {k: getattr(args, k) for k in OP_KEYS}))
     perf = bemt.evaluate_rotor(geometry, op, polar, n_stations=args.n_stations)
     text = perf.CSV_HEADER + "\n" + perf.csv_row() + "\n"
     _emit(args, "performance.csv", text)
@@ -312,7 +313,9 @@ def cmd_validate(args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
+@cache
 def build_parser():
+    """The argument parser, built once; ``main`` finds ``cmd_<command>`` by name."""
     parser = argparse.ArgumentParser(
         prog="designkit",
         description="Conceptual design toolkit for a quad-rotor biplane "
@@ -320,78 +323,70 @@ def build_parser():
                     "wing and powertrain sizing, hover simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, spec=False):
         p.add_argument("--out", help="artifact directory (default: stdout)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="dotted-path spec override, repeatable")
+        if spec:
+            p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                           help="dotted-path spec override, repeatable")
 
     p = sub.add_parser("analyze", help="single-point rotor performance")
     p.add_argument("--rotor", default="final", help="rotor JSON or preset "
                    f"({', '.join(ROTOR_PRESETS)})")
     p.add_argument("--polar", help="bundled polar name or CSV path")
     p.add_argument("--rpm", type=float, default=presets.HOVER_RPM)
-    p.add_argument("--collective", type=float, default=0.0, help="deg")
+    p.add_argument("--collective", dest="collective_deg", type=float, default=0.0,
+                   help="deg")
     p.add_argument("--v-inf", type=float, default=0.0, help="m/s")
     p.add_argument("--rho", type=float, default=1.225, help="kg/m^3")
     p.add_argument("--n-stations", type=int, default=100)
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="parameter sweep from a spec file")
     p.add_argument("--spec", required=True, help="sweep JSON")
-    common(p)
-    p.set_defaults(func=cmd_sweep)
+    common(p, spec=True)
 
     p = sub.add_parser("optimize", help="radius x twist grid search")
     p.add_argument("--spec", help="grid JSON (defaults to the design grid)")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default DESIGNKIT_THREADS or 1)")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
+    common(p, spec=True)
 
     p = sub.add_parser("wing", help="biplane wing sizing")
     p.add_argument("--spec", help="wing inputs JSON")
-    common(p)
-    p.set_defaults(func=cmd_wing)
+    common(p, spec=True)
 
     p = sub.add_parser("gears", help="transmission table and checks")
     common(p)
-    p.set_defaults(func=cmd_gears)
 
     p = sub.add_parser("budget", help="sized-vehicle power budget")
     p.add_argument("--margin", type=float, default=0.10)
     common(p)
-    p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("weights", help="gross-weight convergence")
     p.add_argument("--start", type=float, default=16.0, help="kg")
     p.add_argument("--tolerance", type=float, default=0.01, help="kg")
     p.add_argument("--payload", type=float, default=4.257, help="kg")
     common(p)
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("simulate", help="waypoint mission")
     p.add_argument("--mission", help="mission JSON (defaults to the "
                    "reference square)")
     p.add_argument("--rotor", default="final", help="rotor JSON or preset")
     p.add_argument("--polar", help="bundled polar name or CSV path")
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+    common(p, spec=True)
 
     p = sub.add_parser("validate", help="run the acceptance checks")
     p.add_argument("--fast", action="store_true",
                    help="skip the long grid-search check")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DesignError as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         payload.update((k, v) for k, v in vars(exc).items()

@@ -132,35 +132,31 @@ class SweepTable:
 
 def _curve_rows(spec, value, geometry, op, polar):
     """Rows and gaps for a single swept value."""
-    rows, gaps = [], []
-    if spec.response in ("PL_vs_T", "thrust", "power"):
+    if spec.response == "eta_vs_V":
+        curve = bemt.speed_curve(geometry, polar, op, spec.speeds,
+                                 n_stations=spec.n_stations)
+    else:
         curve = bemt.thrust_curve(
             geometry, polar, op.rpm, spec.collectives,
             v_inf=op.v_inf, rho=op.rho, n_stations=spec.n_stations)
-        for theta, perf, err in zip(curve.collectives, curve.rows, curve.errors):
-            x_deg = math.degrees(theta)
-            if perf is None:
-                gaps.append((value, x_deg, err))
-                continue
-            if spec.response == "thrust":
-                rows.append((value, x_deg, perf.thrust))
-            elif spec.response == "power":
-                rows.append((value, x_deg, perf.power))
+    rows, gaps = [], []
+    for point, perf, err in zip(curve.ops, curve.rows, curve.errors):
+        x = point.v_inf if spec.response == "eta_vs_V" else math.degrees(point.collective)
+        if perf is None:
+            gaps.append((value, x, str(err)))
+        elif spec.response == "thrust":
+            rows.append((value, x, perf.thrust))
+        elif spec.response == "power":
+            rows.append((value, x, perf.power))
+        elif spec.response == "PL_vs_T":
+            if perf.power > 0.0:
+                rows.append((value, perf.thrust, perf.power_loading))
             else:
-                if perf.power > 0.0:
-                    rows.append((value, perf.thrust, perf.power_loading))
-                else:
-                    gaps.append((value, x_deg, "non-positive power"))
-    elif spec.response == "eta_vs_V":
-        curve = bemt.speed_curve(geometry, polar, op, spec.speeds,
-                                 n_stations=spec.n_stations)
-        for v, perf, err in zip(curve.speeds, curve.rows, curve.errors):
-            if perf is None:
-                gaps.append((value, v, str(err)))
-            elif perf.thrust <= 0.0 or perf.power <= 0.0:
-                gaps.append((value, v, "non-propulsive"))
-            else:
-                rows.append((value, v, perf.eta_p))
+                gaps.append((value, x, "non-positive power"))
+        elif perf.thrust <= 0.0 or perf.power <= 0.0:
+            gaps.append((value, x, "non-propulsive"))
+        else:
+            rows.append((value, x, perf.eta_p))
     return rows, gaps
 
 
@@ -201,7 +197,7 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
     curve = bemt.thrust_curve(geometry, polar, op.rpm, coarse,
                               v_inf=op.v_inf, rho=op.rho,
                               n_stations=n_stations)
-    thrusts = curve.thrust   # NaN where the solver failed
+    thrusts = curve.column("thrust")   # NaN where the solver failed
     branch = bemt.rising_branch(thrusts)
     if branch.size == 0:
         raise TrimError("rotor solution failed across the collective range",
@@ -366,7 +362,7 @@ def _evaluate_twist(args):
     thetas = np.radians(np.arange(-12.0, 24.01, 0.25))
     ct_ref = bemt.thrust_curve(reference, polar, spec.hover_rpm, thetas,
                                v_inf=0.0, rho=spec.hover_rho,
-                               n_stations=spec.n_stations).ct
+                               n_stations=spec.n_stations).column("ct")
     omega = spec.hover_rpm * math.pi / 30.0
     for i, radius in enumerate(radii):
         disc_area = math.pi * radius ** 2
@@ -379,8 +375,7 @@ def _evaluate_twist(args):
     hover = bemt.thrust_curve(reference, polar, spec.hover_rpm,
                               theta_h[trimmed], v_inf=0.0,
                               rho=spec.hover_rho, n_stations=spec.n_stations)
-    fm[trimmed] = [math.nan if p is None else p.figure_of_merit
-                   for p in hover.rows]
+    fm[trimmed] = hover.column("figure_of_merit")
 
     scan_lo, scan_hi, scan_step = spec.cruise_scan
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
@@ -389,8 +384,8 @@ def _evaluate_twist(args):
             _blade(spec, float(radii[i]), twist), polar, spec.cruise_rpm, scan,
             v_inf=spec.cruise_speed, rho=spec.cruise_rho,
             n_stations=spec.n_stations)
-        etas = [p.eta_p if p is not None and p.power > 0.0 and p.thrust > 0.0
-                else -math.inf for p in cruise.rows]
+        etas = np.where((cruise.column("power") > 0.0) & (cruise.column("thrust") > 0.0),
+                        cruise.column("eta_p"), -math.inf)
         k = int(np.argmax(etas))
         if etas[k] > -math.inf:
             eta[i], theta_c[i] = etas[k], scan[k]

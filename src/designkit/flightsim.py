@@ -345,7 +345,7 @@ class PitchMap:
             collectives = np.radians(np.arange(-4.0, 20.01, 0.5))
         curve = bemt.thrust_curve(geometry, polar, rpm, collectives,
                                   v_inf=0.0, rho=rho, n_stations=n_stations)
-        return cls(collectives, curve.ct)
+        return cls(collectives, curve.column("ct"))
 
     @property
     def ct_range(self):

@@ -178,13 +178,18 @@ def biplane_power_ratio(beta):
     return float(out) if out.ndim == 0 else out
 
 
-def cruise_power(inputs, wing_loading):
-    """Total cruise drag power [W] at the given wing loading [N/m^2]."""
-    wl = np.asarray(wing_loading, dtype=float)
+def _power_terms(inputs, wl):
+    """Parasite and induced cruise power [W] at wing loadings wl [N/m^2]."""
     q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
     parasite = q * inputs.cruise_speed * inputs.cd0 * inputs.gross_weight / wl
     induced = (2.0 * inputs.induced_factor * inputs.gross_weight * wl
                / (inputs.rho * inputs.cruise_speed))
+    return parasite, induced
+
+
+def cruise_power(inputs, wing_loading):
+    """Total cruise drag power [W] at the given wing loading [N/m^2]."""
+    parasite, induced = _power_terms(inputs, np.asarray(wing_loading, dtype=float))
     return parasite + induced
 
 
@@ -198,10 +203,8 @@ def power_vs_wing_loading(inputs, wing_loading):
     wl = np.atleast_1d(np.asarray(wing_loading, dtype=float))
     if np.any(wl <= 0.0):
         raise ConfigError("wing loading grid must be positive")
+    parasite, induced = _power_terms(inputs, wl)
     q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
-    parasite = q * inputs.cruise_speed * inputs.cd0 * inputs.gross_weight / wl
-    induced = (2.0 * inputs.induced_factor * inputs.gross_weight * wl
-               / (inputs.rho * inputs.cruise_speed))
     wl_opt = q * math.sqrt(inputs.cd0 / inputs.induced_factor)
     return WingLoadingStudy(
         wing_loading=wl,

@@ -470,10 +470,13 @@ def test_figure_of_merit_and_eta_definitions(final_rotor, sc1095):
         cruise.thrust / cruise.power, rel=1e-15)
 
 
-def test_thrust_curve_matches_pointwise(baseline_rotor, naca0012):
+def test_thrust_curve_matches_pointwise(baseline_rotor, naca0012, rpm_study_rotor, sc1095):
+    """Rows match evaluate_rotor at each collective; a collective with no
+    root carries the error evaluate_rotor raises there and reads nan."""
     collectives = np.radians([2.0, 5.0, 8.0, 11.0])
     curve = bemt.thrust_curve(baseline_rotor, naca0012, 3200.0, collectives)
     assert curve.errors == [None] * 4
+    assert [op.collective for op in curve.ops] == collectives.tolist()
     for theta0, row in zip(collectives, curve.rows):
         single = bemt.evaluate_rotor(
             baseline_rotor,
@@ -481,7 +484,23 @@ def test_thrust_curve_matches_pointwise(baseline_rotor, naca0012):
             naca0012)
         assert row.ct == single.ct
         assert row.cp == single.cp
-    assert np.all(np.diff(curve.thrust) > 0.0)   # below stall: monotone
+    assert np.all(np.diff(curve.column("thrust")) > 0.0)   # below stall: monotone
+
+    collectives = np.radians([10.0, 75.0, 85.0])
+    curve = bemt.thrust_curve(rpm_study_rotor, sc1095, 3200.0, collectives,
+                              v_inf=240.0, rho=1.167)
+    assert curve.rows[0] is not None and curve.errors[0] is None
+    for i in (1, 2):
+        with pytest.raises(NoRootError) as info:
+            bemt.evaluate_rotor(rpm_study_rotor, curve.ops[i], sc1095)
+        err, exc = curve.errors[i], info.value
+        assert curve.rows[i] is None and type(err) is NoRootError
+        assert (str(err), err.stations, err.bracket) == (str(exc), exc.stations, exc.bracket)
+    r, _ = bemt.station_grid(rpm_study_rotor.root_cutout, 100)
+    err, expected = curve.errors[1], bemt._no_root(r[:3])
+    assert (str(err), err.stations, err.bracket) == \
+        (str(expected), expected.stations, expected.bracket)
+    np.testing.assert_equal(curve.column("ct"), [curve.rows[0].ct, math.nan, math.nan])
 
 
 def _span_solve(geometry, polar, rpm, v_inf, pitch, n_stations=100):
@@ -531,7 +550,7 @@ def test_speed_curve_rows_are_evaluate_rotor(rpm_study_rotor, sc1095):
     op = OperatingPoint.from_rpm(3200.0, rho=1.167, collective=math.radians(75.0))
     speeds = (0.0, 12.0, 30.0, 240.0)
     curve = bemt.speed_curve(rpm_study_rotor, sc1095, op, speeds)
-    assert curve.speeds == speeds
+    assert tuple(o.v_inf for o in curve.ops) == speeds
     for v, row, err in zip(speeds, curve.rows, curve.errors):
         try:
             direct = bemt.evaluate_rotor(rpm_study_rotor, replace(op, v_inf=v), sc1095)

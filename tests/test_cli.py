@@ -132,6 +132,15 @@ def test_malformed_override(capsys):
     assert json.loads(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command", ["analyze", "gears", "budget", "weights", "validate"])
+def test_set_only_where_a_spec_is_read(command, capsys):
+    """Commands that read no spec have no --set to drop silently."""
+    with pytest.raises(SystemExit) as info:
+        main([command, "--set", "bogus=1"])
+    assert info.value.code == 2
+    assert "--set" in capsys.readouterr().err
+
+
 def test_wing_artifacts_idempotent(tmp_path, capsys):
     args = ("wing", "--spec", str(CONFIGS / "wing.json"))
     rc, out, _ = run(capsys, *args)
@@ -325,6 +334,10 @@ def test_scalar_where_list_expected(capsys, argv, key):
     (["analyze", "--rotor", str(DATA / "not_an_object.json")],
      "not_an_object.json"),
     (["analyze", "--polar", str(REPO / "no" / "such.csv")], "such.csv"),
+    (["analyze", "--collective", "inf"], "collective_deg"),
+    (["analyze", "--rpm", "nan"], "rpm"),
+    (["analyze", "--v-inf", "nan"], "v_inf"),
+    (["analyze", "--rho", "inf"], "rho"),
 ])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)

@@ -100,7 +100,7 @@ def test_sweep_spec_validation(baseline_rotor):
 # ---------------------------------------------------------------------------
 # sweeps
 
-def test_thrust_sweep_matches_direct_calls(baseline_rotor, naca0012):
+def test_thrust_sweep_matches_direct_calls(baseline_rotor, naca0012, rpm_study_rotor, sc1095):
     collectives = (math.radians(4.0), math.radians(8.0))
     spec = SweepSpec(base_geometry=baseline_rotor, base_op=hover_op(),
                      parameter="rpm", values=(3200.0,), response="thrust",
@@ -116,6 +116,19 @@ def test_thrust_sweep_matches_direct_calls(baseline_rotor, naca0012):
         assert x_deg == pytest.approx(math.degrees(theta), rel=1e-12)
         # rpm round-trips through omega inside the sweep: last-ulp only
         assert thrust == pytest.approx(direct.thrust, rel=1e-13)
+
+    # a collective with no inflow root is a gap holding str(NoRootError),
+    # the text evaluate_rotor raises, for every thrust-type response
+    stalled = bemt.OperatingPoint.from_rpm(3200.0, v_inf=240.0, rho=1.167)
+    with pytest.raises(NoRootError) as info:
+        bemt.evaluate_rotor(rpm_study_rotor, replace(stalled, collective=math.radians(75.0)),
+                            sc1095)
+    assert str(info.value).startswith("inflow solve failed at 3 station(s): r = ")
+    for response in ("PL_vs_T", "thrust", "power"):
+        spec = SweepSpec(base_geometry=rpm_study_rotor, base_op=stalled,
+                         parameter="rpm", values=(3200.0,), response=response,
+                         collectives=(math.radians(75.0),))
+        assert run_sweep(spec, polar=sc1095).gaps == ((3200.0, 75.0, str(info.value)),)
 
 
 def test_power_loading_sweep_structure(baseline_rotor, naca0012):
