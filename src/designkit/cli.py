@@ -19,19 +19,14 @@ import numpy as np
 
 from . import bemt, explorer, powertrain, presets, wing
 from .airfoil import AirfoilPolar
+from .constants import HP_TO_W, RHO_SL
 from .errors import ConfigError, DesignError
 from .schema import BOOLEAN, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, Key, read, rows
-
-ROTOR_PRESETS = {
-    "final": presets.final_rotor,
-    "baseline": presets.baseline_rotor,
-    "rpm-study": presets.rpm_study_rotor,
-}
 
 
 def _load_polar(name_or_path):
     if name_or_path is None:
-        return AirfoilPolar.bundled("sc1095")
+        return presets.proprotor_polar()
     path = Path(name_or_path)
     if path.suffix.lower() == ".csv" or path.exists():
         try:
@@ -42,12 +37,12 @@ def _load_polar(name_or_path):
 
 
 def _load_rotor(spec):
-    if spec in ROTOR_PRESETS:
-        return ROTOR_PRESETS[spec]()
+    if spec in presets.ROTORS:
+        return presets.ROTORS[spec]()
     if not Path(spec).exists():
         raise ConfigError(
             f"rotor {spec!r} is neither a preset "
-            f"({', '.join(sorted(ROTOR_PRESETS))}) nor a file")
+            f"({', '.join(sorted(presets.ROTORS))}) nor a file")
     return bemt.BladeGeometry.from_dict(_load_json(spec, None))
 
 
@@ -158,11 +153,11 @@ def _sweep_spec_from_json(data):
     preset = fields.pop("rotor_preset")
     if "rotor" in fields:
         geometry = bemt.BladeGeometry.from_dict(fields.pop("rotor"), "rotor.")
-    elif preset in ROTOR_PRESETS:
-        geometry = ROTOR_PRESETS[preset]()
+    elif preset in presets.ROTORS:
+        geometry = presets.ROTORS[preset]()
     else:
         raise ConfigError(f"unknown rotor_preset {preset!r}; "
-                          f"expected one of {', '.join(sorted(ROTOR_PRESETS))}")
+                          f"expected one of {', '.join(sorted(presets.ROTORS))}")
     if fields["parameter"] in ("twist", "collective"):
         fields["values"] = tuple(map(math.radians, fields["values"]))
     return explorer.SweepSpec(base_geometry=geometry, base_op=op, **fields)
@@ -208,7 +203,7 @@ def cmd_optimize(args):
 WING_KEYS = {
     **wing.INPUT_KEYS,
     "wing_loading_n_m2": Key("wing_loading", NUMBER, 130.0),
-    "gap_m": Key("gap", NUMBER, wing.DEFAULT_GAP),
+    "gap_m": Key("gap", NUMBER, presets.ROTOR_SEPARATION),
 }
 
 
@@ -250,7 +245,7 @@ def cmd_gears(args):
         "min_pinion_teeth_ratio_2": powertrain.min_pinion_teeth(2.0),
         "pinion_tangential_force_n": f_t,
         "pinion_required_face_width_mm": width,
-        "design_torque_source_hp": engine_power / 745.7,
+        "design_torque_source_hp": engine_power / HP_TO_W,
     }
     _emit_json(args, "gears.json", payload)
     return 0
@@ -289,10 +284,10 @@ def cmd_simulate(args):
     from . import flightsim
     data = _load_json(args.mission, args.set)
     fields = read(SIMULATE_KEYS, data)
-    pitch_map = flightsim.PitchMap.from_rotor(
-        _load_rotor(args.rotor), _load_polar(args.polar))
-    log = flightsim.run_mission(
-        params=flightsim.default_params(), pitch_map=pitch_map, **fields)
+    rotor = _load_rotor(args.rotor)
+    pitch_map = flightsim.PitchMap.from_rotor(rotor, _load_polar(args.polar))
+    params = flightsim.default_params(rotor_radius=rotor.radius)
+    log = flightsim.run_mission(params=params, pitch_map=pitch_map, **fields)
     _emit(args, "trajectory.csv", "\n".join(log.csv_lines()) + "\n")
     return 0
 
@@ -331,13 +326,13 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="single-point rotor performance")
     p.add_argument("--rotor", default="final", help="rotor JSON or preset "
-                   f"({', '.join(ROTOR_PRESETS)})")
+                   f"({', '.join(presets.ROTORS)})")
     p.add_argument("--polar", help="bundled polar name or CSV path")
     p.add_argument("--rpm", type=float, default=presets.HOVER_RPM)
     p.add_argument("--collective", dest="collective_deg", type=float, default=0.0,
                    help="deg")
     p.add_argument("--v-inf", type=float, default=0.0, help="m/s")
-    p.add_argument("--rho", type=float, default=1.225, help="kg/m^3")
+    p.add_argument("--rho", type=float, default=RHO_SL, help="kg/m^3")
     p.add_argument("--n-stations", type=int, default=100)
     common(p)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bemt
+from . import bemt, presets
 from .constants import RHO_CRUISE, RHO_SL
 from .errors import ConfigError, TrimError
 
@@ -58,7 +58,7 @@ class SweepSpec:
     parameter: str
     values: tuple
     response: str = "PL_vs_T"
-    polar_name: str = "sc1095"
+    polar_name: str = presets.PROPROTOR_SECTION
     collectives: tuple = DEFAULT_COLLECTIVES
     speeds: tuple = DEFAULT_SPEEDS
     couple_preset: bool = True
@@ -79,34 +79,26 @@ def apply_parameter(geometry, op, parameter, value, couple_preset=True):
     """Return (geometry, op) with one parameter replaced.
 
     Geometry parameters rebuild the blade from its aspect/taper
-    description so chord distributions stay consistent.
+    description so chord distributions stay consistent.  A blade with a
+    pitch or chord table has no such description, so they raise.
     """
-    if parameter in ("aspect_ratio", "taper_ratio", "twist", "radius"):
-        kwargs = dict(
-            radius=geometry.radius,
-            aspect_ratio=geometry.aspect_ratio,
-            taper_ratio=geometry.taper_ratio,
-            twist=geometry.twist,
-            preset=geometry.preset,
-            n_blades=geometry.n_blades,
-            root_cutout=geometry.root_cutout,
-            name=geometry.name,
-        )
-        if parameter == "twist":
-            kwargs["twist"] = value
-            if couple_preset:
-                kwargs["preset"] = -value
-        else:
-            kwargs[parameter] = value
-        new_geom = bemt.BladeGeometry.from_aspect_ratio(
-            kwargs.pop("radius"), kwargs.pop("aspect_ratio"),
-            taper_ratio=kwargs.pop("taper_ratio"), **kwargs)
-        return new_geom, op
     if parameter == "rpm":
         return geometry, replace(op, omega=value * math.pi / 30.0)
     if parameter == "collective":
         return geometry, replace(op, collective=value)
-    raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in SWEEP_PARAMETERS:
+        raise ConfigError(f"unknown sweep parameter {parameter!r}")
+    if geometry.pitch_table is not None or geometry.chord_table is not None:
+        raise ConfigError(f"a {parameter} sweep rebuilds the blade from linear "
+                          "laws and would drop its pitch/chord table")
+    laws = dict(radius=geometry.radius, aspect_ratio=geometry.aspect_ratio,
+                taper_ratio=geometry.taper_ratio, twist=geometry.twist,
+                preset=geometry.preset, n_blades=geometry.n_blades,
+                root_cutout=geometry.root_cutout, name=geometry.name)
+    laws[parameter] = value
+    if parameter == "twist" and couple_preset:
+        laws["preset"] = -value
+    return bemt.BladeGeometry.from_aspect_ratio(**laws), op
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,8 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
 
     Brackets the target on the rising pre-stall branch of a coarse
     thrust curve, then bisects.  Raises a trim error carrying the
-    achievable maximum when the target is beyond it.
+    achievable maximum when the target lies above the branch, or below
+    the thrust at its lowest collective.
     """
     lo, hi = collective_limits
     coarse = np.linspace(lo, hi, 29)
@@ -203,7 +196,7 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
         raise TrimError("rotor solution failed across the collective range",
                         t_max=float("nan"))
     t_max = float(thrusts[branch[-1]])
-    if target_thrust > t_max:
+    if not target_thrust <= t_max:   # a NaN target fails here too
         raise TrimError(
             f"target {target_thrust:.1f} N exceeds the achievable "
             f"{t_max:.1f} N at this condition", t_max=t_max)
@@ -216,11 +209,11 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
             return float(coarse[idx])
         if thrusts[idx] >= target_thrust:
             break
-    else:
-        raise TrimError("no rising-branch bracket for the thrust target",
-                        t_max=t_max)
-    if idx == 0:
-        return float(coarse[0])
+    if idx == branch[0]:
+        raise TrimError(
+            f"target {target_thrust:.1f} N lies below the {thrusts[idx]:.2f} N "
+            f"made at {math.degrees(coarse[idx]):.1f} deg, the lowest collective "
+            "of the rising branch", t_max=t_max)
 
     a, b = float(coarse[idx - 1]), float(coarse[idx])
     for _ in range(48):
@@ -252,15 +245,15 @@ class OptimizationSpec:
     twist_grid: tuple = (math.radians(-45.0), math.radians(-8.0),
                          math.radians(1.0))       # min, max, step [rad]
     weights: tuple = (0.3, 0.7)                    # (w_fm, w_eta)
-    hover_rpm: float = 3200.0
+    hover_rpm: float = presets.HOVER_RPM
     hover_rho: float = RHO_SL
-    cruise_rpm: float = 2000.0
-    cruise_speed: float = 20.0
+    cruise_rpm: float = presets.CRUISE_RPM
+    cruise_speed: float = presets.CRUISE_SPEED
     cruise_rho: float = RHO_CRUISE
-    thrust_constraint: float = 50.0                # [N] per rotor in hover
-    aspect_ratio: float = 12.0
-    taper_ratio: float = 5.0 / 3.0
-    polar_name: str = "sc1095"
+    thrust_constraint: float = presets.DESIGN_THRUST_PER_ROTOR   # [N] per rotor in hover
+    aspect_ratio: float = presets.ROTOR_ASPECT_RATIO
+    taper_ratio: float = presets.ROTOR_TAPER_RATIO
+    polar_name: str = presets.PROPROTOR_SECTION
     cruise_scan: tuple = (math.radians(2.0), math.radians(24.0),
                           math.radians(1.0))       # collective scan [rad]
     n_stations: int = 100

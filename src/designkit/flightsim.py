@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bemt
+from . import bemt, presets
 from .constants import G, RHO_SL
 from .errors import ConfigError, MissionTimeout, SimulationAbort
 
@@ -60,8 +60,9 @@ class VehicleParams:
         return self.k_f * self.rotor_radius * math.sqrt(self.ct_hover / 2.0)
 
 
-def default_params(mass=18.507, rotor_radius=0.38, rpm=3200.0, rho=RHO_SL,
-                   arm_length=0.5, inertia=(2.4, 1.7, 4.1)):
+def default_params(mass=presets.GROSS_MASS, rotor_radius=presets.FINAL_RADIUS,
+                   rpm=presets.HOVER_RPM, rho=RHO_SL,
+                   arm_length=presets.ARM_LENGTH, inertia=(2.4, 1.7, 4.1)):
     """Parameters for the reference vehicle.
 
     K_F is the thrust nondimensionalization at the hover tip speed, so
@@ -339,7 +340,7 @@ class PitchMap:
             raise ConfigError("pitch map is not monotone below the peak")
 
     @classmethod
-    def from_rotor(cls, geometry, polar, rpm=3200.0, rho=RHO_SL,
+    def from_rotor(cls, geometry, polar, rpm=presets.HOVER_RPM, rho=RHO_SL,
                    collectives=None, n_stations=100):
         if collectives is None:
             collectives = np.radians(np.arange(-4.0, 20.01, 0.5))
@@ -451,9 +452,10 @@ class MissionLog:
                                     for row in table]
 
 
-def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=0.005,
-                capture_radius=0.1, timeout=20.0, pitch_map=None,
-                initial_state=None, hold_time=1.0):
+def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=presets.MISSION_DT,
+                capture_radius=presets.MISSION_CAPTURE_RADIUS,
+                timeout=presets.MISSION_TIMEOUT, pitch_map=None, initial_state=None,
+                hold_time=1.0):
     """Fly the waypoint list and log every step.
 
     Each waypoint is (x, y, z, yaw); the next one engages once the

@@ -15,9 +15,6 @@ from .errors import ConfigError, DivergenceError, EngineCapacityError
 
 SPUR_PRESSURE_ANGLE = math.radians(20.0)
 
-#: engine speed over rotor speed through the spur stages
-GEAR_REDUCTION = 4
-
 
 # ---------------------------------------------------------------------------
 # engine
@@ -85,14 +82,13 @@ class PowerBudget:
         }
 
 
-def power_budget(hover_perf, cruise_perf, margin=0.10, engine=DEFAULT_ENGINE,
-                 gear_reduction=GEAR_REDUCTION):
+def power_budget(hover_perf, cruise_perf, margin=0.10, engine=DEFAULT_ENGINE):
     """Total shaft-power budget across the rotor set with install margin.
 
     ``hover_perf`` and ``cruise_perf`` are the per-rotor performance
     records at the two design points.  The installed requirement is
     hover power grown by ``margin``, and it must fit under the engine's
-    available power at the geared hover speed.
+    available power at the hover speed times ``train_reduction()``.
     """
     hover_perf = list(hover_perf)
     cruise_perf = list(cruise_perf)
@@ -103,7 +99,7 @@ def power_budget(hover_perf, cruise_perf, margin=0.10, engine=DEFAULT_ENGINE,
     if p_hover <= 0.0:
         raise ConfigError("hover power must be positive")
     required = p_hover * (1.0 + margin)
-    engine_rpm = hover_perf[0].rpm * gear_reduction
+    engine_rpm = hover_perf[0].rpm * train_reduction()
     available = engine.power_available(engine_rpm)
     if required > available:
         raise EngineCapacityError(

@@ -9,7 +9,7 @@ import math
 
 from .airfoil import AirfoilPolar
 from .bemt import BladeGeometry, OperatingPoint
-from .constants import G, RHO_CRUISE, RHO_SL
+from .constants import RHO_CRUISE, RHO_SL
 
 # operating regime
 HOVER_RPM = 3200.0
@@ -18,9 +18,15 @@ CRUISE_SPEED = 20.0         # [m/s]
 DESIGN_THRUST_PER_ROTOR = 50.0   # [N] sizing requirement per rotor
 
 # converged vehicle
-GROSS_MASS = 18.507          # [kg] output of the weight loop, kept for cross-checks
+GROSS_MASS = 18.507          # [kg] output of the weight loop
 ARM_LENGTH = 0.5             # [m] rotor offset from centerline, both axes
 ROTOR_SEPARATION = 1.0       # [m] lateral spacing, also the biplane gap
+
+# proprotor planform and section
+FINAL_RADIUS = 0.38          # [m] selected by the radius x twist search
+ROTOR_ASPECT_RATIO = 12.0    # R / mean chord
+ROTOR_TAPER_RATIO = 5.0 / 3.0   # root / tip chord
+PROPROTOR_SECTION = "sc1095"    # bundled polar of the blade and wing section
 
 
 def baseline_rotor():
@@ -32,7 +38,7 @@ def baseline_rotor():
 def rpm_study_rotor():
     """Twisted rotor used for the RPM/efficiency study."""
     return BladeGeometry.from_aspect_ratio(
-        0.42, 12.0, taper_ratio=5.0 / 3.0,
+        0.42, ROTOR_ASPECT_RATIO, taper_ratio=ROTOR_TAPER_RATIO,
         twist=math.radians(-30.0), preset=math.radians(30.0),
         name="rpm-study")
 
@@ -40,13 +46,21 @@ def rpm_study_rotor():
 def final_rotor():
     """Selected proprotor: R = 0.38 m, AR 12, taper 5:3, -24 deg twist."""
     return BladeGeometry.from_aspect_ratio(
-        0.38, 12.0, taper_ratio=5.0 / 3.0,
+        FINAL_RADIUS, ROTOR_ASPECT_RATIO, taper_ratio=ROTOR_TAPER_RATIO,
         twist=math.radians(-24.0), preset=math.radians(24.0),
         name="final")
 
 
+#: rotor presets by the names ``--rotor`` and ``rotor_preset`` accept
+ROTORS = {
+    "final": final_rotor,
+    "baseline": baseline_rotor,
+    "rpm-study": rpm_study_rotor,
+}
+
+
 def proprotor_polar():
-    return AirfoilPolar.bundled("sc1095")
+    return AirfoilPolar.bundled(PROPROTOR_SECTION)
 
 
 def symmetric_polar():
@@ -73,8 +87,3 @@ MISSION_WAYPOINTS = (
 MISSION_CAPTURE_RADIUS = 0.1   # [m]
 MISSION_DT = 0.005             # [s]
 MISSION_TIMEOUT = 20.0         # [s] per waypoint
-
-
-def design_weight_per_rotor(mass=GROSS_MASS):
-    """Hover thrust requirement per rotor [N]."""
-    return mass * G / 4.0

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import presets
 from .constants import RHO_CRUISE, RHO_SL
 from .errors import ConfigError, StallLimitError
 from .schema import NUMBER, Key, read
@@ -21,13 +22,6 @@ from .schema import NUMBER, Key, read
 #: lift retained by each wing of the pair relative to an isolated wing,
 #: reported alongside sizing results; not fed back into the areas.
 BIPLANE_LIFT_FACTOR = 0.9
-
-#: default vertical gap between the two wings [m]
-DEFAULT_GAP = 1.0
-
-#: spanwise station where the rectangular bay ends [m from centerline],
-#: set by the rotor mounts at half the rotor separation.
-DEFAULT_ROOT_BAY = 0.5
 
 MIN_GAP_CHORD_RATIO = 1.5
 
@@ -37,7 +31,7 @@ class WingDesignInputs:
     """Requirements and aero constants driving the wing sizing."""
 
     gross_weight: float = 196.2       # [N]
-    cruise_speed: float = 20.0        # [m/s]
+    cruise_speed: float = presets.CRUISE_SPEED   # [m/s]
     stall_speed: float = 12.0         # [m/s]
     rho: float = RHO_CRUISE           # [kg/m^3]
     cd0: float = 0.025
@@ -61,6 +55,11 @@ class WingDesignInputs:
     def induced_factor(self):
         """K in the induced-drag model CD = CD0 + K*CL^2."""
         return 1.0 / (math.pi * self.aspect_ratio * self.oswald)
+
+    @property
+    def dynamic_pressure(self):
+        """Cruise dynamic pressure 0.5 rho V^2 [Pa]."""
+        return 0.5 * self.rho * self.cruise_speed ** 2
 
     def to_dict(self):
         return {key: getattr(self, entry.field) for key, entry in INPUT_KEYS.items()}
@@ -95,7 +94,7 @@ class WingPlanform:
     tip_chord: float     # [m]
     aspect_ratio: float
     root_bay: float      # [m] rectangular section half-span
-    airfoil: str = "sc1095"
+    airfoil: str = presets.PROPROTOR_SECTION
 
     @property
     def mean_chord(self):
@@ -180,8 +179,8 @@ def biplane_power_ratio(beta):
 
 def _power_terms(inputs, wl):
     """Parasite and induced cruise power [W] at wing loadings wl [N/m^2]."""
-    q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
-    parasite = q * inputs.cruise_speed * inputs.cd0 * inputs.gross_weight / wl
+    parasite = (inputs.dynamic_pressure * inputs.cruise_speed * inputs.cd0
+                * inputs.gross_weight / wl)
     induced = (2.0 * inputs.induced_factor * inputs.gross_weight * wl
                / (inputs.rho * inputs.cruise_speed))
     return parasite, induced
@@ -204,8 +203,7 @@ def power_vs_wing_loading(inputs, wing_loading):
     if np.any(wl <= 0.0):
         raise ConfigError("wing loading grid must be positive")
     parasite, induced = _power_terms(inputs, wl)
-    q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
-    wl_opt = q * math.sqrt(inputs.cd0 / inputs.induced_factor)
+    wl_opt = inputs.dynamic_pressure * math.sqrt(inputs.cd0 / inputs.induced_factor)
     return WingLoadingStudy(
         wing_loading=wl,
         power=parasite + induced,
@@ -216,9 +214,11 @@ def power_vs_wing_loading(inputs, wing_loading):
     )
 
 
-def stall_wing_loading(inputs):
-    """Highest wing loading [N/m^2] that still meets the stall speed."""
-    return 0.5 * inputs.rho * inputs.stall_speed ** 2 * inputs.cl_max
+def stall_wing_loading(inputs, rho=None):
+    """Highest wing loading [N/m^2] that still meets the stall speed at
+    density ``rho`` (the inputs' cruise density when omitted)."""
+    rho = inputs.rho if rho is None else rho
+    return 0.5 * rho * inputs.stall_speed ** 2 * inputs.cl_max
 
 
 def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
@@ -230,7 +230,7 @@ def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
     """
     if wing_loading <= 0.0:
         raise ConfigError("wing loading must be positive")
-    q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
+    q = inputs.dynamic_pressure
     area = inputs.gross_weight / wing_loading
     cl = wing_loading / q
     cd_parasite = inputs.cd0 + extra_cd0
@@ -246,22 +246,24 @@ def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
     }
 
 
-def size_biplane(inputs, wing_loading, gap=DEFAULT_GAP, root_bay=DEFAULT_ROOT_BAY,
-                 airfoil="sc1095", stall_rho=RHO_SL):
+def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION,
+                 root_bay=presets.ARM_LENGTH, airfoil=presets.PROPROTOR_SECTION,
+                 stall_rho=RHO_SL):
     """Dimension the identical wing pair at the chosen wing loading.
 
     The total area follows from W/(W/S) and splits equally; each wing's
     span comes from its aspect ratio.  The planform is rectangular from
     the centerline out to ``root_bay`` (the rotor station) and tapers
     linearly to the tip, and the chords are solved so that shape closes
-    the required area.
+    the required area.  The gap defaults to the rotor separation and
+    the bay to the rotor arm.
 
     The stall gate is evaluated at ``stall_rho`` (sea level by default):
     the slow end of the envelope is the near-ground transition, not
     cruise altitude, which is why a loading above the cruise-altitude
     stall value can still be accepted here.
     """
-    limit = 0.5 * stall_rho * inputs.stall_speed ** 2 * inputs.cl_max
+    limit = stall_wing_loading(inputs, stall_rho)
     if wing_loading > limit:
         raise StallLimitError(
             f"wing loading {wing_loading:.1f} N/m^2 exceeds the stall "

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from designkit import acceptance, bemt, cli, schema
+from designkit import acceptance, bemt, cli, presets, schema
 from designkit.cli import main
 from designkit.errors import NoRootError, SimulationAbort
 
@@ -224,6 +224,20 @@ def test_simulate_mission_config(capsys):
     assert abs(x) < 0.1 and abs(y - 2.0) < 0.1 and abs(z) < 0.1
 
 
+@pytest.mark.parametrize("rotor", ["final", "baseline"])
+def test_simulate_sizes_thrust_on_the_chosen_rotor(capsys, rotor):
+    """Once the climb settles, the logged collective makes a quarter of
+    the logged thrust on the rotor the pitch map was built from."""
+    rc, out, _ = run(capsys, "simulate", "--rotor", rotor,
+                     "--set", "waypoints=[[0, 0, -1, 0]]")
+    assert rc == 0
+    header, *_, last = out.strip().split("\n")
+    op = presets.hover_op(collective=column(header, last, "theta01"))
+    perf = bemt.evaluate_rotor(presets.ROTORS[rotor](), op,
+                               presets.proprotor_polar())
+    assert perf.thrust == pytest.approx(column(header, last, "T") / 4.0, rel=0.01)
+
+
 def test_simulate_timeout_error(capsys):
     rc, _, err = run(capsys, "simulate",
                      "--set", "waypoints=[[50, 0, 0, 0]]",
@@ -275,6 +289,16 @@ def test_optimize_missing_spec_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     rc, _, err = run(capsys, "optimize", "--spec", str(missing))
     assert_config_error(rc, err, str(missing))
+
+
+def test_geometry_sweep_of_tabled_rotor(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "rotor": {"radius_m": 0.38, "root_chord_m": 0.04, "tip_chord_m": 0.024,
+                  "pitch_table": [[0.1, 20.0], [1.0, 5.0]]},
+        "parameter": "radius", "values": [0.36, 0.40]}))
+    rc, _, err = run(capsys, "sweep", "--spec", str(spec))
+    assert_config_error(rc, err, "radius", "table")
 
 
 def test_sweep_spec_without_values(tmp_path, capsys):

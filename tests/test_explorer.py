@@ -83,6 +83,29 @@ def test_apply_operating_parameters(baseline_rotor):
         apply_parameter(baseline_rotor, base, "chord", 0.05)
 
 
+TABLED_BLADES = {
+    "pitch_table": bemt.BladeGeometry(
+        radius=0.38, root_chord=0.04, tip_chord=0.024,
+        pitch_table=[[0.1, math.radians(20.0)], [1.0, math.radians(5.0)]]),
+    "chord_table": bemt.BladeGeometry(
+        radius=0.38, chord_table=[[0.1, 0.04], [1.0, 0.024]]),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLED_BLADES))
+def test_geometry_parameters_refuse_tabled_blades(table):
+    """Rebuilding from linear laws would silently drop the table."""
+    blade = TABLED_BLADES[table]
+    for parameter, value in (("radius", 0.40), ("aspect_ratio", 10.0),
+                             ("taper_ratio", 1.5), ("twist", math.radians(-20.0))):
+        with pytest.raises(ConfigError, match=parameter):
+            apply_parameter(blade, hover_op(), parameter, value)
+    geom, op = apply_parameter(blade, hover_op(), "rpm", 2600.0)
+    assert geom is blade and op.rpm == pytest.approx(2600.0, rel=1e-12)
+    geom, op = apply_parameter(blade, hover_op(), "collective", 0.1)
+    assert geom is blade and op.collective == 0.1
+
+
 def test_sweep_spec_validation(baseline_rotor):
     ok = dict(base_geometry=baseline_rotor, base_op=hover_op(),
               parameter="rpm", values=(3200.0,))
@@ -262,6 +285,14 @@ def test_trim_zero_target_exact(baseline_rotor, naca0012):
     collective, and the coarse grid hits it without bisecting."""
     theta = trim_collective(baseline_rotor, hover_op(0.0), naca0012, 0.0)
     assert theta == 0.0
+
+
+@pytest.mark.parametrize("target", [0.0, -50.0])
+def test_trim_below_the_rising_branch(final_rotor, sc1095, target):
+    """The final rotor makes 10.85 N at the lowest collective, -4 deg; a
+    smaller target is as infeasible as one above the peak."""
+    with pytest.raises(TrimError, match=r"below the 10\.85 N made at -4\.0 deg"):
+        trim_collective(final_rotor, hover_op(0.0), sc1095, target)
 
 
 def test_trim_unreachable(baseline_rotor, naca0012):

@@ -112,6 +112,7 @@ def test_stall_wing_loading_values(inputs):
 def test_cruise_drag_breakdown(inputs):
     total, parts = cruise_drag(inputs, 130.0)
     q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
+    assert inputs.dynamic_pressure == q
     assert total == pytest.approx(parts["parasite_n"] + parts["induced_n"],
                                   rel=1e-15)
     assert parts["cl_cruise"] == pytest.approx(130.0 / q, rel=1e-12)
@@ -174,6 +175,14 @@ def test_stall_gate_is_sea_level(inputs):
         size_biplane(inputs, 140.0)
     with pytest.raises(StallLimitError):
         size_biplane(inputs, 128.0, stall_rho=RHO_CRUISE)
+
+
+def test_stall_gate_boundary(inputs):
+    limit = stall_wing_loading(inputs, RHO_SL)
+    assert limit == stall_wing_loading(WingDesignInputs(rho=RHO_SL))
+    size_biplane(inputs, limit)                    # accepted at the limit
+    with pytest.raises(StallLimitError):
+        size_biplane(inputs, np.nextafter(limit, math.inf))
 
 
 def test_sizing_validation(inputs):
