@@ -20,6 +20,7 @@ from .bemt import (
     solve_station,
     speed_curve,
     thrust_curve,
+    thrust_curves,
 )
 from .errors import (
     ConfigError,

@@ -154,7 +154,7 @@ def check_biplane_sizing():
         ("ratio(0.8) = 0.78125", abs(wing.biplane_power_ratio(0.8) - 0.78125) < 1e-12),
     ]
     inputs = wing.WingDesignInputs()
-    sized = wing.size_biplane(inputs, 130.0).wing
+    sized = wing.size_biplane(inputs, presets.WING_LOADING).wing
     targets = (("area", sized.area, 0.754), ("span", sized.span, 2.29),
                ("root chord", sized.root_chord, 0.39),
                ("tip chord", sized.tip_chord, 0.176))
@@ -245,7 +245,7 @@ def check_simulation():
     state = flightsim.VehicleState()
     trim = np.full(4, params.ct_hover)
     for _ in range(1000):
-        state = flightsim.step_dynamics(state, trim, params, 0.005)
+        state = flightsim.step_dynamics(state, trim, params, presets.MISSION_DT)
     drift = float(np.max(np.abs(state.pack())))
 
     pitch_map = flightsim.PitchMap.from_rotor(

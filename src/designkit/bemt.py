@@ -37,6 +37,17 @@ evaluated, which gives the same slice and end residuals as evaluating
 every node.  All of it is vectorised over stations, collectives and
 advance ratios at once.
 
+The point and cell kernels (:func:`_residual`, :func:`_enclose`) write
+each step into a row of a workspace with ``out=`` ufuncs, in the order
+of the formula, so they give the bits a new array per operation gives.
+A solve keeps one workspace for all its kernel calls (:class:`_Residual`),
+min(BLOCK, stations) elements long.  A new array per operation cost
+about 40 k minor page faults per optimize of the benchmark's grid slice;
+the workspace keeps that under 3 k.  BLOCK sets the length of one call, and
+the workspace is now the whole working set: 8192 elements keep it near
+1.3 MB, where 16384 ran faster still but raised the grid's peak memory
+by 10%, and 1024 or 2048 paid more per-call overhead than they saved.
+
 Once phi is known the resultant section speed follows from the torque
 balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
 form.  Integrating the per-station loads over the span (midpoint rule)
@@ -65,7 +76,7 @@ SCAN_SLICES = 200         # slices over (0, pi/2) that define which root is take
 SCAN_EPS = 1.0e-6         # keep phi = 0 (a spurious fixed point) out of the scan
 POLISH_TOL = 1.0e-14      # bracket width [rad] at which a polish stops
 POLISH_ITERS = 100        # cap; 2e5 random stations needed at most 22
-BLOCK = 4096              # elements per residual call: bounds the working set
+BLOCK = 8192              # elements per kernel call: sizes the solve's workspace
 CELLS = (32, 8)           # slices per enclosed cell: coarse cells, then their cuts
 CERT_MARGIN = 1.0e-12     # relative margin by which a certified enclosure clears 0
 CERT_FLOOR = 1.0e-150     # absolute margin: products of certified residuals stay normal
@@ -315,34 +326,75 @@ class OperatingPoint:
 # per-station residual and vectorised root find
 # ---------------------------------------------------------------------------
 
-def _tip_loss_factor(abs_sin, r, n_blades):
-    """Prandtl tip-loss F; it falls as |sin(phi)| grows."""
-    f = 0.5 * n_blades * (1.0 - r) / np.maximum(r * abs_sin, _TINY)
-    return (2.0 / math.pi) * np.arccos(np.exp(-np.minimum(f, 700.0)))
+def _scratch(work, rows, *operands):
+    """``rows`` scratch arrays for a kernel: the first rows of the stack
+    ``work`` where given, else new memory of the operands' broadcast
+    shape (0-d arrays for scalars)."""
+    if work is None:
+        shape = np.broadcast_shapes(*(np.shape(x) for x in operands))
+        work = np.empty((rows,) + shape)
+        if not shape:
+            return [work[i, ...] for i in range(rows)]
+    return list(work[:rows])
 
 
-def _tip_loss(phi_sin, phi_cos, abs_sin, r, n_blades):
-    """Tip-loss F and momentum factors (K_T, K_P) at inflow angle phi."""
-    F = _tip_loss_factor(abs_sin, r, n_blades)
-    one_minus_f = 1.0 - F
-    k_t = 1.0 - one_minus_f * phi_cos
-    k_p = 1.0 - one_minus_f * phi_sin
+def _tip_loss_factor(abs_sin, r, n_blades, out, tmp):
+    """Prandtl tip-loss F, written into ``out`` (which may be
+    ``abs_sin``) with ``tmp`` as scratch; it falls as |sin(phi)| grows."""
+    np.maximum(np.multiply(r, abs_sin, out=out), _TINY, out=out)
+    np.multiply(0.5 * n_blades, np.subtract(1.0, r, out=tmp), out=tmp)
+    np.divide(tmp, out, out=out)          # f = Nb (1 - r) / (2 r |sin(phi)|)
+    np.negative(np.minimum(out, 700.0, out=out), out=out)
+    np.arccos(np.exp(out, out=out), out=out)
+    return np.multiply(2.0 / math.pi, out, out=out)
+
+
+def _tip_loss(phi_sin, phi_cos, abs_sin, r, n_blades, out=None):
+    """Tip-loss F and momentum factors (K_T, K_P) at inflow angle phi,
+    into the three arrays ``out`` (new where None)."""
+    F, k_t, k_p = _scratch(None, 3, abs_sin, r) if out is None else out
+    one_minus_f = np.subtract(1.0, _tip_loss_factor(abs_sin, r, n_blades, F, k_t), out=k_p)
+    np.subtract(1.0, np.multiply(one_minus_f, phi_cos, out=k_t), out=k_t)
+    np.subtract(1.0, np.multiply(one_minus_f, phi_sin, out=k_p), out=k_p)
     return F, k_t, k_p
 
 
-def _residual(phi, r, pitch, sigma, mu, n_blades, polar):
-    """Nondimensional station residual g(phi); arrays broadcast."""
-    s = np.sin(phi)
-    c = np.cos(phi)
-    abs_s = np.abs(s)
-    cl, cd = polar.cl_cd(pitch - phi)
-    _, k_t, k_p = _tip_loss(s, c, abs_s, r, n_blades)
+_RESIDUAL_ROWS = 6
+
+
+def _residual(phi, r, pitch, sigma, mu, n_blades, polar, work=None):
+    """Nondimensional station residual g(phi); arrays broadcast.
+
+    Every step writes into one of _RESIDUAL_ROWS scratch rows
+    (:func:`_scratch`), in the operation order of the formula, so a
+    reused workspace gives the bits that new memory does.  The result is
+    one of those rows.
+    """
+    s, c, x, y, k_t, k_p = _scratch(work, _RESIDUAL_ROWS, phi, r, pitch, sigma, mu)
+    np.sin(phi, out=s)
+    np.cos(phi, out=c)
+    cl, cd = polar.cl_cd(np.subtract(pitch, phi, out=y))
+    _tip_loss(s, c, np.abs(s, out=x), r, n_blades, (y, k_t, k_p))
     # cl, cd resolved along/normal to the local velocity:
     #   C_R cos(phi+gamma) = cl cos(phi) - cd sin(phi)
     #   C_R sin(phi+gamma) = cl sin(phi) + cd cos(phi)
-    blade = (sigma / (8.0 * r)) * (mu * (cl * s + cd * c) / k_p
-                                   + r * (cl * c - cd * s) / k_t)
-    return (r * s - mu * c) * s - np.sign(phi) * blade
+    # blade = sigma / (8 r) (mu (cl s + cd c) / K_P + r (cl c - cd s) / K_T)
+    np.multiply(cl, s, out=x)
+    np.add(x, np.multiply(cd, c, out=y), out=x)
+    np.multiply(x, mu, out=x)
+    np.divide(x, k_p, out=x)
+    np.multiply(cl, c, out=y)
+    np.subtract(y, np.multiply(cd, s, out=k_p), out=y)
+    np.multiply(y, r, out=y)
+    np.divide(y, k_t, out=y)
+    np.add(x, y, out=x)
+    np.multiply(x, np.divide(sigma, np.multiply(8.0, r, out=y), out=y), out=x)
+    # g = (r sin(phi) - mu cos(phi)) sin(phi) - sign(phi) blade
+    np.multiply(r, s, out=y)
+    np.subtract(y, np.multiply(mu, c, out=k_t), out=y)
+    np.multiply(y, s, out=y)
+    np.subtract(y, np.multiply(np.sign(phi, out=k_t), x, out=k_t), out=y)
+    return y[()]
 
 
 def _polish(lo, hi, g_lo, g_hi, k, g):
@@ -387,28 +439,36 @@ def _sign_change(g_prev, g_next):
     return (g_prev * g_next <= 0.0) & np.isfinite(g_prev) & np.isfinite(g_next)
 
 
-def _hull(a, b):
-    """Interval spanned by two values."""
-    return np.minimum(a, b), np.maximum(a, b)
+def _hull(a, b, lo, hi):
+    """Interval spanned by two values, into lo and hi."""
+    return np.minimum(a, b, out=lo), np.maximum(a, b, out=hi)
 
 
-def _mul(a_lo, a_hi, b_lo, b_hi):
-    """Interval product."""
-    p, q = a_lo * b_lo, a_lo * b_hi
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    for p in (a_hi * b_lo, a_hi * b_hi):
-        np.minimum(lo, p, out=lo)
-        np.maximum(hi, p, out=hi)
+def _mul(a_lo, a_hi, b_lo, b_hi, lo, hi, tmp):
+    """Interval product, into lo and hi; no output aliases an operand."""
+    np.multiply(a_lo, b_lo, out=lo)
+    np.multiply(a_lo, b_hi, out=tmp)
+    np.maximum(lo, tmp, out=hi)
+    np.minimum(lo, tmp, out=lo)
+    for b in (b_lo, b_hi):
+        np.multiply(a_hi, b, out=tmp)
+        np.minimum(lo, tmp, out=lo)
+        np.maximum(hi, tmp, out=hi)
     return lo, hi
 
 
-def _mul_pos(a_lo, a_hi, b_lo, b_hi):
-    """Interval product where a >= 0."""
-    return (np.minimum(a_lo * b_lo, a_hi * b_lo),
-            np.maximum(a_lo * b_hi, a_hi * b_hi))
+def _mul_pos(a_lo, a_hi, b_lo, b_hi, lo, hi, tmp):
+    """Interval product where a >= 0, into lo and hi; ``hi`` may be
+    ``a_lo``, which is read before it is written."""
+    np.minimum(np.multiply(a_lo, b_lo, out=lo), np.multiply(a_hi, b_lo, out=tmp), out=lo)
+    np.maximum(np.multiply(a_lo, b_hi, out=hi), np.multiply(a_hi, b_hi, out=tmp), out=hi)
+    return lo, hi
 
 
-def _enclose(lo, hi, r, pitch, sigma, mu, n_blades, polar):
+_ENCLOSE_ROWS = 16
+
+
+def _enclose(lo, hi, r, pitch, sigma, mu, n_blades, polar, work=None):
     """Bounds (lower, upper) on every value :func:`_residual` computes at
     angles in [lo, hi], per element; lo <= hi on one side of 0.
 
@@ -421,66 +481,125 @@ def _enclose(lo, hi, r, pitch, sigma, mu, n_blades, polar):
     evaluation: where they exclude 0, every computed residual in the
     cell has that sign.  Elements off that domain (mu < 0, a cell
     touching 0 or leaving [-pi/2, pi/2], non-finite data) get
-    (-inf, inf).
+    (-inf, inf).  Works in _ENCLOSE_ROWS scratch rows (:func:`_scratch`)
+    and returns two of them.
     """
-    s_lo, s_hi = np.sin(lo), np.sin(hi)                  # sin rises on (-pi/2, pi/2)
-    c_lo, c_hi = _hull(np.cos(lo), np.cos(hi))
-    a_lo, a_hi = _hull(np.abs(s_lo), np.abs(s_hi))
+    (s_lo, s_hi, c_lo, c_hi, a_lo, a_hi, f_lo, kt_hi, kt_lo, kp_hi,
+     x_lo, x_hi, y_lo, y_hi, spare, tmp) = _scratch(work, _ENCLOSE_ROWS, lo, hi, r, pitch,
+                                                   sigma, mu)
+    np.sin(lo, out=s_lo)                                 # sin rises on (-pi/2, pi/2)
+    np.sin(hi, out=s_hi)
+    _hull(np.cos(lo, out=x_lo), np.cos(hi, out=x_hi), c_lo, c_hi)
+    _hull(np.abs(s_lo, out=x_lo), np.abs(s_hi, out=x_hi), a_lo, a_hi)
     # 1 - F rises with |sin(phi)|; K_T = 1 - (1 - F) cos, K_P = 1 - (1 - F) sin
-    f_lo = 1.0 - _tip_loss_factor(a_lo, r, n_blades)
-    f_hi = 1.0 - _tip_loss_factor(a_hi, r, n_blades)
-    kt_lo, kt_hi = 1.0 - f_hi * c_hi, 1.0 - f_lo * c_lo
-    fs_lo, fs_hi = _mul_pos(f_lo, f_hi, s_lo, s_hi)
-    kp_lo, kp_hi = 1.0 - fs_hi, 1.0 - fs_lo
-    ok = ((kt_lo > 0.0) & (kp_lo > 0.0) & (lo * hi > 0.0) & (mu >= 0.0)
-          & (np.maximum(-lo, hi) <= 0.5 * math.pi) & np.isfinite(pitch + sigma + r + mu))
+    np.subtract(1.0, _tip_loss_factor(a_lo, r, n_blades, f_lo, tmp), out=f_lo)
+    f_hi = np.subtract(1.0, _tip_loss_factor(a_hi, r, n_blades, a_lo, tmp), out=a_lo)
+    np.subtract(1.0, np.multiply(f_hi, c_hi, out=kt_lo), out=kt_lo)
+    np.subtract(1.0, np.multiply(f_lo, c_lo, out=kt_hi), out=kt_hi)
+    fs_lo, fs_hi = _mul_pos(f_lo, f_hi, s_lo, s_hi, kp_hi, f_lo, tmp)
+    kp_lo = np.subtract(1.0, fs_hi, out=fs_hi)
+    np.subtract(1.0, fs_lo, out=kp_hi)
+    ok = kt_lo > 0.0
+    np.logical_and(ok, kp_lo > 0.0, out=ok)
+    np.logical_and(ok, np.multiply(lo, hi, out=tmp) > 0.0, out=ok)
+    np.logical_and(ok, mu >= 0.0, out=ok)
+    np.logical_and(ok, np.maximum(np.negative(lo, out=tmp), hi, out=tmp) <= 0.5 * math.pi, out=ok)
+    tmp = np.add(pitch, sigma, out=tmp)
+    np.add(tmp, r, out=tmp)
+    np.add(tmp, mu, out=tmp)
+    np.logical_and(ok, np.isfinite(tmp), out=ok)
 
     # blade = sigma / (8 r) (mu (cl s + cd c) / K_P + r (cl c - cd s) / K_T)
-    cl_lo, cl_hi, cd_lo, cd_hi = polar.cl_cd_bounds(pitch - hi, pitch - lo)
-    x_lo, x_hi = _mul(cl_lo, cl_hi, s_lo, s_hi)          # cl s + cd c
-    x_lo += cd_lo * c_lo
-    x_hi += cd_hi * c_hi
-    y_lo, y_hi = _mul_pos(c_lo, c_hi, cl_lo, cl_hi)      # cl c - cd s
-    ds_lo, ds_hi = _mul_pos(cd_lo, cd_hi, s_lo, s_hi)
-    y_lo -= ds_hi
-    y_hi -= ds_lo
-    q_lo, q_hi = mu / kp_hi, mu / kp_lo
-    w_lo, w_hi = r / kt_hi, r / kt_lo
-    p_lo, p_hi = _mul_pos(q_lo, q_hi, x_lo, x_hi)
-    t_lo, t_hi = _mul_pos(w_lo, w_hi, y_lo, y_hi)
-    scale = sigma / (8.0 * r)
-    bl_lo, bl_hi = scale * (p_lo + t_lo), scale * (p_hi + t_hi)
+    cl_lo, cl_hi, cd_lo, cd_hi = polar.cl_cd_bounds(np.subtract(pitch, hi, out=x_lo),
+                                                    np.subtract(pitch, lo, out=x_hi))
+    _mul(cl_lo, cl_hi, s_lo, s_hi, x_lo, x_hi, tmp)      # cl s + cd c
+    np.add(x_lo, np.multiply(cd_lo, c_lo, out=tmp), out=x_lo)
+    np.add(x_hi, np.multiply(cd_hi, c_hi, out=tmp), out=x_hi)
+    _mul_pos(c_lo, c_hi, cl_lo, cl_hi, y_lo, y_hi, tmp)  # cl c - cd s
+    ds_lo, ds_hi = _mul_pos(cd_lo, cd_hi, s_lo, s_hi, a_lo, spare, tmp)
+    np.subtract(y_lo, ds_hi, out=y_lo)
+    np.subtract(y_hi, ds_lo, out=y_hi)
+    q_lo, q_hi = np.divide(mu, kp_hi, out=kp_hi), np.divide(mu, kp_lo, out=kp_lo)
+    w_lo, w_hi = np.divide(r, kt_hi, out=kt_hi), np.divide(r, kt_lo, out=kt_lo)
+    bl_lo, bl_hi = _mul_pos(q_lo, q_hi, x_lo, x_hi, a_lo, spare, tmp)
+    t_lo, t_hi = _mul_pos(w_lo, w_hi, y_lo, y_hi, x_lo, x_hi, tmp)
+    scale = np.divide(sigma, np.multiply(8.0, r, out=y_lo), out=y_lo)
+    np.add(bl_lo, t_lo, out=bl_lo)
+    np.multiply(bl_lo, scale, out=bl_lo)
+    np.add(bl_hi, t_hi, out=bl_hi)
+    np.multiply(bl_hi, scale, out=bl_hi)
 
     # g = (r sin(phi) - mu cos(phi)) sin(phi) - sign(phi) blade
-    lower, upper = _mul(r * s_lo - mu * c_hi, r * s_hi - mu * c_lo, s_lo, s_hi)
+    e_lo, e_hi = np.multiply(r, s_lo, out=x_lo), np.multiply(r, s_hi, out=x_hi)
+    np.subtract(e_lo, np.multiply(mu, c_hi, out=tmp), out=e_lo)
+    np.subtract(e_hi, np.multiply(mu, c_lo, out=tmp), out=e_hi)
+    lower, upper = _mul(e_lo, e_hi, s_lo, s_hi, y_hi, kt_hi, tmp)
     neg = hi < 0.0
-    lower += np.where(neg, bl_lo, -bl_hi)
-    upper += np.where(neg, bl_hi, -bl_lo)
+    np.negative(bl_hi, out=tmp)
+    np.copyto(tmp, bl_lo, where=neg)
+    np.add(lower, tmp, out=lower)
+    np.negative(bl_lo, out=tmp)
+    np.copyto(tmp, bl_hi, where=neg)
+    np.add(upper, tmp, out=upper)
     # the margin scales with the bounds on the size of every term of g
-    cl_m = np.maximum(np.abs(cl_lo), np.abs(cl_hi))
-    size = ((r * a_hi + mu * c_hi) * a_hi
-            + scale * (q_hi * (cl_m * a_hi + cd_hi * c_hi) + w_hi * (cl_m * c_hi + cd_hi * a_hi)))
-    pad = CERT_MARGIN * size + CERT_FLOOR
-    return np.where(ok, lower - pad, -np.inf), np.where(ok, upper + pad, np.inf)
+    cl_m = np.maximum(np.abs(cl_lo, out=x_lo), np.abs(cl_hi, out=x_hi), out=x_lo)
+    size = np.multiply(r, a_hi, out=x_hi)
+    np.add(size, np.multiply(mu, c_hi, out=tmp), out=size)
+    np.multiply(size, a_hi, out=size)
+    lift = np.multiply(cl_m, a_hi, out=tmp)
+    np.add(lift, np.multiply(cd_hi, c_hi, out=bl_lo), out=lift)
+    np.multiply(lift, q_hi, out=lift)
+    drag = np.multiply(cl_m, c_hi, out=bl_lo)
+    np.add(drag, np.multiply(cd_hi, a_hi, out=bl_hi), out=drag)
+    np.multiply(drag, w_hi, out=drag)
+    np.add(lift, drag, out=lift)
+    np.multiply(lift, scale, out=lift)
+    np.add(size, lift, out=size)
+    pad = np.add(np.multiply(CERT_MARGIN, size, out=size), CERT_FLOOR, out=size)
+    np.subtract(lower, pad, out=lower)
+    np.add(upper, pad, out=upper)
+    off = ~ok
+    np.copyto(lower, -np.inf, where=off)
+    np.copyto(upper, np.inf, where=off)
+    return lower, upper
 
 
 class _Residual:
     """g over flat station arrays, BLOCK elements per call: at angles phi
     of elements k (``g(phi, k)``), and as a test of the cells [lo, hi] of
-    elements k whose enclosure does not rule out a zero."""
+    elements k whose enclosure does not rule out a zero.
+
+    One workspace serves every call of a solve: the station data of a
+    call's elements gathered into four rows, then the kernel's scratch
+    rows, each of the call's length.  It holds min(BLOCK, stations)
+    elements, and doubles, up to BLOCK, for a call of more cells than
+    that."""
+
+    ROWS = 4 + max(_RESIDUAL_ROWS, _ENCLOSE_ROWS)
 
     def __init__(self, r, pitch, sigma, mu, n_blades, polar):
         self.stations = (r, pitch, sigma, mu)
         self.n_blades = n_blades
         self.polar = polar
+        self.work = np.empty(self.ROWS * min(BLOCK, r.size))
 
-    def _args(self, k):
-        return (*(x[k] for x in self.stations), self.n_blades, self.polar)
+    def _gather(self, k, rows):
+        """Station rows of elements k (at most BLOCK), and ``rows``
+        scratch rows."""
+        if self.work.size < self.ROWS * k.size:
+            self.work = np.empty(self.ROWS * min(BLOCK, max(k.size, 2 * self.work.size
+                                                            // self.ROWS)))
+        work = self.work[:(4 + rows) * k.size].reshape(4 + rows, k.size)
+        for x, row in zip(self.stations, work):
+            x.take(k, out=row, mode="clip")         # "raise" would buffer the output
+        return work[:4], work[4:]
 
     def __call__(self, phi, k):
         out = np.empty(k.size)
         for s in range(0, k.size, BLOCK):
-            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], *self._args(k[s:s + BLOCK]))
+            args, work = self._gather(k[s:s + BLOCK], _RESIDUAL_ROWS)
+            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], *args, self.n_blades,
+                                         self.polar, work)
         return out
 
     def uncertified(self, lo, hi, k):
@@ -488,8 +607,9 @@ class _Residual:
         one sign."""
         out = np.empty(k.size, dtype=bool)
         for s in range(0, k.size, BLOCK):
-            lower, upper = _enclose(lo[s:s + BLOCK], hi[s:s + BLOCK],
-                                    *self._args(k[s:s + BLOCK]))
+            args, work = self._gather(k[s:s + BLOCK], _ENCLOSE_ROWS)
+            lower, upper = _enclose(lo[s:s + BLOCK], hi[s:s + BLOCK], *args,
+                                    self.n_blades, self.polar, work)
             out[s:s + BLOCK] = ~((lower > 0.0) | (upper < 0.0))
         return out
 
@@ -548,8 +668,8 @@ def _first_change(k, stop, g_start, grid, g):
     without a new enclosure.  A certified cell's nodes share one sign and
     neighbouring cells share their end node, so every sign change lies
     in a cell whose nodes were evaluated.  Each stage runs in batches of
-    about BLOCK nodes, or BLOCK / 2 cells: an enclosure holds about twice
-    the arrays of a point evaluation.
+    about BLOCK nodes, or BLOCK / 2 cells: an enclosure works through
+    more scratch rows than a point evaluation.
     """
     stop = np.broadcast_to(stop, k.shape)
     slice_ = np.zeros(k.size, dtype=int)
@@ -769,10 +889,14 @@ class RotorPerformance:
     CSV_HEADER = "theta0_deg,v_inf,rpm,CT,CP,T_N,P_W,FM,PL,eta_p"
 
     def csv_row(self):
+        """One CSV line; FM is blank outside hover, and eta_p unless the
+        rotor is propulsive (T > 0 and P > 0): CT mu / CP also reads
+        positive, even above 1, on a windmilling rotor."""
         fm = "" if math.isnan(self.figure_of_merit) else f"{self.figure_of_merit:.6f}"
+        eta = f"{self.eta_p:.6f}" if self.thrust > 0.0 and self.power > 0.0 else ""
         return (f"{math.degrees(self.collective):.4f},{self.v_inf:.4f},{self.rpm:.2f},"
                 f"{self.ct:.8e},{self.cp:.8e},{self.thrust:.6f},{self.power:.6f},"
-                f"{fm},{self.power_loading:.8f},{self.eta_p:.6f}")
+                f"{fm},{self.power_loading:.8f},{eta}")
 
 
 # ---------------------------------------------------------------------------
@@ -812,21 +936,21 @@ def solve_station(geometry, op, polar, r):
                            **{k: float(v[0]) for k, v in state.items()})
 
 
-def _solve_rows(geometry, polar, r, dr, pitch, mu):
+def _solve_rows(r, dr, pitch, sigma, mu, n_blades, polar):
     """CT and CP of every row of a (row x station) grid, in one inflow solve.
 
-    Row i is the blade at stations ``r`` with pitches ``pitch[i]`` and
-    advance ratio ``mu[i]``; ``pitch`` and ``mu`` broadcast to (rows,
-    stations), so a row can differ from the next in collective, in speed
-    or in both.  Returns (ct, cp, found, phi, residual, state): ct and cp
-    per row (nan on a row where a station has no root), the rest per
-    element, ``state`` as :func:`_recover` gives it.
+    Row i is a blade at stations ``r`` with pitches ``pitch[i]``, local
+    solidities ``sigma[i]`` and advance ratio ``mu[i]``; the three
+    broadcast to (..., stations), so a row can differ from the next in
+    collective, speed, blade or all of them.  Returns (ct, cp, found,
+    phi, residual, state): ct and cp per row (nan on a row where a
+    station has no root), the rest per element, ``state`` as
+    :func:`_recover` gives it.
     """
-    sigma = geometry.local_solidity(r)
-    phi, found, res = _solve_phi_grid(r, pitch, sigma, mu, geometry.n_blades, polar)
-    state = _recover(phi, r, pitch, sigma, mu, geometry.n_blades, polar)
-    ct = np.sum(state["dct_dr"], axis=1) * dr
-    cp = np.sum(state["dcp_dr"], axis=1) * dr
+    phi, found, res = _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar)
+    state = _recover(phi, r, pitch, sigma, mu, n_blades, polar)
+    ct = np.sum(state["dct_dr"], axis=-1) * dr
+    cp = np.sum(state["dcp_dr"], axis=-1) * dr
     return ct, cp, found, phi, res, state
 
 
@@ -869,8 +993,8 @@ def evaluate_rotor(geometry, op, polar, n_stations=100, return_inflow=False):
     """
     r, dr = station_grid(geometry.root_cutout, n_stations)
     ct, cp, found, phi, res, state = _solve_rows(
-        geometry, polar, r, dr, geometry.pitch(r, op.collective)[None, :],
-        op.advance_ratio(geometry.radius))
+        r, dr, geometry.pitch(r, op.collective)[None, :], geometry.local_solidity(r),
+        op.advance_ratio(geometry.radius), geometry.n_blades, polar)
     if not found.all():
         raise _no_root(r[~found[0]])
     perf = _performance(float(ct[0]), float(cp[0]), geometry, op)
@@ -904,16 +1028,42 @@ class RotorCurve:
         return lines
 
 
-def _curve(geometry, polar, r, dr, pitch, ops):
-    """One :class:`RotorCurve` row per operating point ``ops[i]``, solved
-    with the station pitches ``pitch[i]`` in one batch."""
-    mu = np.array([op.advance_ratio(geometry.radius) for op in ops], dtype=float)
-    ct, cp, found, *_ = _solve_rows(geometry, polar, r, dr, pitch, mu[:, None])
-    solved = np.all(found, axis=1)
-    rows = [_performance(float(ct[i]), float(cp[i]), geometry, op) if solved[i] else None
-            for i, op in enumerate(ops)]
-    errors = [None if solved[i] else _no_root(r[~found[i]]) for i in range(len(ops))]
-    return RotorCurve(ops=ops, rows=rows, errors=errors)
+def _curves(geometries, polar, r, dr, pitch, ops):
+    """One :class:`RotorCurve` per blade, its row j at the operating point
+    ``ops[j]`` with the station pitches ``pitch[i, j]`` of blade i, all
+    solved in one batch; each row takes its own blade's solidity and
+    advance ratio."""
+    mu = np.array([[op.advance_ratio(g.radius) for op in ops] for g in geometries])
+    sigma = np.stack([g.local_solidity(r) for g in geometries])[:, None, :]
+    ct, cp, found, *_ = _solve_rows(r, dr, pitch, sigma, mu[:, :, None],
+                                    geometries[0].n_blades, polar)
+    solved = np.all(found, axis=-1)
+    curves = []
+    for i, g in enumerate(geometries):
+        rows = [_performance(float(ct[i, j]), float(cp[i, j]), g, op) if solved[i, j] else None
+                for j, op in enumerate(ops)]
+        errors = [None if solved[i, j] else _no_root(r[~found[i, j]]) for j in range(len(ops))]
+        curves.append(RotorCurve(ops=list(ops), rows=rows, errors=errors))
+    return curves
+
+
+def thrust_curves(geometries, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
+                  n_stations=100):
+    """:func:`thrust_curve` of each blade, all from one batched solve.
+
+    The blades share a blade count and a root cutout, so one station
+    grid; curve i is, bit for bit, ``thrust_curve(geometries[i], ...)``.
+    """
+    if not geometries:
+        return []
+    if len({(g.n_blades, g.root_cutout) for g in geometries}) > 1:
+        raise GeometryError("blades solved together need one blade count and root cutout")
+    collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
+    op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
+    r, dr = station_grid(geometries[0].root_cutout, n_stations)
+    pitch = np.stack([collectives[:, None] + g.pitch(r, 0.0) for g in geometries])
+    return _curves(geometries, polar, r, dr, pitch,
+                   [replace(op, collective=float(theta0)) for theta0 in collectives])
 
 
 def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
@@ -924,11 +1074,8 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
     with the collective added to the zero-collective pitch law.  Stations
     that fail to converge invalidate only their own row.
     """
-    collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
-    op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
-    r, dr = station_grid(geometry.root_cutout, n_stations)
-    return _curve(geometry, polar, r, dr, collectives[:, None] + geometry.pitch(r, 0.0),
-                  [replace(op, collective=float(theta0)) for theta0 in collectives])
+    return thrust_curves([geometry], polar, rpm, collectives, v_inf=v_inf, rho=rho,
+                         n_stations=n_stations)[0]
 
 
 def speed_curve(geometry, polar, op, speeds, n_stations=100):
@@ -941,7 +1088,7 @@ def speed_curve(geometry, polar, op, speeds, n_stations=100):
     """
     ops = [replace(op, v_inf=v) for v in speeds]
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    return _curve(geometry, polar, r, dr, geometry.pitch(r, op.collective), ops)
+    return _curves([geometry], polar, r, dr, geometry.pitch(r, op.collective), ops)[0]
 
 
 def rising_branch(values):

@@ -202,7 +202,7 @@ def cmd_optimize(args):
 
 WING_KEYS = {
     **wing.INPUT_KEYS,
-    "wing_loading_n_m2": Key("wing_loading", NUMBER, 130.0),
+    "wing_loading_n_m2": Key("wing_loading", NUMBER, presets.WING_LOADING),
     "gap_m": Key("gap", NUMBER, presets.ROTOR_SEPARATION),
 }
 
@@ -358,9 +358,9 @@ def build_parser():
     common(p)
 
     p = sub.add_parser("weights", help="gross-weight convergence")
-    p.add_argument("--start", type=float, default=16.0, help="kg")
+    p.add_argument("--start", type=float, default=presets.GROSS_MASS_START, help="kg")
     p.add_argument("--tolerance", type=float, default=0.01, help="kg")
-    p.add_argument("--payload", type=float, default=4.257, help="kg")
+    p.add_argument("--payload", type=float, default=presets.PAYLOAD_MASS, help="kg")
     common(p)
 
     p = sub.add_parser("simulate", help="waypoint mission")

@@ -343,7 +343,8 @@ def _evaluate_twist(args):
     At fixed aspect ratio, taper and twist the hover CT and CP do not
     depend on the radius, so one dense hover curve on a reference blade
     trims every radius, and one batched solve at the trimmed collectives
-    gives every figure of merit.
+    gives every figure of merit.  One more solve scans the cruise
+    collectives of every radius that hovers, each on its own blade.
     """
     spec, twist, polar = args
     radii = spec.radii()
@@ -372,11 +373,11 @@ def _evaluate_twist(args):
 
     scan_lo, scan_hi, scan_step = spec.cruise_scan
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
-    for i in np.flatnonzero(np.isfinite(fm)):
-        cruise = bemt.thrust_curve(
-            _blade(spec, float(radii[i]), twist), polar, spec.cruise_rpm, scan,
-            v_inf=spec.cruise_speed, rho=spec.cruise_rho,
-            n_stations=spec.n_stations)
+    hovering = np.flatnonzero(np.isfinite(fm))
+    cruises = bemt.thrust_curves(
+        [_blade(spec, float(radii[i]), twist) for i in hovering], polar, spec.cruise_rpm,
+        scan, v_inf=spec.cruise_speed, rho=spec.cruise_rho, n_stations=spec.n_stations)
+    for i, cruise in zip(hovering, cruises):
         etas = np.where((cruise.column("power") > 0.0) & (cruise.column("thrust") > 0.0),
                         cruise.column("eta_p"), -math.inf)
         k = int(np.argmax(etas))

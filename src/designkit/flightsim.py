@@ -254,13 +254,13 @@ class PositionController:
         return thrust, phi_d, theta_d
 
 
-def attitude_pid(state, euler_desired, gains=DEFAULT_GAINS, dt=0.005):
+def attitude_pid(state, euler_desired, gains=DEFAULT_GAINS, dt=presets.MISSION_DT):
     """Single stateless update with a zero integrator."""
     return AttitudeController(gains).update(state, euler_desired, dt)
 
 
 def position_controller(state, position_desired, yaw_desired=0.0,
-                        gains=DEFAULT_GAINS, params=None, dt=0.005):
+                        gains=DEFAULT_GAINS, params=None, dt=presets.MISSION_DT):
     """Single stateless update with a zero integrator."""
     return PositionController(gains, params).update(
         state, position_desired, yaw_desired, dt)

@@ -10,6 +10,7 @@ a fixed point.
 import math
 from dataclasses import dataclass, field
 
+from . import presets
 from .constants import HP_TO_W, RPM_TO_RAD_S
 from .errors import ConfigError, DivergenceError, EngineCapacityError
 
@@ -312,7 +313,7 @@ def wing_mass_model(gross):
     return WING_UNIT_MASS * (gross / CALIBRATION_GROSS)
 
 
-def default_fixed_masses(payload=4.257):
+def default_fixed_masses(payload=presets.PAYLOAD_MASS):
     """Component buildup that does not scale with gross mass [kg]."""
     return WeightLedger(entries=(
         MassEntry("engine", DEFAULT_ENGINE.mass),
@@ -335,7 +336,7 @@ def default_scalable_masses():
 
 
 def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
-                         start=16.0, max_iterations=50):
+                         start=presets.GROSS_MASS_START, max_iterations=50):
     """Converge the gross mass by cycling sizing and the mass buildup.
 
     Each pass resizes the scalable components at the current gross mass
@@ -367,7 +368,7 @@ def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
 # ---------------------------------------------------------------------------
 # sized-vehicle budget
 
-def design_budget(margin=0.10, wing_loading=130.0, extra_cd0=0.010,
+def design_budget(margin=0.10, wing_loading=presets.WING_LOADING, extra_cd0=0.010,
                   ledger=None, engine=DEFAULT_ENGINE):
     """Power budget of the converged design at both operating points.
 
@@ -376,7 +377,6 @@ def design_budget(margin=0.10, wing_loading=130.0, extra_cd0=0.010,
     from the level-flight drag buildup, and folds both into the budget.
     Returns (budget, ledger, details).
     """
-    from . import presets
     from .bemt import evaluate_rotor
     from .constants import G
     from .explorer import trim_collective

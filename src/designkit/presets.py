@@ -19,6 +19,9 @@ DESIGN_THRUST_PER_ROTOR = 50.0   # [N] sizing requirement per rotor
 
 # converged vehicle
 GROSS_MASS = 18.507          # [kg] output of the weight loop
+GROSS_MASS_START = 16.0      # [kg] the weight loop's first guess
+PAYLOAD_MASS = 4.257         # [kg]
+WING_LOADING = 130.0         # [N/m^2] wing sizing point
 ARM_LENGTH = 0.5             # [m] rotor offset from centerline, both axes
 ROTOR_SEPARATION = 1.0       # [m] lateral spacing, also the biplane gap
 
@@ -85,5 +88,5 @@ MISSION_WAYPOINTS = (
     (0.0, 2.0, 0.0, 0.0),
 )
 MISSION_CAPTURE_RADIUS = 0.1   # [m]
-MISSION_DT = 0.005             # [s]
+MISSION_DT = 0.005             # [s] simulator and controller step
 MISSION_TIMEOUT = 20.0         # [s] per waypoint

@@ -564,6 +564,37 @@ def test_speed_curve_rows_are_evaluate_rotor(rpm_study_rotor, sc1095):
     assert curve.rows[-1] is None
 
 
+def test_thrust_curves_are_thrust_curve_per_blade(sc1095):
+    """One solve over several blades gives each blade's own thrust curve,
+    field for field; rows with no root carry the same error.  The radii
+    differ, so each row needs its blade's advance ratio and solidity
+    (local_solidity differs across radii in the last bit)."""
+    twist = math.radians(-20.0)
+    blades = [BladeGeometry.from_aspect_ratio(radius, 12.0, taper_ratio=5.0 / 3.0,
+                                              twist=twist, preset=-twist)
+              for radius in (0.27, 0.38, 0.51)]
+    r, _ = bemt.station_grid(blades[0].root_cutout, 100)
+    assert not np.array_equal(blades[0].local_solidity(r), blades[1].local_solidity(r))
+    collectives = np.radians([2.0, 9.0, 16.0, 75.0])
+    for v_inf in (0.0, 20.0, 240.0):
+        curves = bemt.thrust_curves(blades, sc1095, 2000.0, collectives, v_inf=v_inf, rho=1.167)
+        assert len(curves) == len(blades)
+        for blade, curve in zip(blades, curves):
+            alone = bemt.thrust_curve(blade, sc1095, 2000.0, collectives, v_inf=v_inf,
+                                      rho=1.167)
+            assert curve.ops == alone.ops
+            for row, single in zip(curve.rows, alone.rows):
+                assert (row is None) == (single is None)
+                if row is not None:
+                    np.testing.assert_equal(vars(row), vars(single))
+            assert [str(e) for e in curve.errors] == [str(e) for e in alone.errors]
+    assert any(row is None for row in curves[0].rows)       # 240 m/s has failed rows
+    assert bemt.thrust_curves([], sc1095, 2000.0, collectives) == []
+    with pytest.raises(GeometryError):
+        bemt.thrust_curves([blades[0], replace(blades[1], n_blades=3)], sc1095, 2000.0,
+                           collectives)
+
+
 
 @pytest.mark.parametrize("values, expected", [
     ([math.nan, math.nan, 1.0, 2.0, 3.0, 2.5], [2, 3, 4]),   # leading NaNs

@@ -72,6 +72,18 @@ def test_analyze_stdout(capsys):
     assert column(header, row, "T_N") == pytest.approx(55.92, abs=0.05)
 
 
+@pytest.mark.parametrize("v_inf, collective", [("60", "2"), ("1e6", "0")])
+def test_analyze_leaves_eta_blank_when_windmilling(capsys, v_inf, collective):
+    """A windmilling rotor (T < 0, P < 0) has CT mu / CP > 0, even above
+    1, but no propulsive efficiency: the eta_p field stays empty."""
+    rc, out, _ = run(capsys, "analyze", "--v-inf", v_inf, "--collective", collective)
+    assert rc == 0
+    header, row, _ = out.split("\n")
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert float(fields["T_N"]) < 0.0 and float(fields["P_W"]) < 0.0
+    assert fields["eta_p"] == "" and fields["FM"] == ""
+
+
 def test_analyze_rotor_file(tmp_path, capsys, baseline_rotor):
     path = tmp_path / "rotor.json"
     baseline_rotor.to_file(path)

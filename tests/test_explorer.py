@@ -399,6 +399,43 @@ def test_grid_search_matches_per_cell_solves(sc1095, tiny_result):
             assert abs(res.eta[i, j] - max(etas)) < 1e-12
 
 
+def test_cruise_scan_per_twist_is_thrust_curve_per_radius(sc1095, monkeypatch):
+    """The one cruise solve of a twist gives every radius that hovers what
+    its own ``thrust_curve`` gives, bit for bit in thrust, power and
+    eta_p; a radius that cannot hover (0.33 m at -26 deg) is left out of
+    the solve and stays infeasible."""
+    twist = math.radians(-26.0)
+    spec = OptimizationSpec(radius_grid=(0.33, 0.37, 0.02),
+                            twist_grid=(twist, twist, math.radians(1.0)),
+                            cruise_scan=(math.radians(2.0), math.radians(24.0),
+                                         math.radians(2.0)))
+    solves = []
+    batched = bemt.thrust_curves
+
+    def record(geometries, *args, **kwargs):
+        curves = batched(geometries, *args, **kwargs)
+        solves.append((geometries, curves))
+        return curves
+
+    monkeypatch.setattr(bemt, "thrust_curves", record)
+    fm, eta, _, theta_c = explorer._evaluate_twist((spec, twist, sc1095))
+    assert math.isnan(fm[0]) and math.isnan(eta[0]) and np.all(np.isfinite(eta[1:]))
+    assert len(solves) == 3           # hover reference curve, trimmed hover, cruise
+    geometries, curves = solves[-1]
+    assert [g.radius for g in geometries] == spec.radii()[1:].tolist()
+    scan = curves[0].column("collective")
+    for i, geometry, curve in zip((1, 2), geometries, curves):
+        alone = bemt.thrust_curve(geometry, sc1095, spec.cruise_rpm, scan,
+                                  v_inf=spec.cruise_speed, rho=spec.cruise_rho,
+                                  n_stations=spec.n_stations)
+        for name in ("thrust", "power", "eta_p"):
+            np.testing.assert_array_equal(curve.column(name), alone.column(name))
+        thrust, power, eta_p = (alone.column(n) for n in ("thrust", "power", "eta_p"))
+        propulsive = (thrust > 0.0) & (power > 0.0)
+        assert eta[i] == np.max(eta_p[propulsive])
+        assert theta_c[i] == scan[np.argmax(np.where(propulsive, eta_p, -np.inf))]
+
+
 def test_grid_trim_takes_first_crossing_of_wavy_branch(naca0012):
     """On the naca0012 stall plateau the hover curve is not monotone
     below its peak; the grid trims where the target is first reached,
