@@ -53,11 +53,8 @@ from .flightsim import (
     VehicleParams,
     VehicleState,
     allocate,
-    attitude_pid,
-    ct_to_pitch,
     default_params,
     mixing_forward,
-    position_controller,
     run_mission,
     step_dynamics,
 )

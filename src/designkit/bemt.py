@@ -861,12 +861,6 @@ class InflowSolution:
     dcp_dr: np.ndarray
     residual: np.ndarray
 
-    def station(self, j):
-        """The j-th station as a scalar :class:`StationSolution`."""
-        return StationSolution(**{k: float(getattr(self, k)[j]) for k in (
-            "r", "phi", "alpha", "cl", "cd", "tip_loss", "k_t", "k_p",
-            "lam", "xi", "lam_i", "xi_i", "dct_dr", "dcp_dr", "residual")})
-
 
 @dataclass
 class RotorPerformance:

@@ -10,10 +10,14 @@ with spin directions (-, +, -, +) so adjacent rotors counter-rotate.
 Thrust per rotor is K_F * C_T; reaction torque follows the 3/2-power
 law in C_T.  Control allocation linearizes that law about hover, and
 the blade-pitch map comes from the rotor solver rather than bench data.
+The PID loops and the RK4 rigid-body step run in plain Python floats;
+``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
+oracle.  A mission refuses, before its first step, a timeout or hold
+longer than ``MAX_WAYPOINT_STEPS`` steps.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +27,11 @@ from .errors import ConfigError, MissionTimeout, SimulationAbort
 
 GIMBAL_LIMIT = math.radians(85.0)
 MAX_DT = 0.01   # [s]
+# A waypoint may take timeout / dt steps and the final hold hold_time / dt,
+# each logged in full (~1 kB a step).  The default mission takes 4,000 per
+# waypoint; the cap turns a tiny dt or a huge timeout into a ConfigError
+# up front instead of hours of stepping and gigabytes of log.
+MAX_WAYPOINT_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -36,23 +45,20 @@ class VehicleParams:
     k_f: float                       # [N] thrust per unit C_T
     rotor_radius: float              # [m]
     gravity: float = G
-    ct_hover: float = None           # filled from mass/k_f when omitted
 
     def __post_init__(self):
         if min(self.mass, self.arm_length, self.k_f, self.rotor_radius,
                self.gravity, *self.inertia) <= 0.0:
             raise ConfigError("vehicle parameters must be positive")
-        trim = self.mass * self.gravity / (4.0 * self.k_f)
-        if self.ct_hover is None:
-            object.__setattr__(self, "ct_hover", trim)
-        elif abs(self.ct_hover - trim) > 1e-9 * trim:
-            raise ConfigError(
-                f"ct_hover {self.ct_hover:.3e} inconsistent with the trim "
-                f"value {trim:.3e}")
 
     @property
     def hover_thrust(self):
         return self.mass * self.gravity
+
+    @property
+    def ct_hover(self):
+        """Per-rotor thrust coefficient that holds the vehicle in hover."""
+        return self.hover_thrust / (4.0 * self.k_f)
 
     @property
     def yaw_gain(self):
@@ -111,33 +117,9 @@ class ControlCommand:
 # ---------------------------------------------------------------------------
 # kinematics
 
-def rotation_matrix(euler):
-    """Body-to-world rotation for ZYX Euler angles."""
-    phi, theta, psi = euler
-    cph, sph = math.cos(phi), math.sin(phi)
-    cth, sth = math.cos(theta), math.sin(theta)
-    cps, sps = math.cos(psi), math.sin(psi)
-    return np.array([
-        [cth * cps, sph * sth * cps - cph * sps, cph * sth * cps + sph * sps],
-        [cth * sps, sph * sth * sps + cph * cps, cph * sth * sps - sph * cps],
-        [-sth, sph * cth, cph * cth],
-    ])
-
-
-def euler_rate_matrix(euler):
-    """Maps body rates to Euler-angle rates; singular at |theta| = 90 deg."""
-    phi, theta, _ = euler
-    cph, sph = math.cos(phi), math.sin(phi)
-    cth, tth = math.cos(theta), math.tan(theta)
-    return np.array([
-        [1.0, sph * tth, cph * tth],
-        [0.0, cph, -sph],
-        [0.0, sph / cth, cph / cth],
-    ])
-
-
 def _euler_rates(phi, theta, p, q, r):
-    """``euler_rate_matrix(euler) @ (p, q, r)`` written out in floats."""
+    """Euler-angle rates (phi, theta, psi) from the body rates (p, q, r);
+    singular at |theta| = 90 deg."""
     cph, sph = math.cos(phi), math.sin(phi)
     cth, tth = math.cos(theta), math.tan(theta)
     return (p + sph * tth * q + cph * tth * r,
@@ -192,9 +174,6 @@ class AttitudeController:
         self.gains = gains
         self.integral = [0.0, 0.0, 0.0]
 
-    def reset(self):
-        self.integral = [0.0, 0.0, 0.0]
-
     def update(self, state, euler_desired, dt):
         g = self.gains
         euler = state.euler.tolist()
@@ -210,11 +189,6 @@ class PositionController:
     def __init__(self, gains=DEFAULT_GAINS, params=None):
         self.gains = gains
         self.params = default_params() if params is None else params
-        self.integral = [0.0, 0.0, 0.0]
-        self.tilt_limited = False
-        self.thrust_clamped = False
-
-    def reset(self):
         self.integral = [0.0, 0.0, 0.0]
         self.tilt_limited = False
         self.thrust_clamped = False
@@ -252,18 +226,6 @@ class PositionController:
             self.tilt_limited = True
         theta_d = math.asin(s_theta)
         return thrust, phi_d, theta_d
-
-
-def attitude_pid(state, euler_desired, gains=DEFAULT_GAINS, dt=presets.MISSION_DT):
-    """Single stateless update with a zero integrator."""
-    return AttitudeController(gains).update(state, euler_desired, dt)
-
-
-def position_controller(state, position_desired, yaw_desired=0.0,
-                        gains=DEFAULT_GAINS, params=None, dt=presets.MISSION_DT):
-    """Single stateless update with a zero integrator."""
-    return PositionController(gains, params).update(
-        state, position_desired, yaw_desired, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +326,6 @@ class PitchMap:
         return float(np.interp(collective, self.collectives, self.cts))
 
 
-def ct_to_pitch(ct, pitch_map):
-    """Collective [rad] for a thrust coefficient; clamps out-of-range."""
-    return pitch_map.pitch(ct)
-
-
 # ---------------------------------------------------------------------------
 # rigid-body dynamics
 
@@ -385,8 +342,8 @@ def _derivatives(x, wrench, params):
     ix, iy, iz = p.inertia
     hx, hy, hz = ix * wx, iy * wy, iz * wz
     return (x[3], x[4], x[5],
-            # gravity minus thrust along body z, the third column of
-            # rotation_matrix
+            # gravity minus thrust along body z, the third column of the
+            # ZYX body-to-world rotation
             0.0 - f * (cph * sth * cps + sph * sps),
             0.0 - f * (cph * sth * sps - sph * cps),
             p.gravity - f * (cph * cth),
@@ -462,11 +419,20 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=presets.MISSION_
     vehicle is inside ``capture_radius``.  After the last capture the
     controller holds position for ``hold_time`` to settle.  A waypoint
     that stays uncaptured past ``timeout`` raises a mission timeout
-    carrying the distance still to go.
+    carrying the distance still to go.  Either span may cover at most
+    ``MAX_WAYPOINT_STEPS`` steps.
     """
     waypoints = [tuple(map(float, w)) for w in waypoints]
     if not waypoints:
         raise ConfigError("mission needs at least one waypoint")
+    if not 0.0 < dt <= MAX_DT:
+        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
+    for name, span in (("timeout", timeout), ("hold_time", hold_time)):
+        # "not <=" also refuses the inf of an overflowing quotient and NaN
+        if not span / dt <= MAX_WAYPOINT_STEPS:
+            raise ConfigError(
+                f"{name} / dt = {span / dt:.3g} steps exceeds the "
+                f"cap of {MAX_WAYPOINT_STEPS} per waypoint")
     params = default_params() if params is None else params
     state = VehicleState() if initial_state is None else initial_state.copy()
 

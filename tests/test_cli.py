@@ -43,12 +43,19 @@ def test_help_exits_clean(command, capsys):
     assert command in capsys.readouterr().out
 
 
-def test_python_dash_m_entry_point():
+def run_module(*argv, timeout=60):
+    """``python -m designkit`` in a fresh interpreter; a run that outlasts
+    ``timeout`` seconds fails the test instead of hanging it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-m", "designkit", "gears"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "designkit", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
+
+
+def test_python_dash_m_entry_point():
+    done = run_module("gears")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)
 
@@ -295,6 +302,18 @@ def assert_config_error(rc, err, *names):
     assert payload["error"] == "ConfigError"
     for name in names:
         assert name in payload["message"]
+
+
+@pytest.mark.parametrize("overrides", [
+    ("dt_s=1e-9", "waypoints=[[0,0,-1,0]]"),
+    ("timeout_s=1e300", "waypoints=[[1e9,0,-1,0]]"),
+], ids=["tiny-dt", "huge-timeout"])
+def test_simulate_refuses_unbounded_missions(overrides):
+    """Spans of billions of steps per waypoint are refused before the
+    first step, in a fresh interpreter well inside the time limit."""
+    argv = ["simulate"] + [a for o in overrides for a in ("--set", o)]
+    done = run_module(*argv, timeout=10)
+    assert_config_error(done.returncode, done.stderr, "timeout / dt", "cap of")
 
 
 def test_optimize_missing_spec_file(tmp_path, capsys):

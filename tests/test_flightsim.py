@@ -13,14 +13,12 @@ import pytest
 
 from designkit.constants import G
 from designkit.errors import ConfigError, MissionTimeout, SimulationAbort
-from designkit.flightsim import (DEFAULT_GAINS, AttitudeController,
-                                 ControlCommand, GainSet, MissionLog,
-                                 PitchMap, PositionController, VehicleParams,
-                                 VehicleState, allocate, attitude_pid,
-                                 ct_to_pitch, default_params,
-                                 euler_rate_matrix, mixing_forward,
-                                 position_controller, rotation_matrix,
-                                 run_mission, step_dynamics)
+from designkit.flightsim import (DEFAULT_GAINS, MAX_WAYPOINT_STEPS,
+                                 AttitudeController, ControlCommand, GainSet,
+                                 MissionLog, PitchMap, PositionController,
+                                 VehicleParams, VehicleState, allocate,
+                                 default_params, mixing_forward, run_mission,
+                                 step_dynamics)
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +50,9 @@ def test_params_validation(params):
         default_params(mass=-1.0)
     with pytest.raises(ConfigError):
         VehicleParams(mass=18.5, inertia=(2.4, 1.7, 4.1), arm_length=0.5,
-                      k_f=params.k_f, rotor_radius=0.38,
-                      ct_hover=1.1 * params.ct_hover)
-    # the consistent trim value is accepted verbatim
-    explicit = VehicleParams(mass=params.mass, inertia=params.inertia,
-                             arm_length=params.arm_length, k_f=params.k_f,
-                             rotor_radius=params.rotor_radius,
-                             ct_hover=params.ct_hover)
-    assert explicit.ct_hover == params.ct_hover
+                      k_f=0.0, rotor_radius=0.38)
+    # the hover trim is derived, in the order the old field was filled
+    assert params.ct_hover == params.mass * params.gravity / (4.0 * params.k_f)
 
 
 def test_state_pack_round_trip():
@@ -74,39 +67,12 @@ def test_state_pack_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# kinematics
-
-def test_rotation_matrix_orthonormal():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        r = rotation_matrix(rng.uniform(-1.2, 1.2, 3))
-        assert np.allclose(r @ r.T, np.eye(3), atol=1e-14)
-        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
-    assert np.allclose(rotation_matrix(np.zeros(3)), np.eye(3), atol=1e-15)
-    # pure yaw of 90 degrees carries body-x onto world-y
-    r = rotation_matrix(np.array([0.0, 0.0, math.pi / 2]))
-    assert np.allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
-    # positive pitch tilts body-z forward in world-x
-    r = rotation_matrix(np.array([0.0, 0.3, 0.0]))
-    assert np.allclose(r @ [0.0, 0.0, 1.0],
-                       [math.sin(0.3), 0.0, math.cos(0.3)], atol=1e-14)
-
-
-def test_euler_rate_matrix():
-    assert np.array_equal(euler_rate_matrix(np.zeros(3)), np.eye(3))
-    euler = np.array([0.3, 0.4, 0.0])
-    w = euler_rate_matrix(euler)
-    assert w[0, 1] == pytest.approx(math.sin(0.3) * math.tan(0.4), rel=1e-15)
-    assert w[2, 2] == pytest.approx(math.cos(0.3) / math.cos(0.4), rel=1e-15)
-
-
-# ---------------------------------------------------------------------------
 # controllers
 
 def test_attitude_pid_arithmetic():
     state = VehicleState(euler=np.array([0.1, -0.05, 0.2]))
     dt = 0.005
-    moments = attitude_pid(state, np.zeros(3), dt=dt)
+    moments = AttitudeController().update(state, np.zeros(3), dt)
     g = DEFAULT_GAINS
     expected = -(np.asarray(g.att_p) * state.euler
                  + np.asarray(g.att_i) * (state.euler * dt))
@@ -115,7 +81,7 @@ def test_attitude_pid_arithmetic():
 
 def test_attitude_pid_damps_rates():
     state = VehicleState(rates=np.array([0.3, -0.2, 0.1]))
-    moments = attitude_pid(state, np.zeros(3), dt=0.005)
+    moments = AttitudeController().update(state, np.zeros(3), 0.005)
     # at zero attitude the rate map is the identity: pure -Kd * omega
     assert np.allclose(moments, -np.asarray(DEFAULT_GAINS.att_d) * state.rates,
                        rtol=1e-14, atol=0.0)
@@ -127,13 +93,13 @@ def test_attitude_integrator_clamps():
     for _ in range(1000):
         ctrl.update(state, np.zeros(3), 0.005)
     assert ctrl.integral[0] == DEFAULT_GAINS.att_integrator_limit
-    ctrl.reset()
-    assert np.array_equal(ctrl.integral, np.zeros(3))
+    # every controller carries its own integrator
+    assert AttitudeController().integral == [0.0, 0.0, 0.0]
 
 
 def test_position_hover_at_target(params):
-    thrust, phi_d, theta_d = position_controller(
-        VehicleState(), np.zeros(3), params=params)
+    thrust, phi_d, theta_d = PositionController(params=params).update(
+        VehicleState(), np.zeros(3), 0.0, 0.005)
     assert thrust == params.hover_thrust
     assert phi_d == 0.0 and theta_d == 0.0
 
@@ -142,11 +108,13 @@ def test_position_tilt_signs(params):
     # offset toward +y: roll negative (left-wing-down is negative phi in
     # NED, which accelerates -y); no pitch demand
     state = VehicleState(position=np.array([0.0, 1.0, 0.0]))
-    _, phi_d, theta_d = position_controller(state, np.zeros(3), params=params)
+    _, phi_d, theta_d = PositionController(params=params).update(
+        state, np.zeros(3), 0.0, 0.005)
     assert phi_d < 0.0 and theta_d == 0.0
     # offset toward +x: pitch positive (nose up decelerates +x travel)
     state = VehicleState(position=np.array([1.0, 0.0, 0.0]))
-    _, phi_d, theta_d = position_controller(state, np.zeros(3), params=params)
+    _, phi_d, theta_d = PositionController(params=params).update(
+        state, np.zeros(3), 0.0, 0.005)
     assert theta_d > 0.0 and phi_d == 0.0
 
 
@@ -238,8 +206,6 @@ def test_pitch_map_node_round_trip(pitch_map):
         assert not saturated
         assert back == pytest.approx(theta, abs=1e-12)
         assert pitch_map.ct(theta) == pytest.approx(ct, rel=1e-15)
-    assert ct_to_pitch(pitch_map.cts[3], pitch_map) == \
-        pitch_map.pitch(pitch_map.cts[3])
 
 
 def test_pitch_map_saturation(pitch_map):
@@ -362,6 +328,23 @@ def test_mission_timeout():
 def test_mission_validation():
     with pytest.raises(ConfigError):
         run_mission([])
+    for dt in (0.0, -0.001, 0.011):
+        with pytest.raises(ConfigError, match="dt must lie"):
+            run_mission([(0.0, 0.0, 0.0, 0.0)], dt=dt)
+
+
+@pytest.mark.parametrize("spans", [
+    {"timeout": 0.005 * (MAX_WAYPOINT_STEPS + 1)},
+    {"hold_time": 0.005 * (MAX_WAYPOINT_STEPS + 1)},
+    {"timeout": 1e308, "dt": 1e-9},      # the quotient overflows to inf
+    {"timeout": math.inf},
+    {"hold_time": math.nan},
+], ids=["timeout", "hold", "overflow", "inf", "nan"])
+def test_mission_step_cap(spans):
+    """A span past the per-waypoint step cap is refused before the first
+    step, so the mission never starts."""
+    with pytest.raises(ConfigError, match="cap of"):
+        run_mission([(1e9, 0.0, 0.0, 0.0)], **spans)
 
 
 def test_mission_initial_state_untouched():

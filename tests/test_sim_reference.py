@@ -1,8 +1,10 @@
 """The float simulator against the NumPy one it replaced.
 
 ``flightsim`` steps the rigid body, the PID loops and the mixing in
-plain Python floats.  The NumPy versions below are kept verbatim as the
-oracle: one ``step_dynamics`` must match to 1e-12 per state component
+plain Python floats.  The NumPy versions below, the ZYX rotation and
+Euler-rate matrices included, are kept verbatim as the oracle; the two
+matrices are checked on their own first.  One ``step_dynamics`` must
+match to 1e-12 per state component
 (relative, absolute near zero), the gimbal abort must fire on the same
 inputs, and missions must take the same steps and capture times with
 position, attitude, C_T, thrust and pitch within 1e-12.
@@ -20,8 +22,7 @@ from designkit.flightsim import (DEFAULT_GAINS, GIMBAL_LIMIT,
                                  AttitudeController, ControlCommand,
                                  PitchMap, PositionController,
                                  VehicleState, allocate, default_params,
-                                 euler_rate_matrix, mixing_forward,
-                                 rotation_matrix, run_mission, step_dynamics)
+                                 mixing_forward, run_mission, step_dynamics)
 
 TOL = 1e-12
 SPIN = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -29,6 +30,31 @@ SPIN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 # ---------------------------------------------------------------------------
 # the NumPy reference, as it stood before the float rewrite
+
+def rotation_matrix(euler):
+    """Body-to-world rotation for ZYX Euler angles."""
+    phi, theta, psi = euler
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cps, sps = math.cos(psi), math.sin(psi)
+    return np.array([
+        [cth * cps, sph * sth * cps - cph * sps, cph * sth * cps + sph * sps],
+        [cth * sps, sph * sth * sps + cph * cps, cph * sth * sps - sph * cps],
+        [-sth, sph * cth, cph * cth],
+    ])
+
+
+def euler_rate_matrix(euler):
+    """Maps body rates to Euler-angle rates; singular at |theta| = 90 deg."""
+    phi, theta, _ = euler
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, tth = math.cos(theta), math.tan(theta)
+    return np.array([
+        [1.0, sph * tth, cph * tth],
+        [0.0, cph, -sph],
+        [0.0, sph / cth, cph / cth],
+    ])
+
 
 def reference_mixing_forward(cts, params, exact_yaw=False):
     """(T, l, m, n) produced by the given thrust coefficients."""
@@ -221,6 +247,30 @@ def triple(lo, hi):
 quad_cts = st.tuples(*[span(-0.01, 0.03)] * 4)
 time_steps = st.floats(0.0, 0.01, exclude_min=True)
 LEVEL = math.radians(80.0)
+
+
+def test_rotation_matrix_orthonormal():
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        r = rotation_matrix(rng.uniform(-1.2, 1.2, 3))
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-14)
+        assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose(rotation_matrix(np.zeros(3)), np.eye(3), atol=1e-15)
+    # pure yaw of 90 degrees carries body-x onto world-y
+    r = rotation_matrix(np.array([0.0, 0.0, math.pi / 2]))
+    assert np.allclose(r @ [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], atol=1e-12)
+    # positive pitch tilts body-z forward in world-x
+    r = rotation_matrix(np.array([0.0, 0.3, 0.0]))
+    assert np.allclose(r @ [0.0, 0.0, 1.0],
+                       [math.sin(0.3), 0.0, math.cos(0.3)], atol=1e-14)
+
+
+def test_euler_rate_matrix():
+    assert np.array_equal(euler_rate_matrix(np.zeros(3)), np.eye(3))
+    euler = np.array([0.3, 0.4, 0.0])
+    w = euler_rate_matrix(euler)
+    assert w[0, 1] == pytest.approx(math.sin(0.3) * math.tan(0.4), rel=1e-15)
+    assert w[2, 2] == pytest.approx(math.cos(0.3) / math.cos(0.4), rel=1e-15)
 
 
 @settings(max_examples=300, deadline=None)
