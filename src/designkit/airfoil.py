@@ -1,15 +1,10 @@
 """Sectional aerodynamics: airfoil polars and angle-of-attack lookups.
 
 A polar is a table of (alpha, cl, cd) samples.  Lookups inside the sampled
-range use linear interpolation; outside it one of two stall models applies:
-
-``clamp``
-    hold the end-row values (cheap, adequate for narrow sweeps)
-``flat-plate-blend``
-    fade linearly, over a 10 deg band past each table edge, into the
-    flat-plate laws cl = 1.1 sin(2a), cd = 1.7 sin^2(a), which remain valid
-    to +/-90 deg.  This is what deep-stall root sections see when a highly
-    twisted blade hovers.
+range use linear interpolation.  Past each table edge the edge row fades
+linearly, over a 10 deg band, into the flat-plate laws
+cl = 1.1 sin(2a), cd = 1.7 sin^2(a), which hold at any angle.  This is
+what deep-stall root sections see when a highly twisted blade hovers.
 
 Tables can come from a CSV file, from an analytic lift-curve description
 (:class:`ParametricPolarSpec`), or from the two bundled rotor airfoils
@@ -33,12 +28,6 @@ BLEND_WIDTH = math.radians(10.0)
 
 # Off-table segment width over which cl_cd_bounds holds flat-plate ranges [rad]
 BOUNDS_STEP = math.radians(1.0)
-
-STALL_MODELS = ("clamp", "flat-plate-blend")
-
-# Recommended minimum sampled range [rad]; narrower tables still load but
-# lean on the stall model unusually early.
-RECOMMENDED_RANGE = math.radians(20.0)
 
 
 def flat_plate(alpha):
@@ -127,7 +116,8 @@ class ParametricPolarSpec:
 
 
 class AirfoilPolar:
-    """Tabulated (alpha, cl, cd) with interpolation and a stall model.
+    """Tabulated (alpha, cl, cd) with interpolation and the flat-plate blend
+    past the table edges.
 
     Parameters
     ----------
@@ -137,11 +127,9 @@ class AirfoilPolar:
         Lift and drag coefficients at ``alpha``; cd must be >= 0.
     name : str
         Label carried through outputs.
-    stall_model : {"clamp", "flat-plate-blend"}
-        Behaviour outside the sampled range.
     """
 
-    def __init__(self, alpha, cl, cd, name="polar", stall_model="flat-plate-blend"):
+    def __init__(self, alpha, cl, cd, name="polar"):
         alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
         cl = np.atleast_1d(np.asarray(cl, dtype=float))
         cd = np.atleast_1d(np.asarray(cd, dtype=float))
@@ -155,13 +143,10 @@ class AirfoilPolar:
             raise PolarDataError("alpha samples must be strictly increasing")
         if np.any(cd < 0.0):
             raise PolarDataError("cd must be non-negative")
-        if stall_model not in STALL_MODELS:
-            raise PolarDataError(f"unknown stall model {stall_model!r}; choose from {STALL_MODELS}")
         self.alpha = alpha
         self.cl = cl
         self.cd = cd
         self.name = name
-        self.stall_model = stall_model
         self._bounds = None     # segment bounds table, built by cl_cd_bounds
 
     # -- properties ------------------------------------------------------
@@ -174,48 +159,27 @@ class AirfoilPolar:
     def alpha_max(self):
         return float(self.alpha[-1])
 
-    def covers_recommended_range(self):
-        """True if the table spans at least +/-20 deg."""
-        return self.alpha_min <= -RECOMMENDED_RANGE and self.alpha_max >= RECOMMENDED_RANGE
-
     # -- lookup ----------------------------------------------------------
 
-    def lookup(self, alpha):
-        """Interpolate (cl, cd, gamma) at angle(s) of attack [rad].
-
-        gamma = atan2(cd, cl) is the sectional drag-to-lift angle.  Scalar
-        input gives scalar floats; array input gives arrays of the same
-        shape.  Total (not per-step) extrapolation behaviour is set by the
-        stall model.
-        """
-        a = np.asarray(alpha, dtype=float)
-        scalar = a.ndim == 0
-        cl, cd = self.cl_cd(np.atleast_1d(a))
-        gamma = np.arctan2(cd, cl)
-        if scalar:
-            return float(cl[0]), float(cd[0]), float(gamma[0])
-        return cl, cd, gamma
-
     def cl_cd(self, alpha):
-        """Like :meth:`lookup` but without the drag-to-lift angle; the
-        fast path for solver inner loops (array in, arrays out)."""
+        """Interpolate (cl, cd) at angle(s) of attack [rad], each of the
+        input's shape."""
         a = np.asarray(alpha, dtype=float)
         cl = np.interp(a, self.alpha, self.cl)   # clamps at the ends
         cd = np.interp(a, self.alpha, self.cd)
-        if self.stall_model == "flat-plate-blend":
-            # blend only the off-table angles (flat indices); the rest
-            # keep their table values
-            off = np.flatnonzero((a < self.alpha_min) | (a > self.alpha_max))
-            if off.size:
-                a_off = np.take(a, off)
-                cl_fp, cd_fp = flat_plate(a_off)
-                # distance past the nearer table edge
-                over = np.where(a_off > self.alpha_max, a_off - self.alpha_max,
-                                self.alpha_min - a_off)
-                w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
-                cl, cd = np.asarray(cl), np.asarray(cd)   # 0-d input gives scalars
-                np.put(cl, off, (1.0 - w) * np.take(cl, off) + w * cl_fp)
-                np.put(cd, off, (1.0 - w) * np.take(cd, off) + w * cd_fp)
+        # blend only the off-table angles (flat indices); the rest
+        # keep their table values
+        off = np.flatnonzero((a < self.alpha_min) | (a > self.alpha_max))
+        if off.size:
+            a_off = np.take(a, off)
+            cl_fp, cd_fp = flat_plate(a_off)
+            # distance past the nearer table edge
+            over = np.where(a_off > self.alpha_max, a_off - self.alpha_max,
+                            self.alpha_min - a_off)
+            w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
+            cl, cd = np.asarray(cl), np.asarray(cd)   # 0-d input gives scalars
+            np.put(cl, off, (1.0 - w) * np.take(cl, off) + w * cl_fp)
+            np.put(cd, off, (1.0 - w) * np.take(cd, off) + w * cd_fp)
         return cl, cd
 
     def cl_cd_bounds(self, lo, hi):
@@ -225,11 +189,10 @@ class AirfoilPolar:
         The extremes over the segments of the angle line that the interval
         touches, from a range-minimum table built on first use.  Linear
         interpolation stays between its two nodes, so a table segment holds
-        the range of its two rows.  Off the table, ``clamp`` holds the edge
-        row.  ``flat-plate-blend`` mixes the edge row with the flat-plate
-        laws, so each BOUNDS_STEP segment out to +/-pi holds the hull of the
-        edge row and the flat-plate range over it, and beyond that the
-        global range.
+        the range of its two rows.  Off the table the blend mixes the edge
+        row with the flat-plate laws, so each BOUNDS_STEP segment out to
+        +/-pi holds the hull of the edge row and the flat-plate range over
+        it, and beyond that the global range.
         """
         if self._bounds is None:
             self._bounds = self._segment_bounds()
@@ -257,9 +220,6 @@ class AirfoilPolar:
         last = extremes(cl[-1], cl[-1], cd[-1], cd[-1])[None]
         table = extremes(np.minimum(cl[:-1], cl[1:]), np.maximum(cl[:-1], cl[1:]),
                          np.minimum(cd[:-1], cd[1:]), np.maximum(cd[:-1], cd[1:]))
-        if self.stall_model == "clamp":
-            return (np.concatenate([[-np.inf], a, [np.inf]]),
-                    _range_minima(np.concatenate([first, table, last])))
 
         def plate(x0, x1):
             n = max(int(math.ceil((x1 - x0) / BOUNDS_STEP)), 0)
@@ -278,7 +238,7 @@ class AirfoilPolar:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_csv(cls, path, name=None, stall_model="flat-plate-blend"):
+    def from_csv(cls, path, name=None):
         """Load a ``alpha_deg,cl,cd`` CSV.  '#' starts a comment; blank
         lines are skipped; a header row is optional."""
         rows = []
@@ -304,12 +264,10 @@ class AirfoilPolar:
         arr = np.asarray(rows, dtype=float)
         if name is None:
             name = str(path)
-        return cls(np.radians(arr[:, 0]), arr[:, 1], arr[:, 2],
-                   name=name, stall_model=stall_model)
+        return cls(np.radians(arr[:, 0]), arr[:, 1], arr[:, 2], name=name)
 
     @classmethod
-    def from_parametric(cls, spec, n_samples=101, stall_model="flat-plate-blend",
-                        name="parametric"):
+    def from_parametric(cls, spec, n_samples=101, name="parametric"):
         """Tabulate a :class:`ParametricPolarSpec`.
 
         The sampled range is centred on alpha0 and extends past the stall
@@ -322,10 +280,10 @@ class AirfoilPolar:
         a = spec.alpha0 + np.linspace(-span, span, int(n_samples))
         cl = np.clip(spec.cl_alpha * (a - spec.alpha0), -spec.cl_max, spec.cl_max)
         cd = spec.cd0 + spec.cd2 * (a - spec.alpha0) ** 2
-        return cls(a, cl, cd, name=name, stall_model=stall_model)
+        return cls(a, cl, cd, name=name)
 
     @classmethod
-    def bundled(cls, name, stall_model="flat-plate-blend"):
+    def bundled(cls, name):
         """Load one of the packaged polars ("sc1095" or "naca0012")."""
         key = name.lower().replace("-", "").replace(" ", "")
         files = {"sc1095": "sc1095.csv", "naca0012": "naca0012.csv"}
@@ -333,11 +291,10 @@ class AirfoilPolar:
             raise PolarDataError(f"no bundled polar {name!r}; available: {sorted(files)}")
         ref = resources.files("designkit.data").joinpath(files[key])
         with resources.as_file(ref) as path:
-            polar = cls.from_csv(path, name=key, stall_model=stall_model)
+            polar = cls.from_csv(path, name=key)
         return polar
 
     def __repr__(self):
         return (f"AirfoilPolar({self.name!r}, {self.alpha.size} samples, "
-                f"[{math.degrees(self.alpha_min):+.1f}, {math.degrees(self.alpha_max):+.1f}] deg, "
-                f"stall={self.stall_model})")
+                f"[{math.degrees(self.alpha_min):+.1f}, {math.degrees(self.alpha_max):+.1f}] deg)")
 

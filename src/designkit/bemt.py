@@ -81,6 +81,7 @@ CELLS = (32, 8)           # slices per enclosed cell: coarse cells, then their c
 CERT_MARGIN = 1.0e-12     # relative margin by which a certified enclosure clears 0
 CERT_FLOOR = 1.0e-150     # absolute margin: products of certified residuals stay normal
 ZERO_LIFT_CL = 1.0e-12    # |cl| below this in hover pins phi = 0 exactly
+MAX_STATIONS = 4096       # stations per blade; 16x the finest in-repo use
 _TINY = 1.0e-15
 
 
@@ -703,12 +704,12 @@ def _first_change(k, stop, g_start, grid, g):
     return slice_, g_lo, g_hi
 
 
-def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
+def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
     """Inflow angle phi for every element of a broadcast (pitch, r, sigma,
     mu) grid.
 
     The root is the one a scan of (0, pi/2) in SCAN_SLICES slices would
-    bracket first (then of (-pi/2, 0) if allow_negative), polished to
+    bracket first (then of (-pi/2, 0)), polished to
     POLISH_TOL.  Stations whose residual changes sign between the ends of
     (0, pi/2) are polished on that bracket directly; the root is accepted
     once no slice of the scan grid up to it changes sign, and otherwise
@@ -776,9 +777,8 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
     scan(np.concatenate(rest), np.concatenate(rest_g), grid)
 
     todo = np.flatnonzero(~found)
-    if allow_negative:
-        grid = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
-        scan(todo, g(np.full(todo.size, grid[0]), todo), grid)
+    grid = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
+    scan(todo, g(np.full(todo.size, grid[0]), todo), grid)
 
     return phi.reshape(shape), found.reshape(shape), res.reshape(shape)
 
@@ -899,8 +899,8 @@ class RotorPerformance:
 
 def station_grid(root_cutout, n_stations):
     """Midpoint stations and weight: n cells spanning [cutout, 1]."""
-    if n_stations < 16:
-        raise GeometryError(f"need at least 16 stations, got {n_stations}")
+    if not 16 <= n_stations <= MAX_STATIONS:
+        raise GeometryError(f"need 16 to {MAX_STATIONS} stations, got {n_stations}")
     dr = (1.0 - root_cutout) / n_stations
     r = root_cutout + dr * (np.arange(n_stations) + 0.5)
     return r, dr

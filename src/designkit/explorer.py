@@ -27,6 +27,8 @@ SWEEP_RESPONSES = ("PL_vs_T", "eta_vs_V", "thrust", "power")
 DEFAULT_COLLECTIVES = tuple(np.radians(np.arange(0.0, 20.01, 0.5)))
 #: default airspeed grid for efficiency curves [m/s]
 DEFAULT_SPEEDS = tuple(np.arange(2.0, 30.01, 1.0))
+#: points per optimization grid axis; the default grid's largest has 38
+MAX_GRID_POINTS = 1000
 
 
 def worker_count(default=1):
@@ -269,8 +271,12 @@ class OptimizationSpec:
             raise ConfigError("weights must be non-negative and sum to 1")
         for name in ("radius_grid", "twist_grid", "cruise_scan"):
             lo, hi, step = getattr(self, name)
-            if step <= 0.0 or hi < lo:
-                raise ConfigError(f"{name} must have min <= max and step > 0")
+            if not (0.0 < step < math.inf and lo <= hi):
+                raise ConfigError(f"{name} must have min <= max and a finite step > 0")
+            steps = (hi - lo) / step         # a grid has round(steps) + 1 points
+            if not steps < MAX_GRID_POINTS - 0.5:   # an infinite span or nan fails here too
+                raise ConfigError(f"{name} spans {steps + 1.0:.6g} points; "
+                                  f"the cap is {MAX_GRID_POINTS}")
 
     def radii(self):
         return _grid(*self.radius_grid)
@@ -400,8 +406,6 @@ def optimize(spec=None, polar=None, workers=None):
 
     radii = spec.radii()
     twists = spec.twists()
-    if radii.size == 0 or twists.size == 0:
-        raise ConfigError("optimization grids are empty")
 
     jobs = [(spec, float(tw), polar) for tw in twists]
     if workers > 1:

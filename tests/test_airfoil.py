@@ -1,4 +1,4 @@
-"""Polar tables: parsing, interpolation, stall models, analytic specs."""
+"""Polar tables: parsing, interpolation, the flat-plate blend, analytic specs."""
 
 import math
 
@@ -14,10 +14,10 @@ from designkit.airfoil import (
 from designkit.errors import PolarDataError, PolarFormatError
 
 
-def simple_polar(stall_model="clamp"):
+def simple_polar():
     """Three-point table: cl = alpha [rad-linear], cd = 0.01 + alpha^2."""
     a = np.radians([-10.0, 0.0, 10.0])
-    return AirfoilPolar(a, a.copy(), 0.01 + a ** 2, stall_model=stall_model)
+    return AirfoilPolar(a, a.copy(), 0.01 + a ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -48,27 +48,21 @@ def test_nonfinite_samples_rejected():
         AirfoilPolar([0.0, 0.1, 0.2], [0.0, math.nan, 0.6], [0.01, 0.01, 0.01])
 
 
-def test_unknown_stall_model_rejected():
-    with pytest.raises(PolarDataError):
-        simple_polar(stall_model="bounce")
-
-
 # ---------------------------------------------------------------------------
 # lookup semantics
 
 def test_lookup_exact_at_breakpoints():
     polar = simple_polar()
     for a in polar.alpha:
-        cl, cd, gamma = polar.lookup(float(a))
+        cl, cd = polar.cl_cd(float(a))
         assert cl == pytest.approx(a, abs=1e-15)
         assert cd == pytest.approx(0.01 + a ** 2, abs=1e-15)
-        assert gamma == pytest.approx(math.atan2(cd, cl), abs=1e-15)
 
 
 def test_lookup_linear_between_breakpoints():
     polar = simple_polar()
     mid = 0.5 * (polar.alpha[1] + polar.alpha[2])
-    cl, cd, _ = polar.lookup(float(mid))
+    cl, cd = polar.cl_cd(float(mid))
     assert cl == pytest.approx(0.5 * (polar.cl[1] + polar.cl[2]), abs=1e-15)
     assert cd == pytest.approx(0.5 * (polar.cd[1] + polar.cd[2]), abs=1e-15)
 
@@ -76,19 +70,11 @@ def test_lookup_linear_between_breakpoints():
 def test_lookup_scalar_and_array_agree():
     polar = simple_polar()
     grid = np.radians(np.linspace(-25.0, 25.0, 23))
-    cl_arr, cd_arr, gamma_arr = polar.lookup(grid)
+    cl_arr, cd_arr = polar.cl_cd(grid)
     for i, a in enumerate(grid):
-        cl, cd, gamma = polar.lookup(float(a))
-        assert cl == cl_arr[i] and cd == cd_arr[i] and gamma == gamma_arr[i]
+        cl, cd = polar.cl_cd(float(a))
+        assert cl == cl_arr[i] and cd == cd_arr[i]
     assert cl_arr.shape == grid.shape
-
-
-def test_cl_cd_matches_lookup():
-    polar = simple_polar("flat-plate-blend")
-    grid = np.radians(np.linspace(-40.0, 40.0, 41))
-    cl, cd = polar.cl_cd(grid)
-    cl2, cd2, _ = polar.lookup(grid)
-    assert np.array_equal(cl, cl2) and np.array_equal(cd, cd2)
 
 
 def _whole_array_cl_cd(polar, alpha):
@@ -98,16 +84,15 @@ def _whole_array_cl_cd(polar, alpha):
     a = np.asarray(alpha, dtype=float)
     cl = np.interp(a, polar.alpha, polar.cl)
     cd = np.interp(a, polar.alpha, polar.cd)
-    if polar.stall_model == "flat-plate-blend":
-        below = a < polar.alpha_min
-        above = a > polar.alpha_max
-        if np.any(below) or np.any(above):
-            cl_fp, cd_fp = flat_plate(a)
-            over = np.where(above, a - polar.alpha_max,
-                            np.where(below, polar.alpha_min - a, 0.0))
-            w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
-            cl = (1.0 - w) * cl + w * cl_fp
-            cd = (1.0 - w) * cd + w * cd_fp
+    below = a < polar.alpha_min
+    above = a > polar.alpha_max
+    if np.any(below) or np.any(above):
+        cl_fp, cd_fp = flat_plate(a)
+        over = np.where(above, a - polar.alpha_max,
+                        np.where(below, polar.alpha_min - a, 0.0))
+        w = np.clip(over / BLEND_WIDTH, 0.0, 1.0)
+        cl = (1.0 - w) * cl + w * cl_fp
+        cd = (1.0 - w) * cd + w * cd_fp
     return cl, cd
 
 
@@ -118,7 +103,6 @@ def _assert_bit_identical(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-@pytest.mark.parametrize("stall_model", ["flat-plate-blend", "clamp"])
 @pytest.mark.parametrize("alpha", [
     np.radians(np.linspace(-90.0, 90.0, 361)),                      # mixed
     np.radians(np.linspace(-90.0, 90.0, 60)).reshape(3, 4, 5),      # mixed, 3-d
@@ -129,10 +113,9 @@ def _assert_bit_identical(got, want):
     np.float64(math.radians(4.0)),                                  # 0-d, in-table
     np.float64(math.nan),                                           # 0-d NaN
 ], ids=["mixed", "mixed-3d", "off", "in", "nan", "0d-off", "0d-in", "0d-nan"])
-def test_cl_cd_blends_off_table_subset_bit_identically(sc1095, stall_model, alpha):
-    polar = AirfoilPolar(sc1095.alpha, sc1095.cl, sc1095.cd, stall_model=stall_model)
-    cl, cd = polar.cl_cd(alpha)
-    cl_ref, cd_ref = _whole_array_cl_cd(polar, alpha)
+def test_cl_cd_blends_off_table_subset_bit_identically(sc1095, alpha):
+    cl, cd = sc1095.cl_cd(alpha)
+    cl_ref, cd_ref = _whole_array_cl_cd(sc1095, alpha)
     _assert_bit_identical(cl, cl_ref)
     _assert_bit_identical(cd, cd_ref)
 
@@ -144,28 +127,21 @@ def test_cl_cd_leaves_input_untouched(sc1095):
     assert np.array_equal(alpha, before)
 
 
-def test_clamp_model_holds_edge_values():
-    polar = simple_polar("clamp")
-    cl, cd, _ = polar.lookup(math.radians(60.0))
-    assert cl == pytest.approx(polar.cl[-1], abs=1e-15)
-    assert cd == pytest.approx(polar.cd[-1], abs=1e-15)
-
-
 def test_blend_model_reaches_flat_plate():
-    polar = simple_polar("flat-plate-blend")
+    polar = simple_polar()
     # one blend width past the table edge the flat-plate laws apply exactly
     a = polar.alpha_max + BLEND_WIDTH
     cl_fp, cd_fp = flat_plate(a)
-    cl, cd, _ = polar.lookup(float(a))
+    cl, cd = polar.cl_cd(float(a))
     assert cl == pytest.approx(float(cl_fp), abs=1e-15)
     assert cd == pytest.approx(float(cd_fp), abs=1e-15)
 
 
 def test_blend_model_halfway_mix():
-    polar = simple_polar("flat-plate-blend")
+    polar = simple_polar()
     a = polar.alpha_max + 0.5 * BLEND_WIDTH
     cl_fp, cd_fp = flat_plate(a)
-    cl, cd, _ = polar.lookup(float(a))
+    cl, cd = polar.cl_cd(float(a))
     # table-side contribution clamps at the edge row
     assert cl == pytest.approx(0.5 * polar.cl[-1] + 0.5 * float(cl_fp), abs=1e-15)
     assert cd == pytest.approx(0.5 * polar.cd[-1] + 0.5 * float(cd_fp), abs=1e-15)
@@ -188,7 +164,7 @@ def test_parametric_linear_region_exact():
     polar = AirfoilPolar.from_parametric(spec, n_samples=401)
     for a_deg in (-8.0, -2.0, 0.0, 5.0, 9.0):
         a = math.radians(a_deg)
-        cl, cd, _ = polar.lookup(a)
+        cl, cd = polar.cl_cd(a)
         assert cl == pytest.approx(6.0 * (a - spec.alpha0), abs=1e-6)
         assert cd == pytest.approx(0.008 + 0.5 * (a - spec.alpha0) ** 2, abs=1e-6)
 
@@ -197,7 +173,7 @@ def test_parametric_cap_applies():
     spec = ParametricPolarSpec(cl_alpha=6.0, cl_max=1.0,
                                alpha_stall=math.radians(12.0))
     polar = AirfoilPolar.from_parametric(spec, n_samples=801)
-    cl, _, _ = polar.lookup(math.radians(20.0))   # past stall, inside table
+    cl, _ = polar.cl_cd(math.radians(20.0))   # past stall, inside table
     assert cl == pytest.approx(1.0, abs=1e-6)
 
 
@@ -230,7 +206,7 @@ def test_from_csv_parses_comments_header_blanks(tmp_path):
     polar = AirfoilPolar.from_csv(path)
     assert polar.alpha.size == 3
     assert polar.alpha[0] == pytest.approx(math.radians(-5.0))
-    cl, cd, _ = polar.lookup(0.0)
+    cl, cd = polar.cl_cd(0.0)
     assert cl == 0.0 and cd == 0.008
 
 
@@ -272,8 +248,9 @@ def test_bundled_unknown_name():
 
 
 def test_bundled_cover_recommended_range(sc1095, naca0012):
-    assert sc1095.covers_recommended_range()
-    assert naca0012.covers_recommended_range()
+    for polar in (sc1095, naca0012):
+        assert polar.alpha_min <= math.radians(-20.0)
+        assert polar.alpha_max >= math.radians(20.0)
     assert sc1095.alpha_min == pytest.approx(math.radians(-24.0))
     assert sc1095.alpha_max == pytest.approx(math.radians(24.0))
 
@@ -293,7 +270,7 @@ def test_naca0012_table_is_symmetric(naca0012):
 
 
 def test_sc1095_is_cambered_and_lifting(sc1095):
-    cl0, _, _ = sc1095.lookup(0.0)
+    cl0, _ = sc1095.cl_cd(0.0)
     assert cl0 > 0.0                       # negative zero-lift angle
-    cl8, cd8, _ = sc1095.lookup(math.radians(8.0))
+    cl8, cd8 = sc1095.cl_cd(math.radians(8.0))
     assert 0.6 < cl8 < 1.1 and 0.005 < cd8 < 0.03

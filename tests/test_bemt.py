@@ -102,6 +102,10 @@ def test_geometry_validation():
     with pytest.raises(GeometryError):
         BladeGeometry(radius=0.4, root_chord=0.05,
                       pitch_table=[[0.1, 0.3], [0.1, 0.2]])
+    assert bemt.station_grid(0.1, bemt.MAX_STATIONS)[0].size == bemt.MAX_STATIONS
+    for n_stations in (15, bemt.MAX_STATIONS + 1, 10 ** 12):
+        with pytest.raises(GeometryError, match="stations"):
+            bemt.station_grid(0.1, n_stations)
 
 
 def test_table_distributions_interpolate():

@@ -316,6 +316,28 @@ def test_simulate_refuses_unbounded_missions(overrides):
     assert_config_error(done.returncode, done.stderr, "timeout / dt", "cap of")
 
 
+@pytest.mark.parametrize("argv, error, words", [
+    (["optimize", "--set", "radius_grid_m=[0.3,1e300,1e-300]"], "ConfigError",
+     ("radius_grid", "cap is")),
+    (["optimize", "--set", "twist_grid_deg=[-40,-8,1e-9]"], "ConfigError",
+     ("twist_grid", "cap is")),
+    (["analyze", "--n-stations", "1000000000000"], "GeometryError",
+     ("stations", "1000000000000")),
+    (["optimize", "--set", "n_stations=1000000000000"], "GeometryError",
+     ("stations", "1000000000000")),
+], ids=["radius-grid", "twist-grid", "analyze-stations", "optimize-stations"])
+def test_refuses_unbounded_sizes(argv, error, words):
+    """Grids and station counts past their caps are refused before any
+    array is sized by them, in a fresh interpreter well inside the time
+    limit."""
+    done = run_module(*argv, timeout=10)
+    assert done.returncode == 1 and done.stdout == ""
+    payload = strict_json(done.stderr)
+    assert payload["error"] == error
+    for word in words:
+        assert word in payload["message"]
+
+
 def test_optimize_missing_spec_file(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     rc, _, err = run(capsys, "optimize", "--spec", str(missing))

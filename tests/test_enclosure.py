@@ -16,8 +16,7 @@ from designkit import bemt
 from designkit.airfoil import BLEND_WIDTH, AirfoilPolar, flat_plate, flat_plate_bounds
 from designkit.bemt import SCAN_EPS, SCAN_SLICES, _enclose, _residual
 
-POLARS = {(name, model): AirfoilPolar.bundled(name, stall_model=model)
-          for name in ("sc1095", "naca0012") for model in ("flat-plate-blend", "clamp")}
+POLARS = {name: AirfoilPolar.bundled(name) for name in ("sc1095", "naca0012")}
 GRIDS = {1: np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1),
          -1: np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)}
 
@@ -81,12 +80,12 @@ def test_certified_cell_nodes_carry_its_sign(cell):
         assert np.all(g < 0.0)
 
 
-@pytest.mark.parametrize("key", sorted(POLARS))
-def test_no_certified_cell_at_a_root(key):
+@pytest.mark.parametrize("name", sorted(POLARS))
+def test_no_certified_cell_at_a_root(name):
     """At a polished root g is a rounding error away from 0, so a
     one-point cell there may only be certified with the sign that the
     point evaluation itself computes."""
-    polar = POLARS[key]
+    polar = POLARS[name]
     rng = np.random.default_rng(1966)
     for n_blades, mu in ((2, 0.0), (3, 0.3), (4, 1.2)):
         r = rng.uniform(0.05, 0.995, 2000)
@@ -155,7 +154,7 @@ def test_first_change_on_a_large_batch(stop, side):
     pitch = np.radians(rng.uniform(-40.0, 70.0, n))
     sigma = rng.uniform(0.01, 0.4, n)
     mu = np.where(rng.uniform(size=n) < 0.3, 0.0, rng.uniform(0.0, 1.5, n))
-    polar = POLARS["sc1095", "flat-plate-blend"]
+    polar = POLARS["sc1095"]
     slice_, _, _ = assert_matches_dense(r, pitch, sigma, mu, 3, polar, stop, side)
     assert np.any(slice_ > 0) and np.any(slice_ == 0)
 
@@ -163,7 +162,7 @@ def test_first_change_on_a_large_batch(stop, side):
 def test_first_change_finds_the_first_of_three_crossings():
     """The pinned station whose residual changes sign three times on
     (0, pi/2) (see test_inflow_root)."""
-    polar = POLARS["sc1095", "flat-plate-blend"]
+    polar = POLARS["sc1095"]
     args = (np.array([0.055157]), np.radians([-2.074635]), np.array([0.353587]), 0.8, 4,
             polar)
     slice_, g_lo, g_hi = assert_matches_dense(*args, stop=SCAN_SLICES, side=1)

@@ -329,6 +329,17 @@ def test_optimization_spec_validation():
         OptimizationSpec(twist_grid=(-0.5, -0.1, 0.0))
     with pytest.raises(ConfigError, match="radius_grid"):
         OptimizationSpec(radius_grid=(0.3,))
+    # at most MAX_GRID_POINTS finite points per grid: one point more, an
+    # infinite or NaN bound or step, or an overflowing count is refused
+    cap = explorer.MAX_GRID_POINTS
+    assert OptimizationSpec(radius_grid=(0.2, 1.199, 0.001)).radii().size == cap
+    for name in ("radius_grid", "twist_grid", "cruise_scan"):
+        OptimizationSpec(**{name: (0.0, cap - 1.0, 1.0)})
+        for grid in ((0.0, float(cap), 1.0), (0.0, 1.0, math.inf), (0.0, math.inf, 1.0),
+                     (-math.inf, 0.0, 1.0), (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1),
+                     (0.3, 1e300, 1e-300)):
+            with pytest.raises(ConfigError, match=name):
+                OptimizationSpec(**{name: grid})
 
 
 def test_default_grids():

@@ -42,7 +42,7 @@ def _scan_bracket(r, pitch, sigma, mu, n_blades, polar, lo_arr, hi_arr, g_lo_arr
     return found
 
 
-def reference_solve(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
+def reference_solve(r, pitch, sigma, mu, n_blades, polar):
     """Inflow angle phi for every element of a broadcast (pitch, r) grid.
 
     Returns (phi, solved, residual).  Elements with no bracket anywhere
@@ -68,7 +68,7 @@ def reference_solve(r, pitch, sigma, mu, n_blades, polar, allow_negative=True):
 
     _scan_bracket(r_b, pitch_b, sigma_b, mu, n_blades, polar, lo, hi, g_lo,
                   found, SCAN_EPS, 0.5 * math.pi - SCAN_EPS)
-    if allow_negative and not np.all(found):
+    if not np.all(found):
         _scan_bracket(r_b, pitch_b, sigma_b, mu, n_blades, polar, lo, hi, g_lo,
                       found, -0.5 * math.pi + SCAN_EPS, -SCAN_EPS)
 
@@ -174,10 +174,6 @@ def test_unbracketed_and_negative_side_stations():
         ends = [_residual(x, r, pitch, sigma, mu, 3, polar)
                 for x in (SCAN_EPS, 0.5 * math.pi - SCAN_EPS)]
         assert np.any((phi > 0.0) & (ends[0] * ends[1] > 0.0)) == (mu > 0.0)
-    phi, found, res = bemt._solve_phi_grid(r, pitch, sigma, 1.2, 3, polar,
-                                           allow_negative=False)
-    assert not np.all(found) and np.all(phi[found] > 0.0)
-    assert np.all(np.isnan(phi[~found])) and np.all(np.isnan(res[~found]))
 
 
 def test_pinned_zero_lift_hover_station():

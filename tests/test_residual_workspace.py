@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 from designkit import bemt
 from designkit.airfoil import BLEND_WIDTH, AirfoilPolar
 
-POLARS = {(name, model): AirfoilPolar.bundled(name, stall_model=model)
-          for name in ("sc1095", "naca0012") for model in ("flat-plate-blend", "clamp")}
+POLARS = {name: AirfoilPolar.bundled(name) for name in ("sc1095", "naca0012")}
 
 
 def oracle_tip_loss(phi_sin, phi_cos, abs_sin, r, n_blades):
