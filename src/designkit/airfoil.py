@@ -180,6 +180,7 @@ class AirfoilPolar:
             cl, cd = np.asarray(cl), np.asarray(cd)   # 0-d input gives scalars
             np.put(cl, off, (1.0 - w) * np.take(cl, off) + w * cl_fp)
             np.put(cd, off, (1.0 - w) * np.take(cd, off) + w * cd_fp)
+            cl, cd = cl[()], cd[()]                   # and scalars for 0-d input again
         return cl, cd
 
     def cl_cd_bounds(self, lo, hi):

@@ -22,12 +22,13 @@ momentum deficit factors built from the tip-loss function
 g has at least one sign change on (0, pi/2) for any lifting condition
 (and on (-pi/2, 0) for descending/negative-lift states), and can have
 several.  The root taken is the first crossing on a 200-slice scan of
-(0, pi/2), then of (-pi/2, 0).  Where g changes sign between the ends
-of (0, pi/2) the solver polishes that bracket by Illinois iterations
-(Ning's bracketed approach, Wind Energy 17(9), 2014), then looks for a
-crossing in an earlier slice and re-polishes there if it finds one; the
-stations the ends do not bracket get the same search over all 200
-slices.  That search proves runs of slices free of crossings instead of
+(0, pi/2), then of (-pi/2, 0).  Each block of BLOCK stations is solved
+before the next.  Where g changes sign between the ends of (0, pi/2)
+the solver polishes that bracket by Illinois iterations (Ning's
+bracketed approach, Wind Energy 17(9), 2014) and keeps the root if no
+earlier slice changes sign; the block's other stations are searched for
+their first crossing over all 200 slices, then over (-pi/2, 0).  That
+search proves runs of slices free of crossings instead of
 evaluating their points: an interval enclosure of g over a cell of
 slices (Moore, Interval Analysis, 1966) that excludes zero by a margin
 above rounding shows every point value in the cell has one sign.  Cells
@@ -43,10 +44,11 @@ of the formula, so they give the bits a new array per operation gives.
 A solve keeps one workspace for all its kernel calls (:class:`_Residual`),
 min(BLOCK, stations) elements long.  A new array per operation cost
 about 40 k minor page faults per optimize of the benchmark's grid slice;
-the workspace keeps that under 3 k.  BLOCK sets the length of one call, and
-the workspace is now the whole working set: 8192 elements keep it near
-1.3 MB, where 16384 ran faster still but raised the grid's peak memory
-by 10%, and 1024 or 2048 paid more per-call overhead than they saved.
+the workspace keeps that under 3 k.  BLOCK bounds every kernel call (a
+block of stations, a batch of the search), and the workspace is now
+the whole working set: 8192 elements keep it near 1.3 MB, where 16384
+ran faster still but raised the grid's peak memory by 10%, and 1024 or
+2048 paid more per-call overhead than they saved.
 
 Once phi is known the resultant section speed follows from the torque
 balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
@@ -566,9 +568,10 @@ def _enclose(lo, hi, r, pitch, sigma, mu, n_blades, polar, work=None):
 
 
 class _Residual:
-    """g over flat station arrays, BLOCK elements per call: at angles phi
-    of elements k (``g(phi, k)``), and as a test of the cells [lo, hi] of
-    elements k whose enclosure does not rule out a zero.
+    """g over flat station arrays, one kernel call of at most BLOCK
+    elements each: at angles phi of elements k (``g(phi, k)``), and as a
+    test of the cells [lo, hi] of elements k whose enclosure does not rule
+    out a zero.
 
     One workspace serves every call of a solve: the station data of a
     call's elements gathered into four rows, then the kernel's scratch
@@ -596,23 +599,15 @@ class _Residual:
         return work[:4], work[4:]
 
     def __call__(self, phi, k):
-        out = np.empty(k.size)
-        for s in range(0, k.size, BLOCK):
-            args, work = self._gather(k[s:s + BLOCK], _RESIDUAL_ROWS)
-            out[s:s + BLOCK] = _residual(phi[s:s + BLOCK], *args, self.n_blades,
-                                         self.polar, work)
-        return out
+        args, work = self._gather(k, _RESIDUAL_ROWS)
+        return _residual(phi, *args, self.n_blades, self.polar, work).copy()
 
     def uncertified(self, lo, hi, k):
         """False where every residual on [lo, hi] is certified to share
         one sign."""
-        out = np.empty(k.size, dtype=bool)
-        for s in range(0, k.size, BLOCK):
-            args, work = self._gather(k[s:s + BLOCK], _ENCLOSE_ROWS)
-            lower, upper = _enclose(lo[s:s + BLOCK], hi[s:s + BLOCK], *args,
-                                    self.n_blades, self.polar, work)
-            out[s:s + BLOCK] = ~((lower > 0.0) | (upper < 0.0))
-        return out
+        args, work = self._gather(k, _ENCLOSE_ROWS)
+        lower, upper = _enclose(lo, hi, *args, self.n_blades, self.polar, work)
+        return ~((lower > 0.0) | (upper < 0.0))
 
 
 def _runs(sizes, block):
@@ -709,12 +704,13 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
     mu) grid.
 
     The root is the one a scan of (0, pi/2) in SCAN_SLICES slices would
-    bracket first (then of (-pi/2, 0)), polished to
-    POLISH_TOL.  Stations whose residual changes sign between the ends of
-    (0, pi/2) are polished on that bracket directly; the root is accepted
-    once no slice of the scan grid up to it changes sign, and otherwise
-    the earlier slice is polished instead.  The remaining stations are
-    searched for their first sign change over all SCAN_SLICES slices
+    bracket first (then of (-pi/2, 0)), polished to POLISH_TOL, in one
+    pass over blocks of BLOCK stations.  Stations whose residual changes
+    sign between the ends of (0, pi/2) are polished on that bracket
+    directly; the root is accepted once no slice of the scan grid up to
+    it changes sign.  The block's other stations (unbracketed, or with an
+    earlier crossing) are searched for their first sign change over all
+    SCAN_SLICES slices, then over (-pi/2, 0), and polished on it
     (:func:`_first_change` both times).
 
     Returns (phi, solved, residual).  Elements with no bracket anywhere
@@ -744,41 +740,32 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
         res[k] = g_root
         found[k] = True
 
-    def polish_slices(k, j, g_lo, g_hi, grid):
-        accept(k, *_polish(grid[j - 1], grid[j], g_lo, g_hi, k, g))
-
     def scan(k, g_start, grid):
-        if k.size:
-            j, g_lo, g_hi = _first_change(k, SCAN_SLICES, g_start, grid, g)
-            hit = j > 0
-            polish_slices(k[hit], j[hit], g_lo[hit], g_hi[hit], grid)
+        j, g_lo, g_hi = _first_change(k, SCAN_SLICES, g_start, grid, g)
+        hit = j > 0
+        k, j = k[hit], j[hit]
+        accept(k, *_polish(grid[j - 1], grid[j], g_lo[hit], g_hi[hit], k, g))
 
-    grid = np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1)
+    pos = np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1)
+    neg = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
     todo = np.flatnonzero(~found)
-    rest, rest_g = [todo[:0]], [np.empty(0)]
     for s in range(0, todo.size, BLOCK):
         k = todo[s:s + BLOCK]
-        g_a = g(np.full(k.size, grid[0]), k)
-        g_b = g(np.full(k.size, grid[-1]), k)
-        ends = _sign_change(g_a, g_b)
-        rest.append(k[~ends])
-        rest_g.append(g_a[~ends])
-        k, g_a, g_b = k[ends], g_a[ends], g_b[ends]
-        root, g_root = _polish(np.full(k.size, grid[0]), np.full(k.size, grid[-1]),
-                               g_a, g_b, k, g)
-        root_slice = np.minimum(np.searchsorted(grid, root, side="right"), SCAN_SLICES)
-        j, g_lo, g_hi = _first_change(k, root_slice, g_a, grid, g)
+        g_a = g(np.full(k.size, pos[0]), k)
+        g_b = g(np.full(k.size, pos[-1]), k)
+        ends = np.flatnonzero(_sign_change(g_a, g_b))
+        root, g_root = _polish(np.full(ends.size, pos[0]), np.full(ends.size, pos[-1]),
+                               g_a[ends], g_b[ends], k[ends], g)
+        root_slice = np.minimum(np.searchsorted(pos, root, side="right"), SCAN_SLICES)
+        j, _, _ = _first_change(k[ends], root_slice, g_a[ends], pos, g)
         same = j == root_slice
-        accept(k[same], root[same], g_root[same])
-        earlier = (j > 0) & ~same
-        polish_slices(k[earlier], j[earlier], g_lo[earlier], g_hi[earlier], grid)
-        rest.append(k[j == 0])
-        rest_g.append(g_a[j == 0])
-    scan(np.concatenate(rest), np.concatenate(rest_g), grid)
-
-    todo = np.flatnonzero(~found)
-    grid = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
-    scan(todo, g(np.full(todo.size, grid[0]), todo), grid)
+        accept(k[ends[same]], root[same], g_root[same])
+        left = np.flatnonzero(~found[k])
+        if left.size:
+            scan(k[left], g_a[left], pos)
+            k = k[~found[k]]
+            if k.size:
+                scan(k, g(np.full(k.size, neg[0]), k), neg)
 
     return phi.reshape(shape), found.reshape(shape), res.reshape(shape)
 

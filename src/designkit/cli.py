@@ -342,8 +342,8 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="radius x twist grid search")
     p.add_argument("--spec", help="grid JSON (defaults to the design grid)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default DESIGNKIT_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel workers (default 1)")
     common(p, spec=True)
 
     p = sub.add_parser("wing", help="biplane wing sizing")

@@ -9,7 +9,6 @@ same way.
 """
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -29,18 +28,8 @@ DEFAULT_COLLECTIVES = tuple(np.radians(np.arange(0.0, 20.01, 0.5)))
 DEFAULT_SPEEDS = tuple(np.arange(2.0, 30.01, 1.0))
 #: points per optimization grid axis; the default grid's largest has 38
 MAX_GRID_POINTS = 1000
-
-
-def worker_count(default=1):
-    """Worker cap from the environment, if set."""
-    raw = os.environ.get("DESIGNKIT_THREADS")
-    if not raw:
-        return default
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"DESIGNKIT_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+#: radius x twist cells per optimization grid; the default grid has 1,064
+MAX_GRID_CELLS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +266,10 @@ class OptimizationSpec:
             if not steps < MAX_GRID_POINTS - 0.5:   # an infinite span or nan fails here too
                 raise ConfigError(f"{name} spans {steps + 1.0:.6g} points; "
                                   f"the cap is {MAX_GRID_POINTS}")
+        n_r, n_tw = self.radii().size, self.twists().size
+        if n_r * n_tw > MAX_GRID_CELLS:
+            raise ConfigError(f"radius_grid x twist_grid is {n_r} x {n_tw} = {n_r * n_tw} "
+                              f"cells; the cap is {MAX_GRID_CELLS}")
 
     def radii(self):
         return _grid(*self.radius_grid)
@@ -392,7 +385,7 @@ def _evaluate_twist(args):
     return fm, eta, theta_h, theta_c
 
 
-def optimize(spec=None, polar=None, workers=None):
+def optimize(spec=None, polar=None, workers=1):
     """Fill the radius x twist surfaces and locate the best cell.
 
     Infeasible cells (hover target unreachable or no cruise solution)
@@ -402,7 +395,6 @@ def optimize(spec=None, polar=None, workers=None):
     from .airfoil import AirfoilPolar
     spec = OptimizationSpec() if spec is None else spec
     polar = AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
-    workers = worker_count() if workers is None else max(1, workers)
 
     radii = spec.radii()
     twists = spec.twists()

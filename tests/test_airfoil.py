@@ -75,6 +75,14 @@ def test_lookup_scalar_and_array_agree():
         cl, cd = polar.cl_cd(float(a))
         assert cl == cl_arr[i] and cd == cd_arr[i]
     assert cl_arr.shape == grid.shape
+    # a 0-d angle gives numpy.float64 wherever it falls: on the table, in
+    # the blend band or far off the table, as a float or a 0-d array
+    for deg in (3.0, -15.0, 80.0):
+        a = math.radians(deg)
+        want = polar.cl_cd(np.array([a]))
+        for x in (a, np.float64(a), np.array(a)):
+            for got, ref in zip(polar.cl_cd(x), want):
+                assert type(got) is np.float64 and got == ref[0]
 
 
 def _whole_array_cl_cd(polar, alpha):

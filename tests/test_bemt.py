@@ -445,6 +445,44 @@ def test_tip_loss_and_deficit_factors_bounded(rpm_study_rotor, sc1095):
     assert inflow.tip_loss[-1] < inflow.tip_loss[inflow.tip_loss.size // 2]
 
 
+def test_solve_calls_hold_at_most_one_block(rpm_study_rotor, sc1095, monkeypatch):
+    """Every kernel call of a solve over more than two blocks holds at
+    most BLOCK elements, also when more than a block of stations misses
+    the end bracket of (0, pi/2) and goes on to the scan and the negative
+    side; and the solve is the solve of its thirds, bit for bit."""
+    rotor = rpm_study_rotor
+    r, _ = bemt.station_grid(rotor.root_cutout, 128)
+    collective = np.radians([-75.0, -40.0, -35.0, -30.0, -25.0, -20.0, 45.0, 75.0])
+    mu = np.linspace(0.5, 2.0, 18)[:, None, None]
+    pitch = rotor.pitch(r, collective[:, None])
+    r, pitch, sigma, mu = (np.broadcast_to(x, (mu.size, collective.size, r.size)).ravel()
+                           for x in (r, pitch, rotor.local_solidity(r), mu))
+    args = (rotor.n_blades, sc1095)
+    ends = bemt._sign_change(
+        *(bemt._residual(phi, r, pitch, sigma, mu, *args)
+          for phi in (bemt.SCAN_EPS, 0.5 * math.pi - bemt.SCAN_EPS)))
+    assert r.size > 2 * bemt.BLOCK and np.sum(~ends) > bemt.BLOCK
+
+    sizes = []
+
+    def record(method):
+        def wrapper(self, *call):
+            sizes.append(call[-1].size)
+            return method(self, *call)
+        return wrapper
+
+    for name in ("__call__", "uncertified"):
+        monkeypatch.setattr(bemt._Residual, name, record(getattr(bemt._Residual, name)))
+    phi, found, res = bemt._solve_phi_grid(r, pitch, sigma, mu, *args)
+    assert sizes and max(sizes) <= bemt.BLOCK
+    assert np.any(found & (phi < 0.0)) and not np.all(found)
+
+    thirds = [bemt._solve_phi_grid(r[s], pitch[s], sigma[s], mu[s], *args)
+              for s in np.array_split(np.arange(r.size), 3)]
+    for got, part in zip((phi, found, res), zip(*thirds)):
+        assert np.array_equal(got, np.concatenate(part), equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # integrated performance
 

@@ -325,7 +325,11 @@ def test_simulate_refuses_unbounded_missions(overrides):
      ("stations", "1000000000000")),
     (["optimize", "--set", "n_stations=1000000000000"], "GeometryError",
      ("stations", "1000000000000")),
-], ids=["radius-grid", "twist-grid", "analyze-stations", "optimize-stations"])
+    (["optimize", "--set", "radius_grid_m=[0.2,1.199,0.001]",
+      "--set", "twist_grid_deg=[-45,-8,0.05]"], "ConfigError",
+     ("1000 x 741", "741000 cells", "cap is 100000")),
+], ids=["radius-grid", "twist-grid", "analyze-stations", "optimize-stations",
+        "grid-cells"])
 def test_refuses_unbounded_sizes(argv, error, words):
     """Grids and station counts past their caps are refused before any
     array is sized by them, in a fresh interpreter well inside the time

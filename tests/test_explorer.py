@@ -17,8 +17,7 @@ from designkit import bemt, cli, explorer
 from designkit.airfoil import AirfoilPolar
 from designkit.errors import ConfigError, NoRootError, TrimError
 from designkit.explorer import (OptimizationSpec, SweepSpec, apply_parameter,
-                                optimize, run_sweep, trim_collective,
-                                worker_count)
+                                optimize, run_sweep, trim_collective)
 
 FIGURES = Path(__file__).resolve().parent.parent / "figures"
 
@@ -26,22 +25,6 @@ FIGURES = Path(__file__).resolve().parent.parent / "figures"
 def hover_op(collective_deg=8.0, rpm=3200.0, rho=1.225):
     return bemt.OperatingPoint.from_rpm(rpm, rho=rho,
                                         collective=math.radians(collective_deg))
-
-
-# ---------------------------------------------------------------------------
-# environment plumbing
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("DESIGNKIT_THREADS", raising=False)
-    assert worker_count() == 1
-    assert worker_count(default=3) == 3
-    monkeypatch.setenv("DESIGNKIT_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("DESIGNKIT_THREADS", "0")
-    assert worker_count() == 1                       # floor at one worker
-    monkeypatch.setenv("DESIGNKIT_THREADS", "many")
-    with pytest.raises(ConfigError):
-        worker_count()
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +323,13 @@ def test_optimization_spec_validation():
                      (0.3, 1e300, 1e-300)):
             with pytest.raises(ConfigError, match=name):
                 OptimizationSpec(**{name: grid})
+    # at most MAX_GRID_CELLS radius x twist cells, each axis under its cap
+    cells = explorer.MAX_GRID_CELLS
+    radius_grid = (0.0, 199.0, 1.0)
+    spec = OptimizationSpec(radius_grid=radius_grid, twist_grid=(0.0, cells / 200 - 1.0, 1.0))
+    assert spec.radii().size * spec.twists().size == cells
+    with pytest.raises(ConfigError, match=f"200 x 501 = 100200 cells; the cap is {cells}"):
+        OptimizationSpec(radius_grid=radius_grid, twist_grid=(0.0, cells / 200, 1.0))
 
 
 def test_default_grids():
@@ -372,8 +362,7 @@ def test_grid_search_internal_consistency(tiny_result):
                                                 rel=1e-12)
 
 
-def test_grid_search_multiprocess_identical(sc1095, tiny_result, monkeypatch):
-    monkeypatch.delenv("DESIGNKIT_THREADS", raising=False)
+def test_grid_search_multiprocess_identical(sc1095, tiny_result):
     parallel = optimize(tiny_spec(), polar=sc1095, workers=2)
     for name in ("fm", "eta", "cost", "feasible",
                  "hover_collective", "cruise_collective"):
