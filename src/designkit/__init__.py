@@ -7,7 +7,7 @@ simulation (``flightsim``).  ``presets`` holds the reference vehicle that
 the studies and the acceptance checks are built around.
 """
 
-from .airfoil import AirfoilPolar, ParametricPolarSpec
+from .airfoil import AirfoilPolar
 from .bemt import (
     BladeGeometry,
     InflowSolution,
@@ -16,7 +16,6 @@ from .bemt import (
     RotorPerformance,
     StationSolution,
     evaluate_rotor,
-    geometry_from_polynomials,
     solve_station,
     speed_curve,
     thrust_curve,

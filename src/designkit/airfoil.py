@@ -6,8 +6,7 @@ linearly, over a 10 deg band, into the flat-plate laws
 cl = 1.1 sin(2a), cd = 1.7 sin^2(a), which hold at any angle.  This is
 what deep-stall root sections see when a highly twisted blade hovers.
 
-Tables can come from a CSV file, from an analytic lift-curve description
-(:class:`ParametricPolarSpec`), or from the two bundled rotor airfoils
+Tables can come from a CSV file or from the two bundled rotor airfoils
 ("sc1095" cambered, "naca0012" symmetric).  Bundled tables are assembled
 from published low-Mach section characteristics and are replaceable data,
 not calibrated truth.
@@ -16,7 +15,6 @@ not calibrated truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -73,46 +71,6 @@ def _range_minima(values):
         levels.append(level)
         width *= 2
     return np.ascontiguousarray(np.concatenate(levels).T)
-
-
-@dataclass(frozen=True)
-class ParametricPolarSpec:
-    """Analytic polar: linear lift curve with a hard cap, parabolic drag.
-
-    cl = cl_alpha * (a - alpha0), clipped to +/- cl_max beyond the stall
-    angle; cd = cd0 + cd2 * (a - alpha0)^2.
-
-    Parameters
-    ----------
-    cl_alpha : float
-        Lift-curve slope [1/rad].
-    alpha0 : float
-        Zero-lift angle of attack [rad].
-    cd0 : float
-        Minimum drag coefficient [-].
-    cd2 : float
-        Quadratic drag rise [1/rad^2].
-    cl_max : float
-        Lift cap magnitude [-].
-    alpha_stall : float
-        Stall angle magnitude [rad]; sets how far the tabulated range
-        extends past the linear region.
-    """
-
-    cl_alpha: float = 2.0 * math.pi
-    alpha0: float = 0.0
-    cd0: float = 0.008
-    cd2: float = 0.8
-    cl_max: float = 1.2
-    alpha_stall: float = math.radians(12.0)
-
-    def __post_init__(self):
-        if self.cl_alpha <= 0.0:
-            raise PolarDataError(f"cl_alpha must be positive, got {self.cl_alpha}")
-        if self.cd0 < 0.0 or self.cd2 < 0.0:
-            raise PolarDataError("drag coefficients cd0, cd2 must be >= 0")
-        if self.cl_max <= 0.0 or self.alpha_stall <= 0.0:
-            raise PolarDataError("cl_max and alpha_stall must be positive")
 
 
 class AirfoilPolar:
@@ -266,22 +224,6 @@ class AirfoilPolar:
         if name is None:
             name = str(path)
         return cls(np.radians(arr[:, 0]), arr[:, 1], arr[:, 2], name=name)
-
-    @classmethod
-    def from_parametric(cls, spec, n_samples=101, name="parametric"):
-        """Tabulate a :class:`ParametricPolarSpec`.
-
-        The sampled range is centred on alpha0 and extends past the stall
-        angle by the blend width (at least +/-25 deg), so lookups inside
-        the linear region reproduce the analytic values exactly.
-        """
-        if n_samples < 3:
-            raise PolarDataError(f"n_samples must be >= 3, got {n_samples}")
-        span = max(spec.alpha_stall + BLEND_WIDTH, math.radians(25.0))
-        a = spec.alpha0 + np.linspace(-span, span, int(n_samples))
-        cl = np.clip(spec.cl_alpha * (a - spec.alpha0), -spec.cl_max, spec.cl_max)
-        cd = spec.cd0 + spec.cd2 * (a - spec.alpha0) ** 2
-        return cls(a, cl, cd, name=name)
 
     @classmethod
     def bundled(cls, name):

@@ -62,9 +62,8 @@ CP = P / (rho A (Omega R)^3) with A = pi R^2.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -259,16 +258,6 @@ class BladeGeometry:
         """Read a rotor description by :data:`ROTOR_KEYS`; ``prefix`` is
         its dotted path in an enclosing spec."""
         return cls(**read(ROTOR_KEYS, d, prefix))
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_file(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 #: JSON keys of a rotor description.  A missing radius_m reaches __post_init__ as
@@ -1081,29 +1070,3 @@ def rising_branch(values):
         return np.empty(0, dtype=int)
     peak = int(np.argmax(np.where(finite, values, -np.inf)))
     return np.flatnonzero(finite[:peak + 1])
-
-
-# ---------------------------------------------------------------------------
-# polynomial blade description (small propeller validation case)
-# ---------------------------------------------------------------------------
-
-def geometry_from_polynomials(pitch_coeffs, chord_coeffs, radius, n_points=50,
-                              n_blades=2, root_cutout=0.10, name="polynomial blade"):
-    """Blade from polynomial fits of pitch and chord along the span.
-
-    The polynomials are functions of the *dimensional* radial position in
-    centimetres (the usual way small-propeller fits are published):
-    pitch_coeffs give local pitch in degrees, chord_coeffs the chord in
-    centimetres; both highest power first (``np.polyval`` order).
-    Tabulates ``n_points`` stations over the cutout-to-tip span.
-    """
-    r = np.linspace(root_cutout, 1.0, n_points)
-    y_cm = r * radius * 100.0
-    theta = np.radians(np.polyval(pitch_coeffs, y_cm))
-    chord_m = np.polyval(chord_coeffs, y_cm) / 100.0
-    if np.any(chord_m <= 0.0):
-        raise GeometryError("chord polynomial goes non-positive inside the span")
-    return BladeGeometry(radius=radius, n_blades=n_blades, root_cutout=root_cutout,
-                         pitch_table=np.column_stack([r, theta]),
-                         chord_table=np.column_stack([r, chord_m]),
-                         name=name)

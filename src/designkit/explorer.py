@@ -26,6 +26,9 @@ SWEEP_RESPONSES = ("PL_vs_T", "eta_vs_V", "thrust", "power")
 DEFAULT_COLLECTIVES = tuple(np.radians(np.arange(0.0, 20.01, 0.5)))
 #: default airspeed grid for efficiency curves [m/s]
 DEFAULT_SPEEDS = tuple(np.arange(2.0, 30.01, 1.0))
+#: trim_collective's coarse collective range [rad] and thrust tolerance [N]
+TRIM_COLLECTIVES = (math.radians(-4.0), math.radians(24.0))
+TRIM_TOLERANCE = 0.1
 #: points per optimization grid axis; the default grid's largest has 38
 MAX_GRID_POINTS = 1000
 #: radius x twist cells per optimization grid; the default grid has 1,064
@@ -106,12 +109,6 @@ class SweepTable:
             lines.append(f"{self.parameter},{value:.9g},{x:.9g},{y:.9g}")
         return lines
 
-    def curve(self, value, rtol=1e-9):
-        """(x, y) arrays for one swept value."""
-        xs = [r[1] for r in self.rows if math.isclose(r[0], value, rel_tol=rtol)]
-        ys = [r[2] for r in self.rows if math.isclose(r[0], value, rel_tol=rtol)]
-        return np.array(xs), np.array(ys)
-
 
 def _curve_rows(spec, value, geometry, op, polar):
     """Rows and gaps for a single swept value."""
@@ -166,18 +163,16 @@ def run_sweep(spec, polar=None):
 # ---------------------------------------------------------------------------
 # trim
 
-def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
-                    n_stations=100, collective_limits=(math.radians(-4.0),
-                                                       math.radians(24.0))):
+def trim_collective(geometry, op, polar, target_thrust, n_stations=100):
     """Collective [rad] that meets ``target_thrust`` [N] at this condition.
 
     Brackets the target on the rising pre-stall branch of a coarse
-    thrust curve, then bisects.  Raises a trim error carrying the
-    achievable maximum when the target lies above the branch, or below
-    the thrust at its lowest collective.
+    thrust curve over TRIM_COLLECTIVES, then bisects until the thrust is
+    within TRIM_TOLERANCE / 2 of the target.  Raises a trim error
+    carrying the achievable maximum when the target lies above the
+    branch, or below the thrust at its lowest collective.
     """
-    lo, hi = collective_limits
-    coarse = np.linspace(lo, hi, 29)
+    coarse = np.linspace(*TRIM_COLLECTIVES, 29)
     curve = bemt.thrust_curve(geometry, polar, op.rpm, coarse,
                               v_inf=op.v_inf, rho=op.rho,
                               n_stations=n_stations)
@@ -215,7 +210,7 @@ def trim_collective(geometry, op, polar, target_thrust, tolerance=0.1,
             a = mid
         else:
             b = mid
-        if abs(perf.thrust - target_thrust) < 0.5 * tolerance:
+        if abs(perf.thrust - target_thrust) < 0.5 * TRIM_TOLERANCE:
             return mid
     return 0.5 * (a + b)
 

@@ -13,7 +13,8 @@ the blade-pitch map comes from the rotor solver rather than bench data.
 The PID loops and the RK4 rigid-body step run in plain Python floats;
 ``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
 oracle.  A mission refuses, before its first step, a timeout or hold
-longer than ``MAX_WAYPOINT_STEPS`` steps.
+longer than ``MAX_WAYPOINT_STEPS`` steps, and a capture radius that is
+not positive and finite.
 """
 
 import math
@@ -302,12 +303,10 @@ class PitchMap:
             raise ConfigError("pitch map is not monotone below the peak")
 
     @classmethod
-    def from_rotor(cls, geometry, polar, rpm=presets.HOVER_RPM, rho=RHO_SL,
-                   collectives=None, n_stations=100):
-        if collectives is None:
-            collectives = np.radians(np.arange(-4.0, 20.01, 0.5))
-        curve = bemt.thrust_curve(geometry, polar, rpm, collectives,
-                                  v_inf=0.0, rho=rho, n_stations=n_stations)
+    def from_rotor(cls, geometry, polar):
+        """Map of the hover thrust curve over -4..20 deg of collective."""
+        collectives = np.radians(np.arange(-4.0, 20.01, 0.5))
+        curve = bemt.thrust_curve(geometry, polar, presets.HOVER_RPM, collectives)
         return cls(collectives, curve.column("ct"))
 
     @property
@@ -320,10 +319,6 @@ class PitchMap:
         saturated = ct < lo or ct > hi
         clamped = min(max(ct, lo), hi)
         return float(np.interp(clamped, self.cts, self.collectives)), saturated
-
-    def ct(self, collective):
-        """Forward map on the stored branch."""
-        return float(np.interp(collective, self.collectives, self.cts))
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +415,17 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=presets.MISSION_
     controller holds position for ``hold_time`` to settle.  A waypoint
     that stays uncaptured past ``timeout`` raises a mission timeout
     carrying the distance still to go.  Either span may cover at most
-    ``MAX_WAYPOINT_STEPS`` steps.
+    ``MAX_WAYPOINT_STEPS`` steps, and ``capture_radius`` must be positive
+    and finite: at zero or below a waypoint is practically never captured.
     """
     waypoints = [tuple(map(float, w)) for w in waypoints]
     if not waypoints:
         raise ConfigError("mission needs at least one waypoint")
     if not 0.0 < dt <= MAX_DT:
         raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
+    if not 0.0 < capture_radius < math.inf:
+        raise ConfigError(f"capture_radius must be positive and finite, "
+                          f"got {capture_radius}")
     for name, span in (("timeout", timeout), ("hold_time", hold_time)):
         # "not <=" also refuses the inf of an overflowing quotient and NaN
         if not span / dt <= MAX_WAYPOINT_STEPS:

@@ -8,13 +8,17 @@ a fixed point.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import presets
 from .constants import HP_TO_W, RPM_TO_RAD_S
 from .errors import ConfigError, DivergenceError, EngineCapacityError
 
 SPUR_PRESSURE_ANGLE = math.radians(20.0)
+# AGMA bending factors: dynamic, overload, load distribution, fillet
+# stress concentration; and the allowable bending stress [MPa]
+K_V, K_O, K_M, K_F = 1.4, 1.25, 1.3, 1.1
+SIGMA_ALLOW = 200.0
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +168,13 @@ class GearSpec:
         }
 
 
-def min_pinion_teeth(gear_ratio, pressure_angle=SPUR_PRESSURE_ANGLE,
-                     addendum_factor=1.0):
+def min_pinion_teeth(gear_ratio, pressure_angle=SPUR_PRESSURE_ANGLE):
     """Smallest pinion tooth count that avoids involute interference.
 
-    With G the pinion/gear tooth ratio (1/gear_ratio), the bound is
+    With G the pinion/gear tooth ratio (1/gear_ratio) and full-depth
+    teeth (addendum one module), the bound is
 
-        T1 >= 2 a G / (sqrt(1 + G (G + 2) sin^2 phi) - 1),
+        T1 >= 2 G / (sqrt(1 + G (G + 2) sin^2 phi) - 1),
 
     which tightens as the mating gear grows (G -> 0) and relaxes with
     pressure angle.
@@ -179,23 +183,21 @@ def min_pinion_teeth(gear_ratio, pressure_angle=SPUR_PRESSURE_ANGLE,
         raise ConfigError("gear_ratio must be >= 1 (gear at least pinion-size)")
     g = 1.0 / gear_ratio
     s2 = math.sin(pressure_angle) ** 2
-    bound = 2.0 * addendum_factor * g / (math.sqrt(1.0 + g * (g + 2.0) * s2) - 1.0)
+    bound = 2.0 * g / (math.sqrt(1.0 + g * (g + 2.0) * s2) - 1.0)
     return math.ceil(bound - 1e-12)
 
 
-def agma_face_width(tangential_force, module, lewis_factor, k_v=1.4, k_o=1.25,
-                    k_m=1.3, k_f=1.1, sigma_allow=200.0):
+def agma_face_width(tangential_force, module, lewis_factor):
     """Face width [mm] from the AGMA bending-stress form.
 
     Metric evaluation of b = F_t P_d K / (sigma Y) with the diametral
     pitch expressed as 1/module: force in N, module in mm, allowable in
     MPa.  The result is rounded up to the next 0.1 mm.
     """
-    if min(tangential_force, module, lewis_factor, k_v, k_o, k_m, k_f,
-           sigma_allow) <= 0.0:
+    if min(tangential_force, module, lewis_factor) <= 0.0:
         raise ConfigError("all face-width inputs must be positive")
-    width = (tangential_force / module) * k_v * k_o * k_m * k_f \
-        / (sigma_allow * lewis_factor)
+    width = (tangential_force / module) * K_V * K_O * K_M * K_F \
+        / (SIGMA_ALLOW * lewis_factor)
     return math.ceil(width * 10.0 - 1e-9) / 10.0
 
 
@@ -247,7 +249,6 @@ class MassEntry:
     name: str
     unit_mass: float            # [kg]
     quantity: int = 1
-    station: float | None = None  # [m] longitudinal arm for cg, if known
 
     def __post_init__(self):
         if self.unit_mass < 0.0 or self.quantity < 0:
@@ -268,15 +269,6 @@ class WeightLedger:
     def gross_mass(self):
         return sum(e.total for e in self.entries)
 
-    @property
-    def cg_offset(self):
-        """Mass-weighted station [m] over entries that declare one."""
-        located = [e for e in self.entries if e.station is not None]
-        if not located:
-            return None
-        mass = sum(e.total for e in located)
-        return sum(e.total * e.station for e in located) / mass
-
     def csv_lines(self):
         lines = [self.CSV_HEADER]
         for e in self.entries:
@@ -292,7 +284,6 @@ class ScalableMass:
     name: str
     model: object               # callable gross_kg -> unit_kg
     quantity: int = 1
-    station: float | None = None
 
 
 # calibration point: converged vehicle, rotor radius 0.38 m, wing
@@ -352,7 +343,7 @@ def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
     history = [gross]
     for _ in range(max_iterations):
         scaled = tuple(
-            MassEntry(s.name, s.model(gross), s.quantity, s.station)
+            MassEntry(s.name, s.model(gross), s.quantity)
             for s in scalables)
         entries = fixed.entries + scaled
         new_gross = sum(e.total for e in entries)
@@ -368,8 +359,7 @@ def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
 # ---------------------------------------------------------------------------
 # sized-vehicle budget
 
-def design_budget(margin=0.10, wing_loading=presets.WING_LOADING, extra_cd0=0.010,
-                  ledger=None, engine=DEFAULT_ENGINE):
+def design_budget(margin=0.10):
     """Power budget of the converged design at both operating points.
 
     Runs the weight loop, trims the selected proprotor to the hover
@@ -382,7 +372,7 @@ def design_budget(margin=0.10, wing_loading=presets.WING_LOADING, extra_cd0=0.01
     from .explorer import trim_collective
     from .wing import WingDesignInputs, cruise_drag
 
-    ledger = iterate_gross_weight() if ledger is None else ledger
+    ledger = iterate_gross_weight()
     gross = ledger.gross_mass
     rotor = presets.final_rotor()
     polar = presets.proprotor_polar()
@@ -392,13 +382,12 @@ def design_budget(margin=0.10, wing_loading=presets.WING_LOADING, extra_cd0=0.01
     perf_h = evaluate_rotor(rotor, presets.hover_op(collective=theta_h), polar)
 
     inputs = WingDesignInputs(gross_weight=gross * G)
-    drag, drag_parts = cruise_drag(inputs, wing_loading, extra_cd0=extra_cd0)
+    drag, drag_parts = cruise_drag(inputs, presets.WING_LOADING)
     cruise = presets.cruise_op()
     theta_c = trim_collective(rotor, cruise, polar, drag / 4.0)
     perf_c = evaluate_rotor(rotor, presets.cruise_op(collective=theta_c), polar)
 
-    budget = power_budget([perf_h] * 4, [perf_c] * 4, margin=margin,
-                          engine=engine)
+    budget = power_budget([perf_h] * 4, [perf_c] * 4, margin=margin)
     details = {
         "gross_mass_kg": gross,
         "hover_collective_deg": math.degrees(theta_h),

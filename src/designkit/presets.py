@@ -74,8 +74,9 @@ def hover_op(collective=0.0, rpm=HOVER_RPM, rho=RHO_SL):
     return OperatingPoint.from_rpm(rpm, v_inf=0.0, rho=rho, collective=collective)
 
 
-def cruise_op(collective=0.0, rpm=CRUISE_RPM, v_inf=CRUISE_SPEED, rho=RHO_CRUISE):
-    return OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho, collective=collective)
+def cruise_op(collective=0.0, rpm=CRUISE_RPM):
+    return OperatingPoint.from_rpm(rpm, v_inf=CRUISE_SPEED, rho=RHO_CRUISE,
+                                   collective=collective)
 
 
 # mission flown by the simulator acceptance case: climb to 2 m, trace a

@@ -247,8 +247,7 @@ def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
 
 
 def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION,
-                 root_bay=presets.ARM_LENGTH, airfoil=presets.PROPROTOR_SECTION,
-                 stall_rho=RHO_SL):
+                 root_bay=presets.ARM_LENGTH, stall_rho=RHO_SL):
     """Dimension the identical wing pair at the chosen wing loading.
 
     The total area follows from W/(W/S) and splits equally; each wing's
@@ -286,7 +285,7 @@ def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION,
 
     planform = WingPlanform(
         area=area, span=span, root_chord=root_chord, tip_chord=tip_chord,
-        aspect_ratio=span ** 2 / area, root_bay=root_bay, airfoil=airfoil)
+        aspect_ratio=span ** 2 / area, root_bay=root_bay)
     ratio = gap / root_chord
     check = GapCheck(gap=gap, chord=root_chord, ratio=ratio,
                      passes=ratio >= MIN_GAP_CHORD_RATIO)

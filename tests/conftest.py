@@ -5,10 +5,13 @@ geometry constructors validate on every call; everything here is
 immutable from the tests' point of view.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from designkit import presets
-from designkit.airfoil import AirfoilPolar, ParametricPolarSpec
+from designkit.airfoil import BLEND_WIDTH, AirfoilPolar
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +41,10 @@ def final_rotor():
 
 @pytest.fixture(scope="session")
 def linear_polar():
-    """Clean analytic polar for closed-form oracles: linear lift, no drag."""
-    spec = ParametricPolarSpec(cl_alpha=5.7, alpha0=0.0, cd0=0.0, cd2=0.0,
-                               cl_max=2.0, alpha_stall=0.5)
-    return AirfoilPolar.from_parametric(spec, n_samples=201)
+    """Clean analytic polar for closed-form oracles: linear lift of slope
+    5.7 per rad capped at +/-2, no drag, on 201 angles reaching 10 deg
+    past a 0.5 rad stall angle (at least +/-25 deg)."""
+    span = max(0.5 + BLEND_WIDTH, math.radians(25.0))
+    a = np.linspace(-span, span, 201)
+    return AirfoilPolar(a, np.clip(5.7 * a, -2.0, 2.0), np.zeros_like(a),
+                        name="linear")

@@ -1,4 +1,4 @@
-"""Polar tables: parsing, interpolation, the flat-plate blend, analytic specs."""
+"""Polar tables: parsing, interpolation and the flat-plate blend."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from designkit.airfoil import (
     AirfoilPolar,
     BLEND_WIDTH,
-    ParametricPolarSpec,
     flat_plate,
 )
 from designkit.errors import PolarDataError, PolarFormatError
@@ -160,40 +159,6 @@ def test_flat_plate_laws():
     cl, cd = flat_plate(a)
     assert cl == pytest.approx([0.0, 1.1, 0.0], abs=1e-12)
     assert cd == pytest.approx([0.0, 0.85, 1.7], abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# parametric polars
-
-def test_parametric_linear_region_exact():
-    spec = ParametricPolarSpec(cl_alpha=6.0, alpha0=math.radians(-2.0),
-                               cd0=0.008, cd2=0.5, cl_max=1.4,
-                               alpha_stall=math.radians(14.0))
-    polar = AirfoilPolar.from_parametric(spec, n_samples=401)
-    for a_deg in (-8.0, -2.0, 0.0, 5.0, 9.0):
-        a = math.radians(a_deg)
-        cl, cd = polar.cl_cd(a)
-        assert cl == pytest.approx(6.0 * (a - spec.alpha0), abs=1e-6)
-        assert cd == pytest.approx(0.008 + 0.5 * (a - spec.alpha0) ** 2, abs=1e-6)
-
-
-def test_parametric_cap_applies():
-    spec = ParametricPolarSpec(cl_alpha=6.0, cl_max=1.0,
-                               alpha_stall=math.radians(12.0))
-    polar = AirfoilPolar.from_parametric(spec, n_samples=801)
-    cl, _ = polar.cl_cd(math.radians(20.0))   # past stall, inside table
-    assert cl == pytest.approx(1.0, abs=1e-6)
-
-
-def test_parametric_validation():
-    with pytest.raises(PolarDataError):
-        ParametricPolarSpec(cl_alpha=-1.0)
-    with pytest.raises(PolarDataError):
-        ParametricPolarSpec(cd0=-0.001)
-    with pytest.raises(PolarDataError):
-        ParametricPolarSpec(cl_max=0.0)
-    with pytest.raises(PolarDataError):
-        AirfoilPolar.from_parametric(ParametricPolarSpec(), n_samples=2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from designkit import bemt
-from designkit.airfoil import AirfoilPolar, ParametricPolarSpec
 from designkit.bemt import BladeGeometry, OperatingPoint
 from designkit.errors import GeometryError, NoRootError
 
@@ -33,19 +32,15 @@ def hover_op(collective_deg, rpm=3200.0):
 
 
 @pytest.fixture(scope="module")
-def ideal_case():
+def ideal_case(linear_polar):
     """Many blades (F ~ 1), linear zero-drag polar, small collective:
     the regime where classical momentum results are exact."""
-    cl_alpha = 5.7
-    spec = ParametricPolarSpec(cl_alpha=cl_alpha, alpha0=0.0, cd0=0.0,
-                               cd2=0.0, cl_max=2.0, alpha_stall=0.5)
-    polar = AirfoilPolar.from_parametric(spec, n_samples=201)
     n_blades, radius = 40, 0.5
     chord = 0.1 * math.pi * radius / n_blades     # solidity 0.1
     rotor = BladeGeometry(radius=radius, n_blades=n_blades, root_cutout=0.2,
                           root_chord=chord, tip_chord=chord)
     op = OperatingPoint.from_rpm(2400.0, collective=math.radians(3.0))
-    return rotor, op, polar, cl_alpha
+    return rotor, op, linear_polar, 5.7            # linear_polar's slope
 
 
 # ---------------------------------------------------------------------------
@@ -139,33 +134,9 @@ def test_dict_round_trip_tables():
     assert np.allclose(clone.pitch(r, 0.0), rotor.pitch(r, 0.0), atol=1e-12)
 
 
-def test_file_round_trip(tmp_path, final_rotor):
-    path = tmp_path / "rotor.json"
-    final_rotor.to_file(path)
-    clone = BladeGeometry.from_file(path)
-    assert clone.radius == final_rotor.radius
-    assert clone.twist == pytest.approx(final_rotor.twist, abs=1e-12)
-
-
 def test_from_dict_missing_field():
     with pytest.raises(GeometryError):
         BladeGeometry.from_dict({"n_blades": 2})
-
-
-def test_polynomial_blade_description():
-    # pitch 30 - 0.5 y  [deg], chord 3 cm constant, y in cm
-    rotor = bemt.geometry_from_polynomials(
-        [-0.5, 30.0], [3.0], radius=0.3, n_points=40)
-    for r in (0.1, 0.4, 0.7, 1.0):
-        y_cm = r * 0.3 * 100.0
-        assert rotor.pitch(r, 0.0) == pytest.approx(
-            math.radians(30.0 - 0.5 * y_cm), abs=1e-12)
-        assert rotor.chord(r) == pytest.approx(0.03, abs=1e-15)
-
-
-def test_polynomial_blade_rejects_nonpositive_chord():
-    with pytest.raises(GeometryError):
-        bemt.geometry_from_polynomials([0.0, 10.0], [-0.12, 3.0], radius=0.3)
 
 
 # ---------------------------------------------------------------------------

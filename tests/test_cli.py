@@ -93,7 +93,7 @@ def test_analyze_leaves_eta_blank_when_windmilling(capsys, v_inf, collective):
 
 def test_analyze_rotor_file(tmp_path, capsys, baseline_rotor):
     path = tmp_path / "rotor.json"
-    baseline_rotor.to_file(path)
+    path.write_text(json.dumps(baseline_rotor.to_dict()))
     rc, out, _ = run(capsys, "analyze", "--rotor", str(path),
                      "--polar", "naca0012", "--collective", "8.5")
     assert rc == 0
@@ -419,6 +419,8 @@ def test_scalar_where_list_expected(capsys, argv, key):
     (["analyze", "--rpm", "nan"], "rpm"),
     (["analyze", "--v-inf", "nan"], "v_inf"),
     (["analyze", "--rho", "inf"], "rho"),
+    # in type but out of range: no waypoint is captured within -1 m
+    (["simulate", "--set", "capture_radius_m=-1"], "capture_radius"),
 ])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)

@@ -27,6 +27,12 @@ def hover_op(collective_deg=8.0, rpm=3200.0, rho=1.225):
                                         collective=math.radians(collective_deg))
 
 
+def sweep_curve(table, value):
+    """(x, y) arrays of a sweep table's rows for one swept value."""
+    rows = [r for r in table.rows if math.isclose(r[0], value, rel_tol=1e-9)]
+    return np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+
+
 # ---------------------------------------------------------------------------
 # parameter application
 
@@ -144,7 +150,7 @@ def test_power_loading_sweep_structure(baseline_rotor, naca0012):
     table = run_sweep(spec, polar=naca0012)
     assert len(table.rows) + len(table.gaps) == 2 * 4
     for ar in (8.0, 12.0):
-        thrust, loading = table.curve(ar)
+        thrust, loading = sweep_curve(table, ar)
         assert thrust.size >= 3
         assert np.all(np.diff(thrust) > 0.0)         # rising collective branch
         assert np.all(loading > 0.0)
@@ -164,8 +170,8 @@ def test_efficiency_sweep_rpm_ordering(rpm_study_rotor, sc1095):
         parameter="rpm", values=(2000.0, 3200.0), response="eta_vs_V",
         speeds=(20.0,))
     table = run_sweep(spec, polar=sc1095)
-    _, eta_slow = table.curve(2000.0)
-    _, eta_fast = table.curve(3200.0)
+    _, eta_slow = sweep_curve(table, 2000.0)
+    _, eta_fast = sweep_curve(table, 3200.0)
     assert eta_slow[0] > eta_fast[0]
     assert 0.5 < eta_fast[0] < eta_slow[0] < 0.95
 
@@ -243,8 +249,8 @@ def test_twist_raises_peak_efficiency(rpm_study_rotor, sc1095):
         values=(0.0, math.radians(-45.0)), response="eta_vs_V",
         speeds=tuple(np.arange(4.0, 30.01, 2.0)))
     table = run_sweep(spec, polar=sc1095)
-    v_flat, eta_flat = table.curve(0.0)
-    v_twist, eta_twist = table.curve(math.radians(-45.0))
+    v_flat, eta_flat = sweep_curve(table, 0.0)
+    v_twist, eta_twist = sweep_curve(table, math.radians(-45.0))
     assert np.max(eta_twist) > np.max(eta_flat)
     assert v_twist[np.argmax(eta_twist)] > v_flat[np.argmax(eta_flat)]
 

@@ -205,7 +205,6 @@ def test_pitch_map_node_round_trip(pitch_map):
         back, saturated = pitch_map.pitch(ct)
         assert not saturated
         assert back == pytest.approx(theta, abs=1e-12)
-        assert pitch_map.ct(theta) == pytest.approx(ct, rel=1e-15)
 
 
 def test_pitch_map_saturation(pitch_map):

@@ -196,17 +196,15 @@ def test_gear_spec_validation_and_dict():
 
 def test_ledger_sums_and_cg():
     ledger = WeightLedger(entries=(
-        MassEntry("fore", 2.0, station=0.1),
-        MassEntry("aft", 1.0, quantity=2, station=0.4),
+        MassEntry("fore", 2.0),
+        MassEntry("aft", 1.0, quantity=2),
         MassEntry("unplaced", 3.0),
     ))
     assert ledger.gross_mass == pytest.approx(7.0, rel=1e-15)
-    assert ledger.cg_offset == pytest.approx((0.2 + 0.8) / 4.0, rel=1e-12)
     lines = ledger.csv_lines()
     assert lines[0] == WeightLedger.CSV_HEADER
     assert len(lines) == 5
     assert lines[-1] == "total,,,7.0000"
-    assert WeightLedger(entries=(MassEntry("x", 1.0),)).cg_offset is None
 
 
 def test_mass_entry_validation():
