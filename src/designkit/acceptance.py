@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import airfoil, bemt, explorer, powertrain, presets, wing
+from . import airfoil, bemt, explorer, flightsim, powertrain, presets, wing
 from .constants import G, HP_TO_W
 
 
@@ -229,8 +229,6 @@ def check_weight_convergence():
 
 def check_simulation():
     start = time.perf_counter()
-    from . import flightsim
-
     params = flightsim.default_params()
     rng = np.random.default_rng(2024)
     worst = 0.0

@@ -1048,16 +1048,16 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
                          n_stations=n_stations)[0]
 
 
-def speed_curve(geometry, polar, op, speeds, n_stations=100):
+def speed_curve(geometry, polar, op, speeds):
     """Sweep axial speed [m/s] at the RPM, collective and density of
     ``op``; one batched solve, one row per speed.
 
     Each row is, bit for bit, what :func:`evaluate_rotor` gives at
-    ``replace(op, v_inf=speed)``: the same core, with the advance ratio
-    varying over the rows.
+    ``replace(op, v_inf=speed)`` on its default 100 stations: the same
+    core, with the advance ratio varying over the rows.
     """
     ops = [replace(op, v_inf=v) for v in speeds]
-    r, dr = station_grid(geometry.root_cutout, n_stations)
+    r, dr = station_grid(geometry.root_cutout, 100)
     return _curves([geometry], polar, r, dr, geometry.pitch(r, op.collective), ops)[0]
 
 

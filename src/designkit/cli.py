@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bemt, explorer, powertrain, presets, wing
+from . import bemt, explorer, flightsim, powertrain, presets, wing
 from .airfoil import AirfoilPolar
 from .constants import HP_TO_W, RHO_SL
 from .errors import ConfigError, DesignError
@@ -281,7 +281,6 @@ SIMULATE_KEYS = {
 
 
 def cmd_simulate(args):
-    from . import flightsim
     data = _load_json(args.mission, args.set)
     fields = read(SIMULATE_KEYS, data)
     rotor = _load_rotor(args.rotor)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import bemt, presets
+from . import airfoil, bemt, presets
 from .constants import RHO_CRUISE, RHO_SL
 from .errors import ConfigError, TrimError
 
@@ -56,7 +56,6 @@ class SweepSpec:
     collectives: tuple = DEFAULT_COLLECTIVES
     speeds: tuple = DEFAULT_SPEEDS
     couple_preset: bool = True
-    n_stations: int = 100
 
     def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
@@ -113,12 +112,10 @@ class SweepTable:
 def _curve_rows(spec, value, geometry, op, polar):
     """Rows and gaps for a single swept value."""
     if spec.response == "eta_vs_V":
-        curve = bemt.speed_curve(geometry, polar, op, spec.speeds,
-                                 n_stations=spec.n_stations)
+        curve = bemt.speed_curve(geometry, polar, op, spec.speeds)
     else:
-        curve = bemt.thrust_curve(
-            geometry, polar, op.rpm, spec.collectives,
-            v_inf=op.v_inf, rho=op.rho, n_stations=spec.n_stations)
+        curve = bemt.thrust_curve(geometry, polar, op.rpm, spec.collectives,
+                                  v_inf=op.v_inf, rho=op.rho)
     rows, gaps = [], []
     for point, perf, err in zip(curve.ops, curve.rows, curve.errors):
         x = point.v_inf if spec.response == "eta_vs_V" else math.degrees(point.collective)
@@ -146,8 +143,7 @@ def run_sweep(spec, polar=None):
     Solver failures become gaps rather than aborting the sweep, so a
     partially stalled configuration still reports its feasible branch.
     """
-    from .airfoil import AirfoilPolar
-    polar = AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
+    polar = airfoil.AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
     rows, gaps = [], []
     for value in spec.values:
         geometry, op = apply_parameter(
@@ -163,7 +159,7 @@ def run_sweep(spec, polar=None):
 # ---------------------------------------------------------------------------
 # trim
 
-def trim_collective(geometry, op, polar, target_thrust, n_stations=100):
+def trim_collective(geometry, op, polar, target_thrust):
     """Collective [rad] that meets ``target_thrust`` [N] at this condition.
 
     Brackets the target on the rising pre-stall branch of a coarse
@@ -174,8 +170,7 @@ def trim_collective(geometry, op, polar, target_thrust, n_stations=100):
     """
     coarse = np.linspace(*TRIM_COLLECTIVES, 29)
     curve = bemt.thrust_curve(geometry, polar, op.rpm, coarse,
-                              v_inf=op.v_inf, rho=op.rho,
-                              n_stations=n_stations)
+                              v_inf=op.v_inf, rho=op.rho)
     thrusts = curve.column("thrust")   # NaN where the solver failed
     branch = bemt.rising_branch(thrusts)
     if branch.size == 0:
@@ -204,8 +199,7 @@ def trim_collective(geometry, op, polar, target_thrust, n_stations=100):
     a, b = float(coarse[idx - 1]), float(coarse[idx])
     for _ in range(48):
         mid = 0.5 * (a + b)
-        perf = bemt.evaluate_rotor(geometry, replace(op, collective=mid),
-                                   polar, n_stations=n_stations)
+        perf = bemt.evaluate_rotor(geometry, replace(op, collective=mid), polar)
         if perf.thrust < target_thrust:
             a = mid
         else:
@@ -387,9 +381,8 @@ def optimize(spec=None, polar=None, workers=1):
     carry cost -inf.  Ties resolve toward the smaller radius, then the
     smaller twist magnitude.
     """
-    from .airfoil import AirfoilPolar
     spec = OptimizationSpec() if spec is None else spec
-    polar = AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
+    polar = airfoil.AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
 
     radii = spec.radii()
     twists = spec.twists()

@@ -45,16 +45,15 @@ class VehicleParams:
     arm_length: float                # [m] rotor offset, both axes
     k_f: float                       # [N] thrust per unit C_T
     rotor_radius: float              # [m]
-    gravity: float = G
 
     def __post_init__(self):
         if min(self.mass, self.arm_length, self.k_f, self.rotor_radius,
-               self.gravity, *self.inertia) <= 0.0:
+               *self.inertia) <= 0.0:
             raise ConfigError("vehicle parameters must be positive")
 
     @property
     def hover_thrust(self):
-        return self.mass * self.gravity
+        return self.mass * G
 
     @property
     def ct_hover(self):
@@ -67,20 +66,18 @@ class VehicleParams:
         return self.k_f * self.rotor_radius * math.sqrt(self.ct_hover / 2.0)
 
 
-def default_params(mass=presets.GROSS_MASS, rotor_radius=presets.FINAL_RADIUS,
-                   rpm=presets.HOVER_RPM, rho=RHO_SL,
-                   arm_length=presets.ARM_LENGTH, inertia=(2.4, 1.7, 4.1)):
+def default_params(mass=presets.GROSS_MASS, rotor_radius=presets.FINAL_RADIUS):
     """Parameters for the reference vehicle.
 
-    K_F is the thrust nondimensionalization at the hover tip speed, so
-    C_T here is the same coefficient the rotor solver reports.  Inertias
-    are ledger-based estimates (point rotors at the corners, wings as
-    spanwise rods), overridable per config.
+    K_F is the thrust nondimensionalization at the sea-level hover tip
+    speed, so C_T here is the same coefficient the rotor solver reports.
+    Arm length and inertias come from ``presets``.
     """
-    tip_speed = rpm * math.pi / 30.0 * rotor_radius
-    k_f = rho * math.pi * rotor_radius ** 2 * tip_speed ** 2
-    return VehicleParams(mass=mass, inertia=inertia, arm_length=arm_length,
-                         k_f=k_f, rotor_radius=rotor_radius)
+    tip_speed = presets.HOVER_RPM * math.pi / 30.0 * rotor_radius
+    k_f = RHO_SL * math.pi * rotor_radius ** 2 * tip_speed ** 2
+    return VehicleParams(mass=mass, inertia=presets.INERTIA,
+                         arm_length=presets.ARM_LENGTH, k_f=k_f,
+                         rotor_radius=rotor_radius)
 
 
 @dataclass
@@ -171,12 +168,11 @@ def _pid(integral, errors, rates, gains_p, gains_i, gains_d, limit, dt):
 class AttitudeController:
     """PID on Euler-angle error; moments oppose the error."""
 
-    def __init__(self, gains=DEFAULT_GAINS):
-        self.gains = gains
+    def __init__(self):
         self.integral = [0.0, 0.0, 0.0]
 
     def update(self, state, euler_desired, dt):
-        g = self.gains
+        g = DEFAULT_GAINS
         euler = state.euler.tolist()
         error = [a - float(d) for a, d in zip(euler, euler_desired)]
         euler_rates = _euler_rates(euler[0], euler[1], *state.rates.tolist())
@@ -187,16 +183,15 @@ class AttitudeController:
 class PositionController:
     """PID position loop producing total thrust and tilt commands."""
 
-    def __init__(self, gains=DEFAULT_GAINS, params=None):
-        self.gains = gains
-        self.params = default_params() if params is None else params
+    def __init__(self, params):
+        self.params = params
         self.integral = [0.0, 0.0, 0.0]
         self.tilt_limited = False
         self.thrust_clamped = False
 
     def update(self, state, position_desired, yaw_desired, dt,
                accel_feedforward=(0.0, 0.0, 0.0)):
-        g = self.gains
+        g = DEFAULT_GAINS
         p = self.params
         error = [x - float(d)
                  for x, d in zip(state.position.tolist(), position_desired)]
@@ -204,7 +199,7 @@ class PositionController:
                         g.pos_p, g.pos_i, g.pos_d, g.pos_integrator_limit, dt)
         accel = [float(ff) + a for ff, a in zip(accel_feedforward, accel_fb)]
         # demanded specific force: desired accel minus gravity (z down)
-        accel[2] -= p.gravity
+        accel[2] -= G
         thrust = p.mass * math.hypot(*accel)
         self.thrust_clamped = False
         if thrust <= 0.0:
@@ -248,8 +243,6 @@ def allocate(command, params):
     the yaw loop absorbs.
     """
     p = params
-    if p.k_f <= 0.0 or p.arm_length <= 0.0:
-        raise ConfigError("allocation needs positive k_f and arm length")
     l, m, n = command.moments
     a = command.thrust / p.k_f
     b = l / (p.k_f * p.arm_length)
@@ -341,7 +334,7 @@ def _derivatives(x, wrench, params):
             # ZYX body-to-world rotation
             0.0 - f * (cph * sth * cps + sph * sps),
             0.0 - f * (cph * sth * sps - sph * cps),
-            p.gravity - f * (cph * cth),
+            G - f * (cph * cth),
             *_euler_rates(phi, theta, wx, wy, wz),
             # Euler's equations, (M - omega x I omega) / I
             (l - (wy * hz - wz * hy)) / ix,
@@ -404,7 +397,7 @@ class MissionLog:
                                     for row in table]
 
 
-def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=presets.MISSION_DT,
+def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
                 capture_radius=presets.MISSION_CAPTURE_RADIUS,
                 timeout=presets.MISSION_TIMEOUT, pitch_map=None, initial_state=None,
                 hold_time=1.0):
@@ -435,8 +428,8 @@ def run_mission(waypoints, params=None, gains=DEFAULT_GAINS, dt=presets.MISSION_
     params = default_params() if params is None else params
     state = VehicleState() if initial_state is None else initial_state.copy()
 
-    att = AttitudeController(gains)
-    pos = PositionController(gains, params)
+    att = AttitudeController()
+    pos = PositionController(params)
     ct_lo, ct_hi = (0.0, math.inf) if pitch_map is None else pitch_map.ct_range
 
     rows = {k: [] for k in ("t", "pos", "eul", "eud", "T", "M", "ct", "th")}

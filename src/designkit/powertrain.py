@@ -10,8 +10,8 @@ a fixed point.
 import math
 from dataclasses import dataclass
 
-from . import presets
-from .constants import HP_TO_W, RPM_TO_RAD_S
+from . import bemt, explorer, presets, wing
+from .constants import G, HP_TO_W, RPM_TO_RAD_S
 from .errors import ConfigError, DivergenceError, EngineCapacityError
 
 SPUR_PRESSURE_ANGLE = math.radians(20.0)
@@ -87,13 +87,14 @@ class PowerBudget:
         }
 
 
-def power_budget(hover_perf, cruise_perf, margin=0.10, engine=DEFAULT_ENGINE):
+def power_budget(hover_perf, cruise_perf, margin=0.10):
     """Total shaft-power budget across the rotor set with install margin.
 
     ``hover_perf`` and ``cruise_perf`` are the per-rotor performance
     records at the two design points.  The installed requirement is
-    hover power grown by ``margin``, and it must fit under the engine's
-    available power at the hover speed times ``train_reduction()``.
+    hover power grown by ``margin``, and it must fit under
+    ``DEFAULT_ENGINE``'s available power at the hover speed times
+    ``train_reduction()``.
     """
     hover_perf = list(hover_perf)
     cruise_perf = list(cruise_perf)
@@ -105,7 +106,7 @@ def power_budget(hover_perf, cruise_perf, margin=0.10, engine=DEFAULT_ENGINE):
         raise ConfigError("hover power must be positive")
     required = p_hover * (1.0 + margin)
     engine_rpm = hover_perf[0].rpm * train_reduction()
-    available = engine.power_available(engine_rpm)
+    available = DEFAULT_ENGINE.power_available(engine_rpm)
     if required > available:
         raise EngineCapacityError(
             f"installed requirement {required:.0f} W exceeds engine "
@@ -131,7 +132,8 @@ class GearSpec:
 
     ``pitch_diameter`` is teeth times module; ``catalog_diameter`` keeps
     the vendor-sheet value, which for the spur set is rounded to whole
-    centimetres.  Addendum and dedendum are in multiples of module.
+    centimetres.  Dedendum is in multiples of module; every gear has a
+    one-module addendum and the 20 deg spur pressure angle.
     """
 
     role: str                 # E, M1, M2, S1, S2, B
@@ -140,9 +142,7 @@ class GearSpec:
     face_width: float         # [mm]
     catalog_diameter: float   # [mm]
     kind: str = "spur"
-    addendum: float = 1.0
     dedendum: float = 1.25
-    pressure_angle: float = SPUR_PRESSURE_ANGLE
 
     def __post_init__(self):
         if self.teeth < 4 or self.module <= 0.0 or self.face_width <= 0.0:
@@ -162,9 +162,9 @@ class GearSpec:
             "pitch_diameter_mm": self.pitch_diameter,
             "catalog_diameter_mm": self.catalog_diameter,
             "face_width_mm": self.face_width,
-            "addendum": self.addendum,
+            "addendum": 1.0,
             "dedendum": self.dedendum,
-            "pressure_angle_deg": math.degrees(self.pressure_angle),
+            "pressure_angle_deg": math.degrees(SPUR_PRESSURE_ANGLE),
         }
 
 
@@ -367,25 +367,20 @@ def design_budget(margin=0.10):
     from the level-flight drag buildup, and folds both into the budget.
     Returns (budget, ledger, details).
     """
-    from .bemt import evaluate_rotor
-    from .constants import G
-    from .explorer import trim_collective
-    from .wing import WingDesignInputs, cruise_drag
-
     ledger = iterate_gross_weight()
     gross = ledger.gross_mass
     rotor = presets.final_rotor()
     polar = presets.proprotor_polar()
 
     hover = presets.hover_op()
-    theta_h = trim_collective(rotor, hover, polar, gross * G / 4.0)
-    perf_h = evaluate_rotor(rotor, presets.hover_op(collective=theta_h), polar)
+    theta_h = explorer.trim_collective(rotor, hover, polar, gross * G / 4.0)
+    perf_h = bemt.evaluate_rotor(rotor, presets.hover_op(collective=theta_h), polar)
 
-    inputs = WingDesignInputs(gross_weight=gross * G)
-    drag, drag_parts = cruise_drag(inputs, presets.WING_LOADING)
+    inputs = wing.WingDesignInputs(gross_weight=gross * G)
+    drag, drag_parts = wing.cruise_drag(inputs, presets.WING_LOADING)
     cruise = presets.cruise_op()
-    theta_c = trim_collective(rotor, cruise, polar, drag / 4.0)
-    perf_c = evaluate_rotor(rotor, presets.cruise_op(collective=theta_c), polar)
+    theta_c = explorer.trim_collective(rotor, cruise, polar, drag / 4.0)
+    perf_c = bemt.evaluate_rotor(rotor, presets.cruise_op(collective=theta_c), polar)
 
     budget = power_budget([perf_h] * 4, [perf_c] * 4, margin=margin)
     details = {

@@ -23,6 +23,9 @@ GROSS_MASS_START = 16.0      # [kg] the weight loop's first guess
 PAYLOAD_MASS = 4.257         # [kg]
 WING_LOADING = 130.0         # [N/m^2] wing sizing point
 ARM_LENGTH = 0.5             # [m] rotor offset from centerline, both axes
+# (Ixx, Iyy, Izz) [kg m^2], ledger-based estimates: point rotors at the
+# corners, wings as spanwise rods
+INERTIA = (2.4, 1.7, 4.1)
 ROTOR_SEPARATION = 1.0       # [m] lateral spacing, also the biplane gap
 
 # proprotor planform and section
@@ -70,8 +73,8 @@ def symmetric_polar():
     return AirfoilPolar.bundled("naca0012")
 
 
-def hover_op(collective=0.0, rpm=HOVER_RPM, rho=RHO_SL):
-    return OperatingPoint.from_rpm(rpm, v_inf=0.0, rho=rho, collective=collective)
+def hover_op(collective=0.0, rpm=HOVER_RPM):
+    return OperatingPoint.from_rpm(rpm, v_inf=0.0, rho=RHO_SL, collective=collective)
 
 
 def cruise_op(collective=0.0, rpm=CRUISE_RPM):

@@ -86,7 +86,7 @@ INPUT_KEYS = {
 
 @dataclass(frozen=True)
 class WingPlanform:
-    """Geometry of a single wing of the pair."""
+    """Geometry of a single wing of the pair, in the proprotor section."""
 
     area: float          # [m^2]
     span: float          # [m]
@@ -94,7 +94,6 @@ class WingPlanform:
     tip_chord: float     # [m]
     aspect_ratio: float
     root_bay: float      # [m] rectangular section half-span
-    airfoil: str = presets.PROPROTOR_SECTION
 
     @property
     def mean_chord(self):
@@ -112,7 +111,7 @@ class WingPlanform:
             "tip_chord_m": self.tip_chord,
             "aspect_ratio": self.aspect_ratio,
             "root_bay_m": self.root_bay,
-            "airfoil": self.airfoil,
+            "airfoil": presets.PROPROTOR_SECTION,
         }
 
 
@@ -134,7 +133,6 @@ class BiplaneSizing:
     wing_loading: float          # [N/m^2] on total area
     monoplane_span: float        # [m] equal-area single wing
     power_ratio: float           # biplane/monoplane induced power
-    lift_factor: float = BIPLANE_LIFT_FACTOR
 
     def to_dict(self):
         return {
@@ -146,7 +144,7 @@ class BiplaneSizing:
             "wing_loading_n_m2": self.wing_loading,
             "monoplane_span_m": self.monoplane_span,
             "induced_power_ratio": self.power_ratio,
-            "lift_interference_factor": self.lift_factor,
+            "lift_interference_factor": BIPLANE_LIFT_FACTOR,
         }
 
 

@@ -371,6 +371,9 @@ def test_override_bad_list_index(capsys):
     assert_config_error(rc, err, "collectives_deg.x")
 
 
+# The explicit ids keep the text pytest generated for these cases by
+# position, so inserting a case renames no other test; a new case takes an
+# id named after its key.
 @pytest.mark.parametrize("argv, key", [
     (["optimize", "--set", "radius_grid_m=0.3"], "radius_grid_m"),
     (["optimize", "--set", "twist_grid_deg=-20"], "twist_grid_deg"),
@@ -381,12 +384,14 @@ def test_override_bad_list_index(capsys):
       "--set", "collectives_deg=2"], "collectives_deg"),
     (["sweep", "--spec", str(FIGURES / "fig10b.json"),
       "--set", 'speeds=["fast"]'], "speeds"),
-])
+], ids=["argv0-radius_grid_m", "argv1-twist_grid_deg", "argv2-weights",
+        "argv3-values", "argv4-collectives_deg", "argv5-speeds"])
 def test_scalar_where_list_expected(capsys, argv, key):
     rc, _, err = run(capsys, *argv)
     assert_config_error(rc, err, key)
 
 
+# explicit ids, kept as pytest generated them (see above)
 @pytest.mark.parametrize("argv, key", [
     (["optimize", "--set", "n_stations=[3]"], "n_stations"),
     (["optimize", "--set", 'hover_rpm="x"'], "hover_rpm"),
@@ -421,7 +426,12 @@ def test_scalar_where_list_expected(capsys, argv, key):
     (["analyze", "--rho", "inf"], "rho"),
     # in type but out of range: no waypoint is captured within -1 m
     (["simulate", "--set", "capture_radius_m=-1"], "capture_radius"),
-])
+], ids=["argv0-n_stations", "argv1-hover_rpm", "argv2-op.rpm", "argv3-dt_s",
+        "argv4-waypoints", "argv5-op", "argv6-polar", "argv7-polar", "argv8-rotor",
+        "argv9-rotor.pitch_table", "argv10-rotor.n_blades", "argv11-couple_preset",
+        "argv12-op.rpm", "argv13-hover_rpm", "argv14-README.md",
+        "argv15-not_an_object.json", "argv16-such.csv", "argv17-collective_deg",
+        "argv18-rpm", "argv19-v_inf", "argv20-rho", "argv21-capture_radius"])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)
     assert_config_error(rc, err, key)

@@ -201,8 +201,7 @@ def per_speed_sweep(spec, polar):
                                        couple_preset=spec.couple_preset)
         for v in spec.speeds:
             try:
-                perf = bemt.evaluate_rotor(geometry, replace(op, v_inf=v), polar,
-                                           n_stations=spec.n_stations)
+                perf = bemt.evaluate_rotor(geometry, replace(op, v_inf=v), polar)
             except NoRootError as exc:
                 gaps.append((value, v, str(exc)))
                 continue
@@ -457,7 +456,7 @@ def test_grid_trim_takes_first_crossing_of_wavy_branch(naca0012):
         twist=twist, preset=-twist)
     trimmed = trim_collective(
         geom, bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho),
-        naca0012, spec.thrust_constraint, n_stations=spec.n_stations)
+        naca0012, spec.thrust_constraint)
     assert abs(math.degrees(res.hover_collective[0, 0] - trimmed)) < 0.5
 
 

@@ -52,7 +52,7 @@ def test_params_validation(params):
         VehicleParams(mass=18.5, inertia=(2.4, 1.7, 4.1), arm_length=0.5,
                       k_f=0.0, rotor_radius=0.38)
     # the hover trim is derived, in the order the old field was filled
-    assert params.ct_hover == params.mass * params.gravity / (4.0 * params.k_f)
+    assert params.ct_hover == params.mass * G / (4.0 * params.k_f)
 
 
 def test_state_pack_round_trip():
@@ -124,7 +124,7 @@ def test_position_thrust_clamp(params):
     ctrl = PositionController(params=params)
     thrust, phi_d, theta_d = ctrl.update(
         VehicleState(), np.zeros(3), 0.0, 0.005,
-        accel_feedforward=(0.0, 0.0, params.gravity))
+        accel_feedforward=(0.0, 0.0, G))
     assert ctrl.thrust_clamped
     assert thrust == params.hover_thrust
     assert phi_d == 0.0 and theta_d == 0.0
@@ -242,9 +242,8 @@ def test_free_fall_closed_form(params):
     for _ in range(n):
         state = step_dynamics(state, np.zeros(4), params, dt)
     t = n * dt
-    assert state.position[2] == pytest.approx(0.5 * params.gravity * t * t,
-                                              rel=1e-12)
-    assert state.velocity[2] == pytest.approx(params.gravity * t, rel=1e-12)
+    assert state.position[2] == pytest.approx(0.5 * G * t * t, rel=1e-12)
+    assert state.velocity[2] == pytest.approx(G * t, rel=1e-12)
     assert np.array_equal(state.euler, np.zeros(3))
     assert np.array_equal(state.rates, np.zeros(3))
 

@@ -175,8 +175,9 @@ def test_train_build_sheet():
     assert b.catalog_diameter == 36.0
     assert b.dedendum == pytest.approx(4.1 / 1.8, rel=1e-12)
     for g in (e, m, s):
-        assert g.addendum == 1.0 and g.dedendum == 1.25
-        assert math.degrees(g.pressure_angle) == pytest.approx(20.0, abs=1e-12)
+        d = g.to_dict()
+        assert d["addendum"] == 1.0 and g.dedendum == 1.25
+        assert d["pressure_angle_deg"] == pytest.approx(20.0, abs=1e-12)
     # first mesh runs 2:1, and the pinion clears interference: 17 >= 15
     assert m.teeth / e.teeth == 2.0
     assert e.teeth >= min_pinion_teeth(m.teeth / e.teeth)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from designkit.constants import G
 from designkit.errors import SimulationAbort
 from designkit.flightsim import (DEFAULT_GAINS, GIMBAL_LIMIT,
                                  AttitudeController, ControlCommand,
@@ -76,7 +77,7 @@ def _derivatives(vec, cts, params):
     state = VehicleState.unpack(vec)
     thrust, l, m, n = mixing_forward(cts, p, exact_yaw=True)
     r_bw = rotation_matrix(state.euler)
-    accel = np.array([0.0, 0.0, p.gravity]) \
+    accel = np.array([0.0, 0.0, G]) \
         - (thrust / p.mass) * r_bw[:, 2]
     inertia = np.asarray(p.inertia)
     omega = state.rates
@@ -103,12 +104,12 @@ def reference_step(state, cts, params, dt):
 
 
 class ReferenceAttitude(AttitudeController):
-    def __init__(self, gains=DEFAULT_GAINS):
-        super().__init__(gains)
+    def __init__(self):
+        super().__init__()
         self.integral = np.zeros(3)
 
     def update(self, state, euler_desired, dt):
-        g = self.gains
+        g = DEFAULT_GAINS
         error = state.euler - np.asarray(euler_desired, dtype=float)
         self.integral += error * dt
         np.clip(self.integral, -g.att_integrator_limit,
@@ -121,13 +122,13 @@ class ReferenceAttitude(AttitudeController):
 
 
 class ReferencePosition(PositionController):
-    def __init__(self, gains=DEFAULT_GAINS, params=None):
-        super().__init__(gains, params)
+    def __init__(self, params):
+        super().__init__(params)
         self.integral = np.zeros(3)
 
     def update(self, state, position_desired, yaw_desired, dt,
                accel_feedforward=(0.0, 0.0, 0.0)):
-        g = self.gains
+        g = DEFAULT_GAINS
         p = self.params
         error = state.position - np.asarray(position_desired, dtype=float)
         self.integral += error * dt
@@ -138,7 +139,7 @@ class ReferencePosition(PositionController):
                     - np.asarray(g.pos_d) * state.velocity)
         # demanded specific force: desired accel minus gravity (z down)
         accel = np.asarray(accel_feedforward, dtype=float) + accel_fb \
-            - np.array([0.0, 0.0, p.gravity])
+            - np.array([0.0, 0.0, G])
         thrust = p.mass * float(np.linalg.norm(accel))
         self.thrust_clamped = False
         if thrust <= 0.0:

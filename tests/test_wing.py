@@ -151,7 +151,7 @@ def test_sizing_dimensions(inputs):
     assert sizing.wing_loading == pytest.approx(130.0, rel=1e-12)
     assert sizing.monoplane_span == pytest.approx(w.span / 0.8, rel=1e-15)
     assert sizing.power_ratio == pytest.approx(0.78125, abs=1e-12)
-    assert sizing.lift_factor == 0.9
+    assert sizing.to_dict()["lift_interference_factor"] == 0.9
 
 
 def test_sizing_internal_consistency(inputs):
