@@ -55,6 +55,14 @@ balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
 form.  Integrating the per-station loads over the span (midpoint rule)
 gives CT, CP and the dimensional performance numbers.
 
+Every batched evaluation is a list of rows on one station grid, each
+row a blade, an operating point and that blade's pitch at every station,
+solved together (:func:`_curves`).  The solve is per element, so a row's
+numbers do not depend on the rows beside it.  Collective curves, speed
+curves, the explorer's sweeps (every swept value at once, in chunks of
+whole rows of at most BLOCK stations) and its trims (hover and cruise
+together) all take this path.
+
 Conventions: radial positions are nondimensional (r = y/R in [0, 1)),
 angles in radians, SI units throughout.  CT = T / (rho A (Omega R)^2),
 CP = P / (rho A (Omega R)^3) with A = pi R^2.
@@ -83,6 +91,7 @@ CERT_MARGIN = 1.0e-12     # relative margin by which a certified enclosure clear
 CERT_FLOOR = 1.0e-150     # absolute margin: products of certified residuals stay normal
 ZERO_LIFT_CL = 1.0e-12    # |cl| below this in hover pins phi = 0 exactly
 MAX_STATIONS = 4096       # stations per blade; 16x the finest in-repo use
+N_STATIONS = 100          # stations per blade unless a caller asks for others
 _TINY = 1.0e-15
 
 
@@ -625,8 +634,7 @@ def _open_cells(owner, j0, j1, width, k, grid, g):
     slices; returns (owner, first node) of those g may vanish in.
 
     A cell no wider than ``width`` stays open without a new enclosure: it
-    is an open cell of the stage before, or a range that short, which in
-    a verify holds the root."""
+    is an open cell of the stage before, or a range that short."""
     kept = [(owner[:0], j0[:0])]
     for first, last in _runs(-(-(j1 - j0) // width), BLOCK // 2):
         run, lo = _cut(j0[first:last], j1[first:last], width)
@@ -696,11 +704,11 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
     bracket first (then of (-pi/2, 0)), polished to POLISH_TOL, in one
     pass over blocks of BLOCK stations.  Stations whose residual changes
     sign between the ends of (0, pi/2) are polished on that bracket
-    directly; the root is accepted once no slice of the scan grid up to
-    it changes sign.  The block's other stations (unbracketed, or with an
-    earlier crossing) are searched for their first sign change over all
-    SCAN_SLICES slices, then over (-pi/2, 0), and polished on it
-    (:func:`_first_change` both times).
+    directly; the root is accepted once no slice of the scan grid before
+    its own changes sign and its own slice does.  The block's other
+    stations (unbracketed, or with an earlier crossing) are searched for
+    their first sign change over all SCAN_SLICES slices, then over
+    (-pi/2, 0), and polished on it (:func:`_first_change` both times).
 
     Returns (phi, solved, residual).  Elements with no bracket anywhere
     come back with solved = False and phi = nan; callers decide whether
@@ -745,9 +753,13 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
         ends = np.flatnonzero(_sign_change(g_a, g_b))
         root, g_root = _polish(np.full(ends.size, pos[0]), np.full(ends.size, pos[-1]),
                                g_a[ends], g_b[ends], k[ends], g)
+        # no enclosure can rule out the root's own slice: search the slices
+        # before it, then test that slice at its two ends
         root_slice = np.minimum(np.searchsorted(pos, root, side="right"), SCAN_SLICES)
-        j, _, _ = _first_change(k[ends], root_slice, g_a[ends], pos, g)
-        same = j == root_slice
+        j, _, _ = _first_change(k[ends], root_slice - 1, g_a[ends], pos, g)
+        same = np.flatnonzero(j == 0)
+        at, kk = root_slice[same], k[ends[same]]
+        same = same[_sign_change(g(pos[at - 1], kk), g(pos[at], kk))]
         accept(k[ends[same]], root[same], g_root[same])
         left = np.flatnonzero(~found[k])
         if left.size:
@@ -953,7 +965,7 @@ def _performance(ct, cp, geometry, op):
         radius=geometry.radius)
 
 
-def evaluate_rotor(geometry, op, polar, n_stations=100, return_inflow=False):
+def evaluate_rotor(geometry, op, polar, n_stations=N_STATIONS, return_inflow=False):
     """Integrated CT, CP and dimensional performance at one operating point.
 
     Midpoint rule over ``n_stations`` equal cells on [root_cutout, 1]; a
@@ -998,27 +1010,35 @@ class RotorCurve:
         return lines
 
 
-def _curves(geometries, polar, r, dr, pitch, ops):
-    """One :class:`RotorCurve` per blade, its row j at the operating point
-    ``ops[j]`` with the station pitches ``pitch[i, j]`` of blade i, all
-    solved in one batch; each row takes its own blade's solidity and
-    advance ratio."""
-    mu = np.array([[op.advance_ratio(g.radius) for op in ops] for g in geometries])
-    sigma = np.stack([g.local_solidity(r) for g in geometries])[:, None, :]
-    ct, cp, found, *_ = _solve_rows(r, dr, pitch, sigma, mu[:, :, None],
-                                    geometries[0].n_blades, polar)
-    solved = np.all(found, axis=-1)
-    curves = []
-    for i, g in enumerate(geometries):
-        rows = [_performance(float(ct[i, j]), float(cp[i, j]), g, op) if solved[i, j] else None
-                for j, op in enumerate(ops)]
-        errors = [None if solved[i, j] else _no_root(r[~found[i, j]]) for j in range(len(ops))]
-        curves.append(RotorCurve(ops=list(ops), rows=rows, errors=errors))
-    return curves
+def _curves(blade_rows, polar, r, dr):
+    """Performance of every row of ``blade_rows``, one (blade, op, pitch)
+    triple each, all in one solve: the blade at the operating point with
+    station pitches ``pitch`` on the stations ``r`` (cells ``dr``).  The
+    blades share a blade count.
+
+    Returns one (performance, error) pair per row, in order: the
+    :class:`RotorPerformance`, or None with the :class:`NoRootError` that
+    :func:`evaluate_rotor` raises there.
+    """
+    if not blade_rows:
+        return []
+    blades, ops, pitch = zip(*blade_rows)
+    sigma = {id(g): g.local_solidity(r) for g in blades}
+    mu = np.array([op.advance_ratio(g.radius) for g, op in zip(blades, ops)])
+    ct, cp, found, *_ = _solve_rows(r, dr, np.stack(pitch),
+                                    np.stack([sigma[id(g)] for g in blades]), mu[:, None],
+                                    blades[0].n_blades, polar)
+    return [(_performance(float(ct[i]), float(cp[i]), g, op), None) if found[i].all()
+            else (None, _no_root(r[~found[i]])) for i, (g, op) in enumerate(zip(blades, ops))]
+
+
+def _curve(ops, solved):
+    """:class:`RotorCurve` of ``ops`` from their (performance, error) pairs."""
+    return RotorCurve(ops=list(ops), rows=[p for p, _ in solved], errors=[e for _, e in solved])
 
 
 def thrust_curves(geometries, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
-                  n_stations=100):
+                  n_stations=N_STATIONS):
     """:func:`thrust_curve` of each blade, all from one batched solve.
 
     The blades share a blade count and a root cutout, so one station
@@ -1030,14 +1050,18 @@ def thrust_curves(geometries, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
         raise GeometryError("blades solved together need one blade count and root cutout")
     collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
     op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
+    ops = [replace(op, collective=float(theta0)) for theta0 in collectives]
     r, dr = station_grid(geometries[0].root_cutout, n_stations)
-    pitch = np.stack([collectives[:, None] + g.pitch(r, 0.0) for g in geometries])
-    return _curves(geometries, polar, r, dr, pitch,
-                   [replace(op, collective=float(theta0)) for theta0 in collectives])
+    pitch = [g.pitch(r, 0.0) for g in geometries]
+    solved = _curves([(g, point, theta0 + zero)
+                      for g, zero in zip(geometries, pitch)
+                      for point, theta0 in zip(ops, collectives)], polar, r, dr)
+    n = len(ops)
+    return [_curve(ops, solved[i * n:(i + 1) * n]) for i in range(len(geometries))]
 
 
 def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
-                 n_stations=100):
+                 n_stations=N_STATIONS):
     """Sweep collective at fixed RPM and axial speed; one batched solve.
 
     One row per collective through the core of :func:`evaluate_rotor`,
@@ -1053,12 +1077,13 @@ def speed_curve(geometry, polar, op, speeds):
     ``op``; one batched solve, one row per speed.
 
     Each row is, bit for bit, what :func:`evaluate_rotor` gives at
-    ``replace(op, v_inf=speed)`` on its default 100 stations: the same
-    core, with the advance ratio varying over the rows.
+    ``replace(op, v_inf=speed)`` on its default N_STATIONS stations: the
+    same core, with the advance ratio varying over the rows.
     """
     ops = [replace(op, v_inf=v) for v in speeds]
-    r, dr = station_grid(geometry.root_cutout, 100)
-    return _curves([geometry], polar, r, dr, geometry.pitch(r, op.collective), ops)[0]
+    r, dr = station_grid(geometry.root_cutout, N_STATIONS)
+    pitch = geometry.pitch(r, op.collective)
+    return _curve(ops, _curves([(geometry, o, pitch) for o in ops], polar, r, dr))
 
 
 def rising_branch(values):

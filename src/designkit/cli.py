@@ -332,7 +332,7 @@ def build_parser():
                    help="deg")
     p.add_argument("--v-inf", type=float, default=0.0, help="m/s")
     p.add_argument("--rho", type=float, default=RHO_SL, help="kg/m^3")
-    p.add_argument("--n-stations", type=int, default=100)
+    p.add_argument("--n-stations", type=int, default=bemt.N_STATIONS)
     common(p)
 
     p = sub.add_parser("sweep", help="parameter sweep from a spec file")

@@ -6,8 +6,14 @@ target, and the weighted radius x twist grid search that selects the
 proprotor.  Sweep output is a long-format table
 (``param_name,param_value,x,y``) so every curve family serializes the
 same way.
+
+A sweep solves the points of all its values together, and the trims of
+a design budget run side by side, as rows of the solver's batched solve
+(``bemt._curves``): a sweep in chunks of whole rows, which keep its
+memory flat in its number of values, and the trims sharing each solve.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -109,49 +115,69 @@ class SweepTable:
         return lines
 
 
-def _curve_rows(spec, value, geometry, op, polar):
-    """Rows and gaps for a single swept value."""
-    if spec.response == "eta_vs_V":
-        curve = bemt.speed_curve(geometry, polar, op, spec.speeds)
-    else:
-        curve = bemt.thrust_curve(geometry, polar, op.rpm, spec.collectives,
-                                  v_inf=op.v_inf, rho=op.rho)
-    rows, gaps = [], []
-    for point, perf, err in zip(curve.ops, curve.rows, curve.errors):
-        x = point.v_inf if spec.response == "eta_vs_V" else math.degrees(point.collective)
-        if perf is None:
-            gaps.append((value, x, str(err)))
-        elif spec.response == "thrust":
-            rows.append((value, x, perf.thrust))
-        elif spec.response == "power":
-            rows.append((value, x, perf.power))
-        elif spec.response == "PL_vs_T":
-            if perf.power > 0.0:
-                rows.append((value, perf.thrust, perf.power_loading))
-            else:
-                gaps.append((value, x, "non-positive power"))
-        elif perf.thrust <= 0.0 or perf.power <= 0.0:
-            gaps.append((value, x, "non-propulsive"))
+def _sweep_points(spec, r):
+    """(value, x, (blade, op, station pitches)) of every point of the
+    sweep, value by value, built as they are read: an efficiency point is
+    :func:`bemt.speed_curve`'s row at its speed, a thrust-type point
+    :func:`bemt.thrust_curve`'s row at its collective."""
+    for value in spec.values:
+        geometry, op = apply_parameter(spec.base_geometry, spec.base_op, spec.parameter,
+                                       value, couple_preset=spec.couple_preset)
+        if spec.response == "eta_vs_V":
+            pitch = geometry.pitch(r, op.collective)
+            for v in spec.speeds:
+                yield value, v, (geometry, replace(op, v_inf=v), pitch)
         else:
-            rows.append((value, x, perf.eta_p))
-    return rows, gaps
+            base = bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
+            pitch = geometry.pitch(r, 0.0)
+            for theta0 in np.asarray(spec.collectives, dtype=float):
+                point = replace(base, collective=float(theta0))
+                yield value, math.degrees(point.collective), (geometry, point, theta0 + pitch)
+
+
+def _sweep_point(response, perf, x):
+    """Written (x, y) of a solved point, or the reason it is a gap."""
+    if response == "PL_vs_T" and not perf.power > 0.0:
+        return "non-positive power"
+    if response == "eta_vs_V" and not (perf.thrust > 0.0 and perf.power > 0.0):
+        return "non-propulsive"
+    if response == "thrust":
+        point = (x, perf.thrust)
+    elif response == "power":
+        point = (x, perf.power)
+    elif response == "PL_vs_T":
+        point = (perf.thrust, perf.power_loading)
+    else:
+        point = (x, perf.eta_p)
+    if not all(map(math.isfinite, (perf.thrust, perf.power, *point))):
+        return "non-finite load"
+    return point
 
 
 def run_sweep(spec, polar=None):
     """Evaluate the sweep into a long-format table.
 
-    Solver failures become gaps rather than aborting the sweep, so a
-    partially stalled configuration still reports its feasible branch.
+    The points of all values are solved together, in chunks of whole
+    rows of at most BLOCK stations built one at a time, so the sweep's
+    memory does not grow with its number of values.  Solver failures
+    become gaps rather than aborting the sweep, so a partially stalled
+    configuration still reports its feasible branch.  So do points with
+    no positive power (PL_vs_T), no positive thrust and power
+    (eta_vs_V), or a thrust, power, x or y that is not finite
+    ("non-finite load").
     """
     polar = airfoil.AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
+    r, dr = bemt.station_grid(spec.base_geometry.root_cutout, bemt.N_STATIONS)
+    points = _sweep_points(spec, r)
     rows, gaps = [], []
-    for value in spec.values:
-        geometry, op = apply_parameter(
-            spec.base_geometry, spec.base_op, spec.parameter, value,
-            couple_preset=spec.couple_preset)
-        r, g = _curve_rows(spec, value, geometry, op, polar)
-        rows.extend(r)
-        gaps.extend(g)
+    while chunk := list(itertools.islice(points, bemt.BLOCK // r.size)):
+        values, xs, blade_rows = zip(*chunk)
+        for value, x, (perf, err) in zip(values, xs, bemt._curves(blade_rows, polar, r, dr)):
+            point = str(err) if perf is None else _sweep_point(spec.response, perf, x)
+            if isinstance(point, str):
+                gaps.append((value, x, point))
+            else:
+                rows.append((value, *point))
     return SweepTable(parameter=spec.parameter, response=spec.response,
                       rows=tuple(rows), gaps=tuple(gaps))
 
@@ -166,12 +192,86 @@ def trim_collective(geometry, op, polar, target_thrust):
     thrust curve over TRIM_COLLECTIVES, then bisects until the thrust is
     within TRIM_TOLERANCE / 2 of the target.  Raises a trim error
     carrying the achievable maximum when the target lies above the
-    branch, or below the thrust at its lowest collective.
+    branch, or below the thrust at its lowest collective.  The one-trim
+    case of :func:`_trim`.
     """
+    return _trim(geometry, polar, [(op, target_thrust)])[0][0]
+
+
+def _trim(geometry, polar, targets):
+    """(collective, performance) of each (op, target_thrust) of
+    ``targets``: the collective :func:`trim_collective` takes, and
+    :func:`bemt.evaluate_rotor` there, with all trims solved together.
+
+    One solve holds every coarse curve.  The bisections then run in
+    lockstep, two steps per solve: a live trim puts in its next midpoint
+    and both midpoints that can follow it, so each trim takes exactly the
+    midpoints a one-step loop takes.  Its result is its midpoint within
+    tolerance, or after 48 steps the midpoint of what is left, solved as
+    one more row; an exact hit on the coarse grid is a bracket [c, c]
+    with no steps left.  A trim fails with the TrimError of its
+    coarse curve, or with the NoRootError of a midpoint it takes or of
+    its result's row; a midpoint it does not take cannot fail it.  Errors
+    are raised in the order of ``targets``.
+    """
+    r, dr = bemt.station_grid(geometry.root_cutout, bemt.N_STATIONS)
     coarse = np.linspace(*TRIM_COLLECTIVES, 29)
-    curve = bemt.thrust_curve(geometry, polar, op.rpm, coarse,
-                              v_inf=op.v_inf, rho=op.rho)
-    thrusts = curve.column("thrust")   # NaN where the solver failed
+    pitch = geometry.pitch(r, 0.0)
+    coarse_rows = [(geometry, replace(base, collective=float(theta0)), theta0 + pitch)
+                   for base in (bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
+                                for op, _ in targets)
+                   for theta0 in coarse]
+    thrusts = np.array([math.nan if perf is None else perf.thrust
+                        for perf, _ in bemt._curves(coarse_rows, polar, r, dr)])
+    results = [None] * len(targets)   # (collective, performance) or the error
+    live = {}                         # trim -> [a, b, steps left]
+    for i, ((_, target), curve) in enumerate(zip(targets, thrusts.reshape(-1, coarse.size))):
+        try:
+            live[i] = _bracket(curve, coarse, target)
+        except TrimError as exc:
+            results[i] = exc
+
+    while live:
+        cands = {}
+        for i, (a, b, left) in live.items():
+            mid = 0.5 * (a + b)
+            cands[i] = [mid, 0.5 * (a + mid), 0.5 * (mid + b)] if left else [mid]
+        solved = iter(bemt._curves(
+            [(geometry, replace(targets[i][0], collective=theta), geometry.pitch(r, theta))
+             for i, thetas in cands.items() for theta in thetas], polar, r, dr))
+        for i, thetas in cands.items():
+            rows = list(itertools.islice(solved, len(thetas)))
+            state = _bisect(*live.pop(i), *rows[0], targets[i][1])
+            if isinstance(state, list):       # its next midpoint is in this solve
+                state = _bisect(*state, *rows[thetas.index(0.5 * (state[0] + state[1]))],
+                                targets[i][1])
+            if isinstance(state, list):
+                live[i] = state
+            else:
+                results[i] = state
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+def _bisect(a, b, left, perf, err, target_thrust):
+    """One step of a trim at the midpoint of [a, b], solved there as
+    (perf, err): the next [a, b, steps left], or the trim's result: the
+    (collective, performance) within tolerance or with no steps left, or
+    the solver's error."""
+    mid = 0.5 * (a + b)
+    if err is not None:
+        return err
+    if not left or abs(perf.thrust - target_thrust) < 0.5 * TRIM_TOLERANCE:
+        return mid, perf
+    return [mid, b, left - 1] if perf.thrust < target_thrust else [a, mid, left - 1]
+
+
+def _bracket(thrusts, coarse, target_thrust):
+    """[a, b, steps left] that trims a coarse thrust curve to the target
+    (:func:`trim_collective`'s rule), or the TrimError that says why none
+    does."""
     branch = bemt.rising_branch(thrusts)
     if branch.size == 0:
         raise TrimError("rotor solution failed across the collective range",
@@ -184,10 +284,10 @@ def trim_collective(geometry, op, polar, target_thrust):
 
     # first grid point at or above the target on the rising branch;
     # an exact hit (e.g. zero thrust at zero pitch on a symmetric
-    # untwisted blade) returns that collective directly
+    # untwisted blade) is that collective, with no bisection
     for idx in branch:
         if abs(thrusts[idx] - target_thrust) < 1e-9:
-            return float(coarse[idx])
+            return [float(coarse[idx]), float(coarse[idx]), 0]
         if thrusts[idx] >= target_thrust:
             break
     if idx == branch[0]:
@@ -195,18 +295,7 @@ def trim_collective(geometry, op, polar, target_thrust):
             f"target {target_thrust:.1f} N lies below the {thrusts[idx]:.2f} N "
             f"made at {math.degrees(coarse[idx]):.1f} deg, the lowest collective "
             "of the rising branch", t_max=t_max)
-
-    a, b = float(coarse[idx - 1]), float(coarse[idx])
-    for _ in range(48):
-        mid = 0.5 * (a + b)
-        perf = bemt.evaluate_rotor(geometry, replace(op, collective=mid), polar)
-        if perf.thrust < target_thrust:
-            a = mid
-        else:
-            b = mid
-        if abs(perf.thrust - target_thrust) < 0.5 * TRIM_TOLERANCE:
-            return mid
-    return 0.5 * (a + b)
+    return [float(coarse[idx - 1]), float(coarse[idx]), 48]   # at most 48 bisection steps
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +325,7 @@ class OptimizationSpec:
     polar_name: str = presets.PROPROTOR_SECTION
     cruise_scan: tuple = (math.radians(2.0), math.radians(24.0),
                           math.radians(1.0))       # collective scan [rad]
-    n_stations: int = 100
+    n_stations: int = bemt.N_STATIONS
 
     def __post_init__(self):
         for name, size in (("weights", 2), ("radius_grid", 3),

@@ -10,7 +10,7 @@ a fixed point.
 import math
 from dataclasses import dataclass
 
-from . import bemt, explorer, presets, wing
+from . import explorer, presets, wing
 from .constants import G, HP_TO_W, RPM_TO_RAD_S
 from .errors import ConfigError, DivergenceError, EngineCapacityError
 
@@ -363,24 +363,20 @@ def design_budget(margin=0.10):
     """Power budget of the converged design at both operating points.
 
     Runs the weight loop, trims the selected proprotor to the hover
-    weight share at sea level, trims it to the per-rotor cruise thrust
-    from the level-flight drag buildup, and folds both into the budget.
-    Returns (budget, ledger, details).
+    weight share at sea level and to the per-rotor cruise thrust from the
+    level-flight drag buildup (both trims solved together, each returning
+    its performance at the trimmed collective), and folds both into the
+    budget.  Returns (budget, ledger, details).
     """
     ledger = iterate_gross_weight()
     gross = ledger.gross_mass
     rotor = presets.final_rotor()
     polar = presets.proprotor_polar()
 
-    hover = presets.hover_op()
-    theta_h = explorer.trim_collective(rotor, hover, polar, gross * G / 4.0)
-    perf_h = bemt.evaluate_rotor(rotor, presets.hover_op(collective=theta_h), polar)
-
     inputs = wing.WingDesignInputs(gross_weight=gross * G)
     drag, drag_parts = wing.cruise_drag(inputs, presets.WING_LOADING)
-    cruise = presets.cruise_op()
-    theta_c = explorer.trim_collective(rotor, cruise, polar, drag / 4.0)
-    perf_c = bemt.evaluate_rotor(rotor, presets.cruise_op(collective=theta_c), polar)
+    (theta_h, perf_h), (theta_c, perf_c) = explorer._trim(
+        rotor, polar, [(presets.hover_op(), gross * G / 4.0), (presets.cruise_op(), drag / 4.0)])
 
     budget = power_budget([perf_h] * 4, [perf_c] * 4, margin=margin)
     details = {

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from designkit import acceptance, bemt, cli, presets, schema
+from designkit import acceptance, bemt, cli, explorer, presets, schema
 from designkit.cli import main
 from designkit.errors import NoRootError, SimulationAbort
 
@@ -131,6 +131,55 @@ def test_sweep_set_override(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 1 + 2
     assert [float(line.split(",")[2]) for line in lines[1:]] == [4.0, 8.0]
+
+
+@pytest.mark.parametrize("figure", ["fig07", "fig11"])
+def test_sweep_writes_no_non_finite_rows(figure, capsys):
+    """An rpm whose omega overflows makes infinite or nan loads; those
+    points become gaps ("non-finite load"), and the finite value's rows
+    are written as before."""
+    rc, out, err = run(capsys, "sweep", "--spec", str(FIGURES / f"{figure}.json"),
+                       "--set", "values=[3200, 1e308]")
+    assert (rc, err) == (0, "")
+    lines = out.strip().split("\n")
+    assert len(lines) > 1 and all(line.startswith("rpm,3200,") for line in lines[1:])
+    assert all(math.isfinite(float(x)) for line in lines[1:] for x in line.split(",")[1:])
+    spec = cli._sweep_spec_from_json(cli._load_json(FIGURES / f"{figure}.json",
+                                                    ["values=[1e308]"]))
+    table = explorer.run_sweep(spec)
+    assert table.rows == () and {gap[2] for gap in table.gaps} == {"non-finite load"}
+
+
+# the commands of one seed-0 pass of the benchmark's studies workload
+STUDIES = (
+    ["sweep", "--spec", str(FIGURES / "fig10b.json")],
+    ["sweep", "--spec", str(FIGURES / "fig09.json")],
+    ["sweep", "--spec", str(FIGURES / "fig11.json")],
+    ["budget"],
+    ["analyze", "--collective", "8.0"],
+    ["analyze", "--rpm", "2000", "--v-inf", "20", "--rho", "1.167", "--collective", "16.0"],
+    ["wing", "--spec", str(CONFIGS / "wing.json")],
+    ["gears"],
+    ["weights"],
+)
+
+
+def test_studies_make_few_inflow_solves(tmp_path, capsys, monkeypatch):
+    """A sweep solves the rows of all its values together, in chunks of at
+    most BLOCK stations, and a design budget solves its hover and cruise
+    trims together, two bisection steps a solve: the studies take at most
+    17 inflow solves (38 with one solve per curve and per step)."""
+    solves = []
+    solve = bemt._solve_phi_grid
+
+    def count(*args):
+        solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(bemt, "_solve_phi_grid", count)
+    for i, argv in enumerate(STUDIES):
+        assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
+    capsys.readouterr()
+    assert len(solves) <= 17
 
 
 def test_sweep_unknown_preset(tmp_path, capsys):

@@ -7,13 +7,14 @@ solves, and for internal consistency of the reported optimum.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from designkit import bemt, cli, explorer
+from designkit import bemt, cli, explorer, presets
 from designkit.airfoil import AirfoilPolar
 from designkit.errors import ConfigError, NoRootError, TrimError
 from designkit.explorer import (OptimizationSpec, SweepSpec, apply_parameter,
@@ -237,6 +238,105 @@ def test_batched_efficiency_sweep_equals_per_speed_solves(figure, polar_name):
                for _, v, reason in stalled_gaps)
 
 
+def per_value_sweep(spec, polar):
+    """A sweep as one ``thrust_curve`` or ``speed_curve`` per swept value,
+    its points mapped to rows and gaps as before points with non-finite
+    loads became gaps; the two mappings agree wherever loads are finite."""
+    rows, gaps = [], []
+    for value in spec.values:
+        geometry, op = apply_parameter(spec.base_geometry, spec.base_op,
+                                       spec.parameter, value,
+                                       couple_preset=spec.couple_preset)
+        if spec.response == "eta_vs_V":
+            curve = bemt.speed_curve(geometry, polar, op, spec.speeds)
+        else:
+            curve = bemt.thrust_curve(geometry, polar, op.rpm, spec.collectives,
+                                      v_inf=op.v_inf, rho=op.rho)
+        for point, perf, err in zip(curve.ops, curve.rows, curve.errors):
+            x = point.v_inf if spec.response == "eta_vs_V" else math.degrees(point.collective)
+            if perf is None:
+                gaps.append((value, x, str(err)))
+            elif spec.response == "thrust":
+                rows.append((value, x, perf.thrust))
+            elif spec.response == "power":
+                rows.append((value, x, perf.power))
+            elif spec.response == "PL_vs_T":
+                if perf.power > 0.0:
+                    rows.append((value, perf.thrust, perf.power_loading))
+                else:
+                    gaps.append((value, x, "non-positive power"))
+            elif perf.thrust <= 0.0 or perf.power <= 0.0:
+                gaps.append((value, x, "non-propulsive"))
+            else:
+                rows.append((value, x, perf.eta_p))
+    return tuple(rows), tuple(gaps)
+
+
+SHIPPED_SWEEPS = ("fig07", "fig08", "fig09", "fig10a", "fig10b", "fig10c", "fig11")
+
+
+@pytest.mark.parametrize("jitter", [0, 17])
+@pytest.mark.parametrize("polar_name", ["sc1095", "naca0012"])
+@pytest.mark.parametrize("figure", SHIPPED_SWEEPS)
+def test_sweep_solved_together_equals_per_value_curves(figure, polar_name, jitter):
+    """``run_sweep`` solves the points of all its values together, in
+    chunks of whole rows; its rows and gaps are, ==, those of one curve
+    per value, on every shipped figure with either bundled polar, on the
+    shipped grids and on speed and collective grids shifted off them."""
+    polar = AirfoilPolar.bundled(polar_name)
+    data = cli._load_json(FIGURES / f"{figure}.json", [f"polar={polar_name}"])
+    if jitter:
+        rng = np.random.default_rng(jitter)
+        if data.get("response") == "eta_vs_V":
+            data["speeds"] = (np.array(data["speeds"]) + rng.uniform(-0.5, 0.5)).tolist()
+        else:
+            grid = data.get("collectives_deg", np.degrees(explorer.DEFAULT_COLLECTIVES))
+            data["collectives_deg"] = (np.array(grid) + rng.uniform(-0.25, 0.25)).tolist()
+    spec = cli._sweep_spec_from_json(data)
+    table = run_sweep(spec, polar=polar)
+    assert (table.rows, table.gaps) == per_value_sweep(spec, polar)
+    n_points = len(spec.speeds if spec.response == "eta_vs_V" else spec.collectives)
+    assert len(table.rows) + len(table.gaps) == len(spec.values) * n_points
+    assert len(table.rows) > 0
+
+
+@pytest.mark.parametrize("response", ["thrust", "PL_vs_T", "eta_vs_V"])
+def test_stalled_sweep_solved_together_carries_no_root_gaps(rpm_study_rotor, sc1095,
+                                                            response):
+    """Stations with no inflow root fail only their own point, whose gap
+    holds str(NoRootError), the same when all values are solved together
+    as one curve per value."""
+    spec = SweepSpec(base_geometry=rpm_study_rotor,
+                     base_op=bemt.OperatingPoint.from_rpm(3200.0, v_inf=240.0, rho=1.167,
+                                                          collective=math.radians(75.0)),
+                     parameter="twist", values=tuple(np.radians([-30.0, -10.0, 0.0])),
+                     response=response, collectives=tuple(np.radians([10.0, 75.0, 85.0])),
+                     speeds=(0.0, 30.0, 240.0))
+    table = run_sweep(spec, polar=sc1095)
+    assert (table.rows, table.gaps) == per_value_sweep(spec, sc1095)
+    assert any(reason.startswith("inflow solve failed at ") for *_, reason in table.gaps)
+
+
+def test_sweep_memory_does_not_grow_with_its_values(sc1095):
+    """The rows of a sweep are built and solved a chunk at a time, so 64
+    taper ratios peak within 1.5x of the memory of 2."""
+    def peak(n):
+        data = cli._load_json(FIGURES / "fig09.json",
+                              [f"values={np.linspace(1.0, 2.0, n).tolist()}"])
+        spec = cli._sweep_spec_from_json(data)
+        tracemalloc.start()
+        try:
+            table = run_sweep(spec, polar=sc1095)
+            return tracemalloc.get_traced_memory()[1], table
+        finally:
+            tracemalloc.stop()
+
+    small, _ = peak(2)
+    large, table = peak(64)
+    assert len(table.rows) + len(table.gaps) == 64 * len(explorer.DEFAULT_COLLECTIVES)
+    assert large <= 1.5 * small
+
+
 def test_twist_raises_peak_efficiency(rpm_study_rotor, sc1095):
     """More negative twist moves the efficiency peak up and to higher
     speed at fixed pitch input."""
@@ -287,6 +387,155 @@ def test_trim_unreachable(baseline_rotor, naca0012):
     with pytest.raises(TrimError) as info:
         trim_collective(baseline_rotor, hover_op(0.0), naca0012, 600.0)
     assert info.value.t_max == pytest.approx(130.8, abs=2.0)
+
+
+def sequential_trim(geometry, op, polar, target_thrust, solved=None):
+    """``trim_collective`` as one solve per bisection step, then
+    ``evaluate_rotor`` at the collective it returns: (collective,
+    performance).  Every collective it hands ``evaluate_rotor`` is
+    appended to ``solved``."""
+    def evaluate(theta):
+        if solved is not None:
+            solved.append(theta)
+        return bemt.evaluate_rotor(geometry, replace(op, collective=theta), polar)
+
+    coarse = np.linspace(*explorer.TRIM_COLLECTIVES, 29)
+    thrusts = bemt.thrust_curve(geometry, polar, op.rpm, coarse, v_inf=op.v_inf,
+                                rho=op.rho).column("thrust")
+    branch = bemt.rising_branch(thrusts)
+    if branch.size == 0:
+        raise TrimError("rotor solution failed across the collective range", t_max=math.nan)
+    t_max = float(thrusts[branch[-1]])
+    if not target_thrust <= t_max:
+        raise TrimError(f"target {target_thrust:.1f} N exceeds the achievable "
+                        f"{t_max:.1f} N at this condition", t_max=t_max)
+    for idx in branch:
+        if abs(thrusts[idx] - target_thrust) < 1e-9:
+            return float(coarse[idx]), evaluate(float(coarse[idx]))
+        if thrusts[idx] >= target_thrust:
+            break
+    if idx == branch[0]:
+        raise TrimError(f"target {target_thrust:.1f} N lies below the {thrusts[idx]:.2f} N "
+                        f"made at {math.degrees(coarse[idx]):.1f} deg, the lowest collective "
+                        "of the rising branch", t_max=t_max)
+    a, b = float(coarse[idx - 1]), float(coarse[idx])
+    for _ in range(48):
+        mid = 0.5 * (a + b)
+        perf = evaluate(mid)
+        if perf.thrust < target_thrust:
+            a = mid
+        else:
+            b = mid
+        if abs(perf.thrust - target_thrust) < 0.5 * explorer.TRIM_TOLERANCE:
+            return mid, evaluate(mid)
+    return 0.5 * (a + b), evaluate(0.5 * (a + b))
+
+
+def sequential_trims(geometry, polar, targets):
+    """Each trim of ``targets`` in turn; the first error is raised."""
+    return [sequential_trim(geometry, op, polar, target) for op, target in targets]
+
+
+def assert_same_trims(got, expected):
+    assert [theta for theta, _ in got] == [theta for theta, _ in expected]
+    for (_, perf), (_, reference) in zip(got, expected):
+        np.testing.assert_equal(vars(perf), vars(reference))
+
+
+def cruise_op(collective_deg=0.0):
+    return bemt.OperatingPoint.from_rpm(2000.0, v_inf=20.0, rho=1.167,
+                                        collective=math.radians(collective_deg))
+
+
+@pytest.mark.parametrize("rotor, polar_name, hover_n, cruise_n", [
+    ("final", "sc1095", 45.38, 4.31),      # design_budget's targets, rounded
+    ("final", "sc1095", 30.0, 9.0),
+    ("final", "sc1095", 61.7, 1.2),
+    ("rpm-study", "sc1095", 52.0, 6.5),
+    ("baseline", "naca0012", 50.0, 3.0),
+])
+def test_trims_solved_together_equal_sequential_trims(rotor, polar_name, hover_n, cruise_n):
+    """A hover and a cruise trim solved together take the collectives
+    that one solve per bisection step takes, and return, field for field,
+    ``evaluate_rotor`` there; ``trim_collective`` is the one-trim case."""
+    geometry = presets.ROTORS[rotor]()
+    polar = AirfoilPolar.bundled(polar_name)
+    targets = [(hover_op(0.0), hover_n), (cruise_op(), cruise_n)]
+    expected = sequential_trims(geometry, polar, targets)
+    assert_same_trims(explorer._trim(geometry, polar, targets), expected)
+    for (op, target), (theta, _) in zip(targets, expected):
+        assert trim_collective(geometry, op, polar, target) == theta
+
+
+def test_trim_exact_hit_solved_together(baseline_rotor, naca0012):
+    """An exact hit on the coarse grid returns that collective, with
+    ``evaluate_rotor`` there, beside a trim that bisects."""
+    targets = [(hover_op(0.0), 0.0), (cruise_op(), 3.0)]
+    got = explorer._trim(baseline_rotor, naca0012, targets)
+    assert got[0][0] == 0.0
+    assert_same_trims(got, sequential_trims(baseline_rotor, naca0012, targets))
+
+
+def trim_error(geometry, polar, targets, trim):
+    with pytest.raises(TrimError) as info:
+        trim(geometry, polar, targets)
+    return str(info.value), info.value.t_max
+
+
+@pytest.mark.parametrize("hover_n, cruise_n, failing", [
+    (600.0, 4.31, "hover"),       # above the hover branch
+    (0.0, 4.31, "hover"),         # below it
+    (45.38, 600.0, "cruise"),
+    (45.38, -50.0, "cruise"),
+    (600.0, -50.0, "hover"),      # both fail: hover's error is raised first
+    (0.0, 600.0, "hover"),
+])
+def test_trim_errors_solved_together(final_rotor, sc1095, hover_n, cruise_n, failing):
+    """Each TrimError of trims solved together carries the text and t_max
+    of the sequential trims' error, and the first trim's error wins."""
+    targets = [(hover_op(0.0), hover_n), (cruise_op(), cruise_n)]
+    text, t_max = trim_error(final_rotor, sc1095, targets, explorer._trim)
+    assert (text, t_max) == trim_error(final_rotor, sc1095, targets, sequential_trims)
+    alone = dict(zip(("hover", "cruise"), targets))[failing]
+    assert (text, t_max) == trim_error(final_rotor, sc1095, [alone], sequential_trims)
+
+
+def fail_rows_at(monkeypatch, fails):
+    """Make every row that ``fails(collective)`` picks fail with one
+    NoRootError; returns it and the list of collectives failed."""
+    solve = bemt._curves
+    error, failed = bemt._no_root(np.array([0.5])), []
+
+    def curves(blade_rows, polar, r, dr):
+        blade_rows = list(blade_rows)
+        for (_, op, _), solved in zip(blade_rows, solve(blade_rows, polar, r, dr)):
+            if fails(op.collective):
+                failed.append(op.collective)
+                solved = (None, error)
+            yield solved
+    monkeypatch.setattr(bemt, "_curves", curves)
+    return error, failed
+
+
+def test_trim_ignores_rows_no_sequential_trim_solves(final_rotor, sc1095, monkeypatch):
+    """A failed row the sequential trims never solve (a midpoint not
+    taken) changes nothing; a failed midpoint that they take raises its
+    error, as ``evaluate_rotor`` would raise it there."""
+    targets = [(hover_op(0.0), 45.38), (cruise_op(), 4.31)]
+    taken = []
+    expected = [sequential_trim(final_rotor, op, sc1095, target, taken)
+                for op, target in targets]
+    coarse = np.linspace(*explorer.TRIM_COLLECTIVES, 29).tolist()
+    assert len(set(taken)) >= 4
+    _, failed = fail_rows_at(monkeypatch,
+                             lambda theta: theta not in taken and theta not in coarse)
+    assert_same_trims(explorer._trim(final_rotor, sc1095, targets), expected)
+    assert failed
+
+    error, _ = fail_rows_at(monkeypatch, lambda theta: theta == taken[1])
+    with pytest.raises(NoRootError) as info:
+        explorer._trim(final_rotor, sc1095, targets)
+    assert info.value is error
 
 
 # ---------------------------------------------------------------------------
