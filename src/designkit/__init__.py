@@ -17,9 +17,7 @@ from .bemt import (
     StationSolution,
     evaluate_rotor,
     solve_station,
-    speed_curve,
     thrust_curve,
-    thrust_curves,
 )
 from .errors import (
     ConfigError,

@@ -58,10 +58,10 @@ gives CT, CP and the dimensional performance numbers.
 Every batched evaluation is a list of rows on one station grid, each
 row a blade, an operating point and that blade's pitch at every station,
 solved together (:func:`_curves`).  The solve is per element, so a row's
-numbers do not depend on the rows beside it.  Collective curves, speed
-curves, the explorer's sweeps (every swept value at once, in chunks of
-whole rows of at most BLOCK stations) and its trims (hover and cruise
-together) all take this path.
+numbers do not depend on the rows beside it.  Thrust curves, the
+explorer's sweeps (in chunks of whole rows of at most BLOCK stations),
+its trims (hover and cruise together) and its grid search (figures of
+merit and cruise scans together) all take this path.
 
 Conventions: radial positions are nondimensional (r = y/R in [0, 1)),
 angles in radians, SI units throughout.  CT = T / (rho A (Omega R)^2),
@@ -949,8 +949,12 @@ def _performance(ct, cp, geometry, op):
     mu = op.advance_ratio(geometry.radius)
     v_tip = op.tip_speed(geometry.radius)
     area = geometry.disc_area
-    thrust = ct * op.rho * area * v_tip ** 2
-    power = cp * op.rho * area * v_tip ** 3
+    try:
+        v2, v3 = v_tip ** 2, v_tip ** 3
+    except OverflowError:       # a float power raises where the product gives inf
+        v2, v3 = v_tip * v_tip, v_tip * v_tip * v_tip
+    thrust = ct * op.rho * area * v2
+    power = cp * op.rho * area * v3
     if mu == 0.0:
         eta_p = 0.0
         fm = ct ** 1.5 / (math.sqrt(2.0) * cp) if ct > 0.0 and cp > 0.0 else math.nan
@@ -969,9 +973,9 @@ def evaluate_rotor(geometry, op, polar, n_stations=N_STATIONS, return_inflow=Fal
     """Integrated CT, CP and dimensional performance at one operating point.
 
     Midpoint rule over ``n_stations`` equal cells on [root_cutout, 1]; a
-    one-row solve of the same core as :func:`thrust_curve` and
-    :func:`speed_curve`.  Raises :class:`NoRootError` naming the failed
-    stations if any station does not converge.
+    one-row solve of the same core as :func:`thrust_curve`.  Raises
+    :class:`NoRootError` naming the failed stations if any station does
+    not converge.
     """
     r, dr = station_grid(geometry.root_cutout, n_stations)
     ct, cp, found, phi, res, state = _solve_rows(
@@ -1032,32 +1036,12 @@ def _curves(blade_rows, polar, r, dr):
             else (None, _no_root(r[~found[i]])) for i, (g, op) in enumerate(zip(blades, ops))]
 
 
-def _curve(ops, solved):
-    """:class:`RotorCurve` of ``ops`` from their (performance, error) pairs."""
-    return RotorCurve(ops=list(ops), rows=[p for p, _ in solved], errors=[e for _, e in solved])
-
-
-def thrust_curves(geometries, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
-                  n_stations=N_STATIONS):
-    """:func:`thrust_curve` of each blade, all from one batched solve.
-
-    The blades share a blade count and a root cutout, so one station
-    grid; curve i is, bit for bit, ``thrust_curve(geometries[i], ...)``.
-    """
-    if not geometries:
-        return []
-    if len({(g.n_blades, g.root_cutout) for g in geometries}) > 1:
-        raise GeometryError("blades solved together need one blade count and root cutout")
-    collectives = np.atleast_1d(np.asarray(collectives, dtype=float))
-    op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
-    ops = [replace(op, collective=float(theta0)) for theta0 in collectives]
-    r, dr = station_grid(geometries[0].root_cutout, n_stations)
-    pitch = [g.pitch(r, 0.0) for g in geometries]
-    solved = _curves([(g, point, theta0 + zero)
-                      for g, zero in zip(geometries, pitch)
-                      for point, theta0 in zip(ops, collectives)], polar, r, dr)
-    n = len(ops)
-    return [_curve(ops, solved[i * n:(i + 1) * n]) for i in range(len(geometries))]
+def _collective_rows(blade, op, collectives, r):
+    """:func:`_curves` rows of ``blade`` at ``op`` with each of
+    ``collectives`` added to its zero-collective pitch at stations ``r``."""
+    pitch = blade.pitch(r, 0.0)
+    return [(blade, replace(op, collective=float(theta0)), theta0 + pitch)
+            for theta0 in np.atleast_1d(np.asarray(collectives, dtype=float))]
 
 
 def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
@@ -1068,22 +1052,11 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
     with the collective added to the zero-collective pitch law.  Stations
     that fail to converge invalidate only their own row.
     """
-    return thrust_curves([geometry], polar, rpm, collectives, v_inf=v_inf, rho=rho,
-                         n_stations=n_stations)[0]
-
-
-def speed_curve(geometry, polar, op, speeds):
-    """Sweep axial speed [m/s] at the RPM, collective and density of
-    ``op``; one batched solve, one row per speed.
-
-    Each row is, bit for bit, what :func:`evaluate_rotor` gives at
-    ``replace(op, v_inf=speed)`` on its default N_STATIONS stations: the
-    same core, with the advance ratio varying over the rows.
-    """
-    ops = [replace(op, v_inf=v) for v in speeds]
-    r, dr = station_grid(geometry.root_cutout, N_STATIONS)
-    pitch = geometry.pitch(r, op.collective)
-    return _curve(ops, _curves([(geometry, o, pitch) for o in ops], polar, r, dr))
+    op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
+    r, dr = station_grid(geometry.root_cutout, n_stations)
+    rows = _collective_rows(geometry, op, collectives, r)
+    solved = _curves(rows, polar, r, dr)
+    return RotorCurve([o for _, o, _ in rows], [p for p, _ in solved], [e for _, e in solved])
 
 
 def rising_branch(values):

@@ -121,6 +121,8 @@ def cmd_analyze(args):
     # the flags go through the sweep spec's op table, so non-finite values are ConfigErrors
     op = bemt.OperatingPoint.from_rpm(**read(OP_KEYS, {k: getattr(args, k) for k in OP_KEYS}))
     perf = bemt.evaluate_rotor(geometry, op, polar, n_stations=args.n_stations)
+    if not (math.isfinite(perf.thrust) and math.isfinite(perf.power)):
+        raise ConfigError(f"rpm {args.rpm:g} and rho {args.rho:g} overflow the rotor's loads")
     text = perf.CSV_HEADER + "\n" + perf.csv_row() + "\n"
     _emit(args, "performance.csv", text)
     return 0

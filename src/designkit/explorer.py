@@ -7,15 +7,14 @@ proprotor.  Sweep output is a long-format table
 (``param_name,param_value,x,y``) so every curve family serializes the
 same way.
 
-A sweep solves the points of all its values together, and the trims of
-a design budget run side by side, as rows of the solver's batched solve
-(``bemt._curves``): a sweep in chunks of whole rows, which keep its
-memory flat in its number of values, and the trims sharing each solve.
+A sweep solves the points of all its values together, a design
+budget's trims and each twist's grid cells share solves, as rows of the
+solver's batched solve (``bemt._curves``): a sweep in chunks of whole
+rows, which keep its memory flat in its number of values.
 """
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -118,7 +117,7 @@ class SweepTable:
 def _sweep_points(spec, r):
     """(value, x, (blade, op, station pitches)) of every point of the
     sweep, value by value, built as they are read: an efficiency point is
-    :func:`bemt.speed_curve`'s row at its speed, a thrust-type point
+    :func:`bemt.evaluate_rotor`'s row at its speed, a thrust-type point
     :func:`bemt.thrust_curve`'s row at its collective."""
     for value in spec.values:
         geometry, op = apply_parameter(spec.base_geometry, spec.base_op, spec.parameter,
@@ -129,10 +128,8 @@ def _sweep_points(spec, r):
                 yield value, v, (geometry, replace(op, v_inf=v), pitch)
         else:
             base = bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
-            pitch = geometry.pitch(r, 0.0)
-            for theta0 in np.asarray(spec.collectives, dtype=float):
-                point = replace(base, collective=float(theta0))
-                yield value, math.degrees(point.collective), (geometry, point, theta0 + pitch)
+            for row in bemt._collective_rows(geometry, base, spec.collectives, r):
+                yield value, math.degrees(row[1].collective), row
 
 
 def _sweep_point(response, perf, x):
@@ -216,11 +213,8 @@ def _trim(geometry, polar, targets):
     """
     r, dr = bemt.station_grid(geometry.root_cutout, bemt.N_STATIONS)
     coarse = np.linspace(*TRIM_COLLECTIVES, 29)
-    pitch = geometry.pitch(r, 0.0)
-    coarse_rows = [(geometry, replace(base, collective=float(theta0)), theta0 + pitch)
-                   for base in (bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
-                                for op, _ in targets)
-                   for theta0 in coarse]
+    coarse_rows = [row for op, _ in targets for row in bemt._collective_rows(
+        geometry, bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho), coarse, r)]
     thrusts = np.array([math.nan if perf is None else perf.thrust
                         for perf, _ in bemt._curves(coarse_rows, polar, r, dr)])
     results = [None] * len(targets)   # (collective, performance) or the error
@@ -419,9 +413,10 @@ def _evaluate_twist(args):
 
     At fixed aspect ratio, taper and twist the hover CT and CP do not
     depend on the radius, so one dense hover curve on a reference blade
-    trims every radius, and one batched solve at the trimmed collectives
-    gives every figure of merit.  One more solve scans the cruise
-    collectives of every radius that hovers, each on its own blade.
+    trims every radius.  One more solve gives every trimmed radius its
+    figure of merit (the reference blade at its trimmed collective) and
+    its cruise collective scan (on its own blade); a radius whose figure
+    of merit is not finite keeps eta = nan.
     """
     spec, twist, polar = args
     radii = spec.radii()
@@ -443,22 +438,23 @@ def _evaluate_twist(args):
                                      thrust[branch], thetas[branch])
 
     trimmed = np.flatnonzero(np.isfinite(theta_h))
-    hover = bemt.thrust_curve(reference, polar, spec.hover_rpm,
-                              theta_h[trimmed], v_inf=0.0,
-                              rho=spec.hover_rho, n_stations=spec.n_stations)
-    fm[trimmed] = hover.column("figure_of_merit")
-
     scan_lo, scan_hi, scan_step = spec.cruise_scan
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
-    hovering = np.flatnonzero(np.isfinite(fm))
-    cruises = bemt.thrust_curves(
-        [_blade(spec, float(radii[i]), twist) for i in hovering], polar, spec.cruise_rpm,
-        scan, v_inf=spec.cruise_speed, rho=spec.cruise_rho, n_stations=spec.n_stations)
-    for i, cruise in zip(hovering, cruises):
-        etas = np.where((cruise.column("power") > 0.0) & (cruise.column("thrust") > 0.0),
-                        cruise.column("eta_p"), -math.inf)
+    r, dr = bemt.station_grid(reference.root_cutout, spec.n_stations)
+    hover = bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho)
+    cruise = bemt.OperatingPoint.from_rpm(spec.cruise_rpm, v_inf=spec.cruise_speed,
+                                          rho=spec.cruise_rho)
+    rows = bemt._collective_rows(reference, hover, theta_h[trimmed], r)
+    for i in trimmed:
+        rows += bemt._collective_rows(_blade(spec, float(radii[i]), twist), cruise, scan, r)
+    solved = iter(perf for perf, _ in bemt._curves(rows, polar, r, dr))
+    fm[trimmed] = [math.nan if p is None else p.figure_of_merit
+                   for p in itertools.islice(solved, trimmed.size)]
+    for i in trimmed:
+        etas = np.array([p.eta_p if p is not None and p.power > 0.0 and p.thrust > 0.0
+                         else -math.inf for p in itertools.islice(solved, scan.size)])
         k = int(np.argmax(etas))
-        if etas[k] > -math.inf:
+        if etas[k] > -math.inf and math.isfinite(fm[i]):
             eta[i], theta_c[i] = etas[k], scan[k]
     return fm, eta, theta_h, theta_c
 
@@ -478,6 +474,7 @@ def optimize(spec=None, polar=None, workers=1):
 
     jobs = [(spec, float(tw), polar) for tw in twists]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # only a pool needs its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             columns = list(pool.map(_evaluate_twist, jobs))
     else:

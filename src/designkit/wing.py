@@ -166,21 +166,25 @@ def biplane_power_ratio(beta):
     Each wing carries half the lift on half the area at span
     ``beta`` times the monoplane span, and the wings are treated as
     independent, so the ratio is 1/(2 beta^2): 0.5 at beta = 1, unity
-    at beta = 1/sqrt(2).
+    at beta = 1/sqrt(2).  A ratio that overflows is refused.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0.0):
-        raise ConfigError("span ratio must be positive")
-    out = 1.0 / (2.0 * beta ** 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = 1.0 / (2.0 * beta ** 2)
+    if np.any(beta <= 0.0) or not np.all(np.isfinite(out)):
+        raise ConfigError(f"span_ratio {np.min(beta):g} must be positive, 1/(2 beta^2) finite")
     return float(out) if out.ndim == 0 else out
 
 
 def _power_terms(inputs, wl):
     """Parasite and induced cruise power [W] at wing loadings wl [N/m^2]."""
-    parasite = (inputs.dynamic_pressure * inputs.cruise_speed * inputs.cd0
-                * inputs.gross_weight / wl)
-    induced = (2.0 * inputs.induced_factor * inputs.gross_weight * wl
-               / (inputs.rho * inputs.cruise_speed))
+    with np.errstate(over="ignore"):
+        parasite = (inputs.dynamic_pressure * inputs.cruise_speed * inputs.cd0
+                    * inputs.gross_weight / wl)
+        induced = (2.0 * inputs.induced_factor * inputs.gross_weight * wl
+                   / (inputs.rho * inputs.cruise_speed))
+    if not (np.all(np.isfinite(parasite)) and np.all(np.isfinite(induced))):
+        raise ConfigError(f"cruise power overflows with the wing inputs {inputs.to_dict()}")
     return parasite, induced
 
 

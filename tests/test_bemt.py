@@ -17,7 +17,6 @@ recovery relations) or validation of the public contracts.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,57 +555,37 @@ def test_shared_core_keeps_evaluate_rotor_and_thrust_curve(rpm_study_rotor, sc10
     assert [(row.ct, row.cp) for row in curve.rows] == list(zip(ct.tolist(), cp.tolist()))
 
 
-def test_speed_curve_rows_are_evaluate_rotor(rpm_study_rotor, sc1095):
-    """Each speed-curve row equals evaluate_rotor at that speed, field for
-    field, hover row included; a speed with no root carries the error
-    evaluate_rotor raises there."""
-    op = OperatingPoint.from_rpm(3200.0, rho=1.167, collective=math.radians(75.0))
-    speeds = (0.0, 12.0, 30.0, 240.0)
-    curve = bemt.speed_curve(rpm_study_rotor, sc1095, op, speeds)
-    assert tuple(o.v_inf for o in curve.ops) == speeds
-    for v, row, err in zip(speeds, curve.rows, curve.errors):
-        try:
-            direct = bemt.evaluate_rotor(rpm_study_rotor, replace(op, v_inf=v), sc1095)
-        except NoRootError as exc:
-            assert row is None
-            assert (str(err), err.stations, err.bracket) == (str(exc), exc.stations, exc.bracket)
-            continue
-        assert err is None
-        np.testing.assert_equal(vars(row), vars(direct))
-    assert curve.rows[0].eta_p == 0.0
-    assert curve.rows[-1] is None
-
-
 def test_thrust_curves_are_thrust_curve_per_blade(sc1095):
-    """One solve over several blades gives each blade's own thrust curve,
-    field for field; rows with no root carry the same error.  The radii
-    differ, so each row needs its blade's advance ratio and solidity
-    (local_solidity differs across radii in the last bit)."""
+    """One ``_curves`` solve over the collective rows of several blades
+    gives each blade its own thrust curve, field for field; rows with no
+    root carry the same error.  The radii differ, so each row needs its
+    blade's advance ratio and solidity (local_solidity differs across
+    radii in the last bit)."""
     twist = math.radians(-20.0)
     blades = [BladeGeometry.from_aspect_ratio(radius, 12.0, taper_ratio=5.0 / 3.0,
                                               twist=twist, preset=-twist)
               for radius in (0.27, 0.38, 0.51)]
-    r, _ = bemt.station_grid(blades[0].root_cutout, 100)
+    r, dr = bemt.station_grid(blades[0].root_cutout, 100)
     assert not np.array_equal(blades[0].local_solidity(r), blades[1].local_solidity(r))
     collectives = np.radians([2.0, 9.0, 16.0, 75.0])
+    n = collectives.size
     for v_inf in (0.0, 20.0, 240.0):
-        curves = bemt.thrust_curves(blades, sc1095, 2000.0, collectives, v_inf=v_inf, rho=1.167)
-        assert len(curves) == len(blades)
-        for blade, curve in zip(blades, curves):
+        op = OperatingPoint.from_rpm(2000.0, v_inf=v_inf, rho=1.167)
+        rows = [row for blade in blades
+                for row in bemt._collective_rows(blade, op, collectives, r)]
+        solved = bemt._curves(rows, sc1095, r, dr)
+        for i, blade in enumerate(blades):
             alone = bemt.thrust_curve(blade, sc1095, 2000.0, collectives, v_inf=v_inf,
                                       rho=1.167)
-            assert curve.ops == alone.ops
-            for row, single in zip(curve.rows, alone.rows):
+            assert [point for _, point, _ in rows[i * n:(i + 1) * n]] == alone.ops
+            for (row, err), single, error in zip(solved[i * n:(i + 1) * n], alone.rows,
+                                                 alone.errors, strict=True):
                 assert (row is None) == (single is None)
                 if row is not None:
                     np.testing.assert_equal(vars(row), vars(single))
-            assert [str(e) for e in curve.errors] == [str(e) for e in alone.errors]
-    assert any(row is None for row in curves[0].rows)       # 240 m/s has failed rows
-    assert bemt.thrust_curves([], sc1095, 2000.0, collectives) == []
-    with pytest.raises(GeometryError):
-        bemt.thrust_curves([blades[0], replace(blades[1], n_blades=3)], sc1095, 2000.0,
-                           collectives)
-
+                assert str(err) == str(error)
+    assert any(row is None for row, _ in solved[:n])       # 240 m/s has failed rows
+    assert bemt._curves([], sc1095, r, dr) == []
 
 
 @pytest.mark.parametrize("values, expected", [

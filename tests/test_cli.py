@@ -6,9 +6,12 @@ what a shell user gets: CSV/JSON on stdout or in ``--out``, exit status
 exit status 2 for usage errors.
 """
 
+import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -180,6 +183,28 @@ def test_studies_make_few_inflow_solves(tmp_path, capsys, monkeypatch):
         assert main(argv + ["--out", str(tmp_path / str(i))]) == 0
     capsys.readouterr()
     assert len(solves) <= 17
+
+
+# the command of one seed-0 pass of the benchmark's design_grid workload
+DESIGN_GRID = ["optimize", "--spec", str(FIGURES / "fig12.json"),
+               "--set", "radius_grid_m=[0.3, 0.46, 0.02]", "--set", "twist_grid_deg=[-40, -8, 8]"]
+
+
+def test_design_grid_makes_two_inflow_solves_per_twist(tmp_path, capsys, monkeypatch):
+    """Each twist of the grid solves its hover reference curve, then the
+    figures of merit and cruise scans of its trimmed radii together: the
+    five twists take at most 10 inflow solves (15 with the figures of
+    merit solved apart from the cruise scans)."""
+    solves = []
+    solve = bemt._solve_phi_grid
+
+    def count(*args):
+        solves.append(args)
+        return solve(*args)
+    monkeypatch.setattr(bemt, "_solve_phi_grid", count)
+    assert main(DESIGN_GRID + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert len(solves) <= 10
 
 
 def test_sweep_unknown_preset(tmp_path, capsys):
@@ -389,6 +414,50 @@ def test_refuses_unbounded_sizes(argv, error, words):
     assert payload["error"] == error
     for word in words:
         assert word in payload["message"]
+
+
+@pytest.mark.parametrize("argv, error, words", [
+    (["analyze", "--rpm", "1e308"], "ConfigError", ("rpm 1e+308", "overflow")),
+    (["optimize", "--set", "hover_rpm=1e308", "--set", "radius_grid_m=[0.3, 0.31, 0.01]",
+      "--set", "twist_grid_deg=[-20, -20, 1]"], "TrimError", ("infeasible",)),
+    (["wing", "--spec", str(CONFIGS / "wing.json"), "--set", "gross_weight_n=1e308"],
+     "ConfigError", ("'gross_weight_n': 1e+308", "overflow")),
+    (["wing", "--spec", str(CONFIGS / "wing.json"), "--set", "span_ratio=1e-300"],
+     "ConfigError", ("span_ratio", "1e-300")),
+], ids=["analyze-rpm", "optimize-hover-rpm", "wing-gross-weight", "wing-span-ratio"])
+def test_refuses_inputs_whose_outputs_overflow(capsys, argv, error, words):
+    """An input that makes an output overflow exits 1 with one strict-JSON
+    error that names it, and writes nothing else: no traceback, and no
+    NumPy warning (pytest makes a RuntimeWarning an error)."""
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    payload = strict_json(err)
+    assert payload["error"] == error
+    for word in words:
+        assert word in payload["message"]
+
+
+def test_sweep_whose_tip_speed_overflows_writes_only_gaps(capsys):
+    """A sweep at an rpm whose tip speed overflows when squared makes its
+    points non-finite-load gaps and writes the header only."""
+    rc, out, err = run(capsys, "sweep", "--spec", str(FIGURES / "fig10b.json"),
+                       "--set", "op.rpm=1e308")
+    assert (rc, out, err) == (0, explorer.SweepTable.CSV_HEADER + "\n", "")
+    spec = cli._sweep_spec_from_json(cli._load_json(FIGURES / "fig10b.json",
+                                                    ["op.rpm=1e308"]))
+    assert {gap[2] for gap in explorer.run_sweep(spec).gaps} == {"non-finite load"}
+
+
+def test_readme_names_resolve():
+    """Every `module.name` the README puts in backticks, for a designkit
+    module, names something that module has."""
+    import designkit
+    modules = {m.name for m in pkgutil.iter_modules(designkit.__path__)}
+    named = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", (REPO / "README.md").read_text())
+             if m in modules]
+    assert len(named) >= 10
+    assert [f"{m}.{n}" for m, n in named
+            if not hasattr(importlib.import_module(f"designkit.{m}"), n)] == []
 
 
 def test_optimize_missing_spec_file(tmp_path, capsys):

@@ -239,20 +239,26 @@ def test_batched_efficiency_sweep_equals_per_speed_solves(figure, polar_name):
 
 
 def per_value_sweep(spec, polar):
-    """A sweep as one ``thrust_curve`` or ``speed_curve`` per swept value,
-    its points mapped to rows and gaps as before points with non-finite
-    loads became gaps; the two mappings agree wherever loads are finite."""
+    """A sweep as one solve per swept value: its ``thrust_curve``, or its
+    speed rows (the pitch law at the value's collective, one row per
+    speed) in one ``_curves`` call.  Its points are mapped to rows and
+    gaps as before points with non-finite loads became gaps; the two
+    mappings agree wherever loads are finite."""
     rows, gaps = [], []
+    r, dr = bemt.station_grid(spec.base_geometry.root_cutout, bemt.N_STATIONS)
     for value in spec.values:
         geometry, op = apply_parameter(spec.base_geometry, spec.base_op,
                                        spec.parameter, value,
                                        couple_preset=spec.couple_preset)
         if spec.response == "eta_vs_V":
-            curve = bemt.speed_curve(geometry, polar, op, spec.speeds)
+            ops = [replace(op, v_inf=v) for v in spec.speeds]
+            pitch = geometry.pitch(r, op.collective)
+            solved = bemt._curves([(geometry, o, pitch) for o in ops], polar, r, dr)
         else:
             curve = bemt.thrust_curve(geometry, polar, op.rpm, spec.collectives,
                                       v_inf=op.v_inf, rho=op.rho)
-        for point, perf, err in zip(curve.ops, curve.rows, curve.errors):
+            ops, solved = curve.ops, zip(curve.rows, curve.errors)
+        for point, (perf, err) in zip(ops, solved):
             x = point.v_inf if spec.response == "eta_vs_V" else math.degrees(point.collective)
             if perf is None:
                 gaps.append((value, x, str(err)))
@@ -654,36 +660,43 @@ def test_grid_search_matches_per_cell_solves(sc1095, tiny_result):
 
 
 def test_cruise_scan_per_twist_is_thrust_curve_per_radius(sc1095, monkeypatch):
-    """The one cruise solve of a twist gives every radius that hovers what
-    its own ``thrust_curve`` gives, bit for bit in thrust, power and
-    eta_p; a radius that cannot hover (0.33 m at -26 deg) is left out of
-    the solve and stays infeasible."""
+    """A twist takes two solves: the hover reference curve, then the
+    figures of merit and cruise scans of every trimmed radius together.
+    Each radius's cruise rows give what its own ``thrust_curve`` gives, bit
+    for bit in thrust, power and eta_p; a radius that cannot hover (0.33 m
+    at -26 deg) is left out of the solve and stays infeasible."""
     twist = math.radians(-26.0)
     spec = OptimizationSpec(radius_grid=(0.33, 0.37, 0.02),
                             twist_grid=(twist, twist, math.radians(1.0)),
                             cruise_scan=(math.radians(2.0), math.radians(24.0),
                                          math.radians(2.0)))
     solves = []
-    batched = bemt.thrust_curves
+    batched = bemt._curves
 
-    def record(geometries, *args, **kwargs):
-        curves = batched(geometries, *args, **kwargs)
-        solves.append((geometries, curves))
-        return curves
+    def record(blade_rows, *args):
+        solved = batched(blade_rows, *args)
+        solves.append((blade_rows, solved))
+        return solved
 
-    monkeypatch.setattr(bemt, "thrust_curves", record)
+    monkeypatch.setattr(bemt, "_curves", record)
     fm, eta, _, theta_c = explorer._evaluate_twist((spec, twist, sc1095))
     assert math.isnan(fm[0]) and math.isnan(eta[0]) and np.all(np.isfinite(eta[1:]))
-    assert len(solves) == 3           # hover reference curve, trimmed hover, cruise
-    geometries, curves = solves[-1]
-    assert [g.radius for g in geometries] == spec.radii()[1:].tolist()
-    scan = curves[0].column("collective")
-    for i, geometry, curve in zip((1, 2), geometries, curves):
+    assert len(solves) == 2           # hover reference curve; trimmed hover and cruise
+    blade_rows, solved = solves[-1]
+    hover, cruise = blade_rows[:2], blade_rows[2:]
+    assert all(op.v_inf == 0.0 and blade.radius == 0.38 for blade, op, _ in hover)
+    assert fm[1:].tolist() == [perf.figure_of_merit for perf, _ in solved[:2]]
+    scan = np.array([op.collective for _, op, _ in cruise[:len(cruise) // 2]])
+    for i, first in zip((1, 2), (0, scan.size)):
+        geometry = cruise[first][0]
+        assert geometry.radius == spec.radii()[i]
         alone = bemt.thrust_curve(geometry, sc1095, spec.cruise_rpm, scan,
                                   v_inf=spec.cruise_speed, rho=spec.cruise_rho,
                                   n_stations=spec.n_stations)
+        rows = [perf for perf, _ in solved[2 + first:2 + first + scan.size]]
         for name in ("thrust", "power", "eta_p"):
-            np.testing.assert_array_equal(curve.column(name), alone.column(name))
+            np.testing.assert_array_equal(
+                [math.nan if p is None else getattr(p, name) for p in rows], alone.column(name))
         thrust, power, eta_p = (alone.column(n) for n in ("thrust", "power", "eta_p"))
         propulsive = (thrust > 0.0) & (power > 0.0)
         assert eta[i] == np.max(eta_p[propulsive])
