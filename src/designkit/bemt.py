@@ -75,7 +75,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import RHO_SL, RPM_TO_RAD_S
+from .constants import N_STATIONS, RHO_SL, RPM_TO_RAD_S
 from .errors import GeometryError, NoRootError
 from .schema import INTEGER, NUMBER, STRING, Key, read, rows
 
@@ -91,7 +91,6 @@ CERT_MARGIN = 1.0e-12     # relative margin by which a certified enclosure clear
 CERT_FLOOR = 1.0e-150     # absolute margin: products of certified residuals stay normal
 ZERO_LIFT_CL = 1.0e-12    # |cl| below this in hover pins phi = 0 exactly
 MAX_STATIONS = 4096       # stations per blade; 16x the finest in-repo use
-N_STATIONS = 100          # stations per blade unless a caller asks for others
 _TINY = 1.0e-15
 
 

@@ -6,6 +6,10 @@ machine-readable error JSON on stderr with exit status 1; usage errors
 exit 2.  On the commands that read a spec (``sweep``, ``optimize``,
 ``wing``, ``simulate``), ``--set key=value`` applies dotted-path
 overrides to it before anything runs.
+
+Each ``cmd_*`` function imports the modules it runs, so a fresh process
+loads only what its command executes: the parser and the key tables
+need neither the solver nor the studies.
 """
 
 import argparse
@@ -17,9 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bemt, explorer, flightsim, powertrain, presets, wing
+from . import presets
 from .airfoil import AirfoilPolar
-from .constants import HP_TO_W, RHO_SL
+from .constants import HP_TO_W, N_STATIONS, RHO_SL
 from .errors import ConfigError, DesignError
 from .schema import BOOLEAN, INTEGER, NUMBER, NUMBERS, OBJECT, REQUIRED, STRING, Key, read, rows
 
@@ -37,6 +41,7 @@ def _load_polar(name_or_path):
 
 
 def _load_rotor(spec):
+    from . import bemt
     if spec in presets.ROTORS:
         return presets.ROTORS[spec]()
     if not Path(spec).exists():
@@ -116,6 +121,7 @@ def _emit_json(args, filename, payload):
 # subcommands
 
 def cmd_analyze(args):
+    from . import bemt
     geometry = _load_rotor(args.rotor)
     polar = _load_polar(args.polar)
     # the flags go through the sweep spec's op table, so non-finite values are ConfigErrors
@@ -150,6 +156,7 @@ SWEEP_KEYS = {
 
 
 def _sweep_spec_from_json(data):
+    from . import bemt, explorer
     fields = read(SWEEP_KEYS, data)
     op = bemt.OperatingPoint.from_rpm(**read(OP_KEYS, fields.pop("op"), "op."))
     preset = fields.pop("rotor_preset")
@@ -166,6 +173,7 @@ def _sweep_spec_from_json(data):
 
 
 def cmd_sweep(args):
+    from . import explorer
     data = _load_json(args.spec, args.set)
     spec = _sweep_spec_from_json(data)
     table = explorer.run_sweep(spec)
@@ -191,6 +199,7 @@ OPTIMIZE_KEYS = {
 
 
 def cmd_optimize(args):
+    from . import explorer
     data = _load_json(args.spec, args.set)
     spec = explorer.OptimizationSpec(**read(OPTIMIZE_KEYS, data))
     result = explorer.optimize(spec, workers=args.workers)
@@ -202,16 +211,10 @@ def cmd_optimize(args):
     return 0
 
 
-WING_KEYS = {
-    **wing.INPUT_KEYS,
-    "wing_loading_n_m2": Key("wing_loading", NUMBER, presets.WING_LOADING),
-    "gap_m": Key("gap", NUMBER, presets.ROTOR_SEPARATION),
-}
-
-
 def cmd_wing(args):
+    from . import wing
     data = _load_json(args.spec, args.set)
-    fields = read(WING_KEYS, data)
+    fields = read(wing.WING_KEYS, data)
     loading, gap = fields.pop("wing_loading"), fields.pop("gap")
     inputs = wing.WingDesignInputs(**fields)
     sizing = wing.size_biplane(inputs, loading, gap=gap)
@@ -234,6 +237,7 @@ def cmd_wing(args):
 
 
 def cmd_gears(args):
+    from . import powertrain
     train = powertrain.build_gear_train()
     budget, _, details = powertrain.design_budget()
     pinion = next(g for g in train if g.role == "E")
@@ -254,6 +258,7 @@ def cmd_gears(args):
 
 
 def cmd_budget(args):
+    from . import powertrain
     budget, ledger, details = powertrain.design_budget(margin=args.margin)
     payload = {"budget": budget.to_dict(), "details": details}
     _emit_json(args, "budget.json", payload)
@@ -261,6 +266,7 @@ def cmd_budget(args):
 
 
 def cmd_weights(args):
+    from . import powertrain
     ledger = powertrain.iterate_gross_weight(
         fixed=powertrain.default_fixed_masses(payload=args.payload),
         tolerance=args.tolerance, start=args.start)
@@ -283,6 +289,7 @@ SIMULATE_KEYS = {
 
 
 def cmd_simulate(args):
+    from . import flightsim
     data = _load_json(args.mission, args.set)
     fields = read(SIMULATE_KEYS, data)
     rotor = _load_rotor(args.rotor)
@@ -334,7 +341,7 @@ def build_parser():
                    help="deg")
     p.add_argument("--v-inf", type=float, default=0.0, help="m/s")
     p.add_argument("--rho", type=float, default=RHO_SL, help="kg/m^3")
-    p.add_argument("--n-stations", type=int, default=bemt.N_STATIONS)
+    p.add_argument("--n-stations", type=int, default=N_STATIONS)
     common(p)
 
     p = sub.add_parser("sweep", help="parameter sweep from a spec file")
@@ -390,7 +397,3 @@ def main(argv=None):
         json.dump(_json_safe(payload), sys.stderr, indent=2, default=str)
         sys.stderr.write("\n")
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

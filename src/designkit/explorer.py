@@ -342,6 +342,17 @@ class OptimizationSpec:
         if n_r * n_tw > MAX_GRID_CELLS:
             raise ConfigError(f"radius_grid x twist_grid is {n_r} x {n_tw} = {n_r * n_tw} "
                               f"cells; the cap is {MAX_GRID_CELLS}")
+        # the trim scales CT to thrust by rho A (omega R)^2 as _evaluate_twist
+        # does, largest at the largest radius.  An rpm whose omega is already
+        # infinite makes every thrust infinite, and the trim finds no crossing.
+        omega = self.hover_rpm * math.pi / 30.0
+        radius = np.max(np.abs(self.radii()))
+        with np.errstate(over="ignore"):
+            scale = self.hover_rho * (math.pi * radius ** 2) * (omega * radius) ** 2
+        if math.isfinite(omega) and not math.isfinite(scale):
+            raise ConfigError(f"hover_rpm {self.hover_rpm:g} and hover_rho {self.hover_rho:g} "
+                              f"overflow the hover thrust scale rho A (omega R)^2 "
+                              f"at radius {radius:g} m")
 
     def radii(self):
         return _grid(*self.radius_grid)

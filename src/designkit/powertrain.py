@@ -10,7 +10,7 @@ a fixed point.
 import math
 from dataclasses import dataclass
 
-from . import explorer, presets, wing
+from . import presets
 from .constants import G, HP_TO_W, RPM_TO_RAD_S
 from .errors import ConfigError, DivergenceError, EngineCapacityError
 
@@ -368,6 +368,7 @@ def design_budget(margin=0.10):
     its performance at the trimmed collective), and folds both into the
     budget.  Returns (budget, ledger, details).
     """
+    from . import explorer, wing   # the weight loop alone needs neither
     ledger = iterate_gross_weight()
     gross = ledger.gross_mass
     rotor = presets.final_rotor()

@@ -3,12 +3,13 @@
 Everything downstream (CLI defaults, validation suite, simulator) pulls
 from here so the numbers live in exactly one place.  Angles are stored in
 radians; helper constructors take degrees where that is the natural unit.
+The rotor and operating-point builders import the solver when called, so
+a command that reads only numbers here loads no solver.
 """
 
 import math
 
 from .airfoil import AirfoilPolar
-from .bemt import BladeGeometry, OperatingPoint
 from .constants import RHO_CRUISE, RHO_SL
 
 # operating regime
@@ -37,12 +38,14 @@ PROPROTOR_SECTION = "sc1095"    # bundled polar of the blade and wing section
 
 def baseline_rotor():
     """Untwisted symmetric-section rotor used for solver checkout."""
+    from .bemt import BladeGeometry
     return BladeGeometry.from_aspect_ratio(
         0.42, 10.0, taper_ratio=1.0, twist=0.0, preset=0.0, name="baseline")
 
 
 def rpm_study_rotor():
     """Twisted rotor used for the RPM/efficiency study."""
+    from .bemt import BladeGeometry
     return BladeGeometry.from_aspect_ratio(
         0.42, ROTOR_ASPECT_RATIO, taper_ratio=ROTOR_TAPER_RATIO,
         twist=math.radians(-30.0), preset=math.radians(30.0),
@@ -51,6 +54,7 @@ def rpm_study_rotor():
 
 def final_rotor():
     """Selected proprotor: R = 0.38 m, AR 12, taper 5:3, -24 deg twist."""
+    from .bemt import BladeGeometry
     return BladeGeometry.from_aspect_ratio(
         FINAL_RADIUS, ROTOR_ASPECT_RATIO, taper_ratio=ROTOR_TAPER_RATIO,
         twist=math.radians(-24.0), preset=math.radians(24.0),
@@ -74,10 +78,12 @@ def symmetric_polar():
 
 
 def hover_op(collective=0.0, rpm=HOVER_RPM):
+    from .bemt import OperatingPoint
     return OperatingPoint.from_rpm(rpm, v_inf=0.0, rho=RHO_SL, collective=collective)
 
 
 def cruise_op(collective=0.0, rpm=CRUISE_RPM):
+    from .bemt import OperatingPoint
     return OperatingPoint.from_rpm(rpm, v_inf=CRUISE_SPEED, rho=RHO_CRUISE,
                                    collective=collective)
 

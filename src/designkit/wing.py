@@ -50,6 +50,21 @@ class WingDesignInputs:
             raise ConfigError("span_ratio must lie in (0, 1]")
         if not 0.0 < self.taper <= 1.0:
             raise ConfigError("taper must lie in (0, 1]")
+        # the stall loading rises with density, so it is checked at the
+        # larger of the two densities the sizing evaluates it at
+        for what, names, output in (
+                ("cruise dynamic pressure 0.5 rho cruise_speed^2", ("rho", "cruise_speed"),
+                 lambda: self.dynamic_pressure),
+                ("stall wing loading 0.5 rho stall_speed^2 cl_max",
+                 ("rho", "stall_speed", "cl_max"),
+                 lambda: stall_wing_loading(self, max(self.rho, RHO_SL)))):
+            try:
+                finite = math.isfinite(output())
+            except OverflowError:   # a float ** raises where a product goes to inf
+                finite = False
+            if not finite:
+                raise ConfigError(f"the {what} overflows with " + ", ".join(
+                    f"{name} {getattr(self, name):g}" for name in names))
 
     @property
     def induced_factor(self):
@@ -81,6 +96,13 @@ INPUT_KEYS = {
     "aspect_ratio": Key("aspect_ratio", NUMBER),
     "taper": Key("taper", NUMBER),
     "span_ratio": Key("span_ratio", NUMBER),
+}
+
+#: JSON keys of the ``wing`` command's spec: the inputs and the sizing point
+WING_KEYS = {
+    **INPUT_KEYS,
+    "wing_loading_n_m2": Key("wing_loading", NUMBER, presets.WING_LOADING),
+    "gap_m": Key("gap", NUMBER, presets.ROTOR_SEPARATION),
 }
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from designkit import acceptance, bemt, cli, explorer, presets, schema
+from designkit import acceptance, bemt, cli, explorer, presets, schema, wing
 from designkit.cli import main
 from designkit.errors import NoRootError, SimulationAbort
 
@@ -46,15 +46,58 @@ def test_help_exits_clean(command, capsys):
     assert command in capsys.readouterr().out
 
 
-def run_module(*argv, timeout=60):
-    """``python -m designkit`` in a fresh interpreter; a run that outlasts
-    ``timeout`` seconds fails the test instead of hanging it."""
+def run_python(*args, timeout=60):
+    """``python *args`` in a fresh interpreter that finds designkit under
+    ``src``; a run that outlasts ``timeout`` seconds fails the test instead
+    of hanging it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", "designkit", *argv],
-                          capture_output=True, text=True, env=env,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=60):
+    """``python -m designkit`` in a fresh interpreter."""
+    return run_python("-m", "designkit", *argv, timeout=timeout)
+
+
+def designkit_modules(code):
+    """The designkit modules a fresh interpreter has loaded after ``code``."""
+    done = run_python("-c", code + "\nimport json, sys\nprint(json.dumps("
+                      "[m for m in sys.modules if m.startswith('designkit')]))")
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+# what ``import designkit.cli`` loads: the parser and the key tables
+# need no solver and no study
+CLI_MODULES = {"designkit", "designkit.cli", "designkit.airfoil", "designkit.constants",
+               "designkit.errors", "designkit.presets", "designkit.schema"}
+
+
+def test_cli_start_loads_no_solver():
+    assert designkit_modules(
+        "import designkit.cli\n"
+        "from designkit.airfoil import AirfoilPolar\n"
+        "AirfoilPolar.bundled('sc1095')\n"
+        "AirfoilPolar.bundled('naca0012')") == CLI_MODULES | {"designkit.data"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["analyze"], {"bemt", "data"}),
+    (["optimize", "--set", "bogus=1"], {"bemt", "explorer"}),
+    (["wing"], {"wing"}),
+    (["weights"], {"powertrain"}),
+    (["budget"], {"powertrain", "explorer", "bemt", "wing", "data"}),
+    (["simulate", "--set", "bogus=1"], {"bemt", "flightsim"}),
+], ids=["analyze", "optimize", "wing", "weights", "budget", "simulate"])
+def test_command_loads_only_what_it_runs(argv, extra):
+    """Each command, in a fresh interpreter, loads the CLI's own modules
+    and the ones it executes, no more (``data`` where it reads a bundled
+    polar)."""
+    assert designkit_modules(f"from designkit.cli import main\nmain({argv!r})") == \
+        CLI_MODULES | {f"designkit.{name}" for name in extra}
 
 
 def test_python_dash_m_entry_point():
@@ -424,7 +467,14 @@ def test_refuses_unbounded_sizes(argv, error, words):
      "ConfigError", ("'gross_weight_n': 1e+308", "overflow")),
     (["wing", "--spec", str(CONFIGS / "wing.json"), "--set", "span_ratio=1e-300"],
      "ConfigError", ("span_ratio", "1e-300")),
-], ids=["analyze-rpm", "optimize-hover-rpm", "wing-gross-weight", "wing-span-ratio"])
+    (["wing", "--spec", str(CONFIGS / "wing.json"), "--set", "cruise_speed_m_s=1e200"],
+     "ConfigError", ("cruise_speed 1e+200", "overflows")),
+    (["wing", "--spec", str(CONFIGS / "wing.json"), "--set", "stall_speed_m_s=1e200"],
+     "ConfigError", ("stall_speed 1e+200", "overflows")),
+    (["optimize", "--set", "hover_rpm=1e200"], "ConfigError",
+     ("hover_rpm 1e+200", "overflow")),
+], ids=["analyze-rpm", "optimize-hover-rpm", "wing-gross-weight", "wing-span-ratio",
+        "wing-cruise-speed", "wing-stall-speed", "optimize-hover-rpm-square"])
 def test_refuses_inputs_whose_outputs_overflow(capsys, argv, error, words):
     """An input that makes an output overflow exits 1 with one strict-JSON
     error that names it, and writes nothing else: no traceback, and no
@@ -563,7 +613,7 @@ SPEC_TABLES = [
     (["sweep", "--spec", str(FIGURES / "fig09.json")], "rotor.",
      bemt.ROTOR_KEYS),
     (["optimize"], "", cli.OPTIMIZE_KEYS),
-    (["wing"], "", cli.WING_KEYS),
+    (["wing"], "", wing.WING_KEYS),
     (["simulate"], "", cli.SIMULATE_KEYS),
 ]
 
@@ -657,7 +707,7 @@ def test_every_shipped_spec_parses(path):
     elif command == "sweep":
         cli._sweep_spec_from_json(data)
     else:
-        schema.read({"optimize": cli.OPTIMIZE_KEYS, "wing": cli.WING_KEYS,
+        schema.read({"optimize": cli.OPTIMIZE_KEYS, "wing": wing.WING_KEYS,
                      "simulate": cli.SIMULATE_KEYS}[command], data)
 
 
