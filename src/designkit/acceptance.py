@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import airfoil, bemt, explorer, flightsim, powertrain, presets, wing
-from .constants import G, HP_TO_W
+from .constants import HP_TO_W
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,19 @@ PAPER_POLAR_PATH = Path(__file__).parent / "data" / "sc1095_paper.csv"
 FIG11_ETA_BANDS = ((2000.0, 0.69, 0.85), (3200.0, 0.53, 0.69))
 
 
-def check_efficiency_bands(paper_polar=PAPER_POLAR_PATH):
+def check_efficiency_bands():
     """Propulsive efficiency at the Fig. 11 point (20 m/s, 16 deg collective).
 
     Both RPMs propulsive and below the actuator-disk ideal, 2000 RPM ahead
     of 3200 RPM by at least 0.10, and each efficiency inside its Fig. 11
     band.  The bands are gated only with the paper's section polar at
-    ``paper_polar``; without that file the bundled ``sc1095`` stand-in is
+    ``PAPER_POLAR_PATH``; without that file the bundled ``sc1095`` stand-in is
     used and the bands are reported as skipped.
     """
     start = time.perf_counter()
-    paper_polar = Path(paper_polar)
-    have_paper = paper_polar.is_file()
+    have_paper = PAPER_POLAR_PATH.is_file()
     rotor = presets.rpm_study_rotor()
-    polar = (airfoil.AirfoilPolar.from_csv(paper_polar) if have_paper
+    polar = (airfoil.AirfoilPolar.from_csv(PAPER_POLAR_PATH) if have_paper
              else presets.proprotor_polar())
     slow, fast = (
         bemt.evaluate_rotor(rotor, presets.cruise_op(
@@ -114,7 +113,7 @@ def check_efficiency_bands(paper_polar=PAPER_POLAR_PATH):
         if have_paper:
             bands.append((label, lo <= perf.eta_p <= hi, f"{perf.eta_p:.4f}"))
         else:
-            bands.append((label, None, f"no paper polar {paper_polar.name}"))
+            bands.append((label, None, f"no paper polar {PAPER_POLAR_PATH.name}"))
     return _result("efficiency-bands", start, [
         *bands,
         *cruise_rpm_subchecks(slow, fast),
@@ -194,9 +193,8 @@ def check_power_budget():
 
 def check_gear_train():
     start = time.perf_counter()
-    train = powertrain.build_gear_train()
-    by_role = {g.role: g for g in train}
-    reduction = powertrain.train_reduction(train)
+    by_role = {g.role: g for g in powertrain.build_gear_train()}
+    reduction = powertrain.train_reduction()
     teeth_ok = [(by_role["E"].teeth, 17), (by_role["M1"].teeth, 34),
                 (by_role["S1"].teeth, 68), (by_role["B"].teeth, 20)]
     diam_ok = [(by_role["E"].catalog_diameter, 20.0),

@@ -237,7 +237,3 @@ class AirfoilPolar:
             polar = cls.from_csv(path, name=key)
         return polar
 
-    def __repr__(self):
-        return (f"AirfoilPolar({self.name!r}, {self.alpha.size} samples, "
-                f"[{math.degrees(self.alpha_min):+.1f}, {math.degrees(self.alpha_max):+.1f}] deg)")
-

@@ -198,11 +198,8 @@ class BladeGeometry:
 
     @property
     def mean_chord(self):
-        """Span-mean chord [m] (simple average of the linear law; trapezoid
-        mean of a chord table)."""
-        if self.chord_table is not None:
-            rr, cc = self.chord_table[:, 0], self.chord_table[:, 1]
-            return float(np.trapezoid(cc, rr) / (rr[-1] - rr[0]))
+        """Span-mean chord [m] of the linear law (sweeps rebuild only
+        blades without tables)."""
         return 0.5 * (self.root_chord + self.tip_chord)
 
     @property
@@ -216,16 +213,11 @@ class BladeGeometry:
         return float(self.chord(0.0) / self.chord(1.0))
 
     @property
-    def solidity(self):
-        """Rotor solidity Nb c_mean / (pi R)."""
-        return self.n_blades * self.mean_chord / (math.pi * self.radius)
-
-    @property
     def disc_area(self):
         """Disc area pi R^2 [m^2]."""
         return math.pi * self.radius ** 2
 
-    # -- constructors / serialisation -----------------------------------
+    # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_aspect_ratio(cls, radius, aspect_ratio, taper_ratio=1.0, twist=0.0,
@@ -240,26 +232,6 @@ class BladeGeometry:
         return cls(radius=radius, n_blades=n_blades, root_cutout=root_cutout,
                    root_chord=c_root, tip_chord=c_tip, twist=twist, preset=preset,
                    name=name)
-
-    def to_dict(self):
-        d = {
-            "radius_m": self.radius,
-            "n_blades": self.n_blades,
-            "root_cutout": self.root_cutout,
-        }
-        if self.name:
-            d["name"] = self.name
-        if self.chord_table is not None:
-            d["chord_table"] = [[float(r), float(c)] for r, c in self.chord_table]
-        else:
-            d["root_chord_m"] = self.root_chord
-            d["tip_chord_m"] = self.tip_chord
-        if self.pitch_table is not None:
-            d["pitch_table"] = [[float(r), math.degrees(t)] for r, t in self.pitch_table]
-        else:
-            d["twist_deg"] = math.degrees(self.twist)
-            d["preset_deg"] = math.degrees(self.preset)
-        return d
 
     @classmethod
     def from_dict(cls, d, prefix=""):
@@ -1006,11 +978,6 @@ class RotorCurve:
     def column(self, attr):
         """One :class:`RotorPerformance` field per row; nan on failed rows."""
         return np.array([math.nan if p is None else getattr(p, attr) for p in self.rows])
-
-    def csv_lines(self):
-        lines = [RotorPerformance.CSV_HEADER]
-        lines += [p.csv_row() for p in self.rows if p is not None]
-        return lines
 
 
 def _curves(blade_rows, polar, r, dr):

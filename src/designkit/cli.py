@@ -247,7 +247,7 @@ def cmd_gears(args):
     width = powertrain.agma_face_width(f_t, pinion.module, 0.303)
     payload = {
         "gears": [g.to_dict() for g in train],
-        "overall_reduction": powertrain.train_reduction(train),
+        "overall_reduction": powertrain.train_reduction(),
         "min_pinion_teeth_ratio_2": powertrain.min_pinion_teeth(2.0),
         "pinion_tangential_force_n": f_t,
         "pinion_required_face_width_mm": width,

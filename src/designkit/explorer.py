@@ -34,6 +34,8 @@ DEFAULT_SPEEDS = tuple(np.arange(2.0, 30.01, 1.0))
 #: trim_collective's coarse collective range [rad] and thrust tolerance [N]
 TRIM_COLLECTIVES = (math.radians(-4.0), math.radians(24.0))
 TRIM_TOLERANCE = 0.1
+#: collectives (min, max, step) [rad] of each grid cell's cruise scan
+CRUISE_SCAN = (math.radians(2.0), math.radians(24.0), math.radians(1.0))
 #: points per optimization grid axis; the default grid's largest has 38
 MAX_GRID_POINTS = 1000
 #: radius x twist cells per optimization grid; the default grid has 1,064
@@ -151,7 +153,7 @@ def _sweep_point(response, perf, x):
     return point
 
 
-def run_sweep(spec, polar=None):
+def run_sweep(spec):
     """Evaluate the sweep into a long-format table.
 
     The points of all values are solved together, in chunks of whole
@@ -163,7 +165,7 @@ def run_sweep(spec, polar=None):
     (eta_vs_V), or a thrust, power, x or y that is not finite
     ("non-finite load").
     """
-    polar = airfoil.AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
+    polar = airfoil.AirfoilPolar.bundled(spec.polar_name)
     r, dr = bemt.station_grid(spec.base_geometry.root_cutout, bemt.N_STATIONS)
     points = _sweep_points(spec, r)
     rows, gaps = [], []
@@ -300,7 +302,8 @@ class OptimizationSpec:
     """Grid search over radius and twist with a weighted two-point cost.
 
     Each cell is trimmed to the hover thrust target for its figure of
-    merit and scanned over collective for its best cruise efficiency:
+    merit and scanned over the ``CRUISE_SCAN`` collectives for its best
+    cruise efficiency:
     cost = w_fm * FM + w_eta * eta_p.
     """
 
@@ -317,20 +320,17 @@ class OptimizationSpec:
     aspect_ratio: float = presets.ROTOR_ASPECT_RATIO
     taper_ratio: float = presets.ROTOR_TAPER_RATIO
     polar_name: str = presets.PROPROTOR_SECTION
-    cruise_scan: tuple = (math.radians(2.0), math.radians(24.0),
-                          math.radians(1.0))       # collective scan [rad]
     n_stations: int = bemt.N_STATIONS
 
     def __post_init__(self):
-        for name, size in (("weights", 2), ("radius_grid", 3),
-                           ("twist_grid", 3), ("cruise_scan", 3)):
+        for name, size in (("weights", 2), ("radius_grid", 3), ("twist_grid", 3)):
             if len(getattr(self, name)) != size:
                 raise ConfigError(f"{name} needs {size} values, "
                                   f"got {getattr(self, name)!r}")
         w_fm, w_eta = self.weights
         if w_fm < 0.0 or w_eta < 0.0 or abs(w_fm + w_eta - 1.0) > 1e-9:
             raise ConfigError("weights must be non-negative and sum to 1")
-        for name in ("radius_grid", "twist_grid", "cruise_scan"):
+        for name in ("radius_grid", "twist_grid"):
             lo, hi, step = getattr(self, name)
             if not (0.0 < step < math.inf and lo <= hi):
                 raise ConfigError(f"{name} must have min <= max and a finite step > 0")
@@ -377,10 +377,10 @@ class OptimizationResult:
     feasible: np.ndarray = field(repr=False)
     hover_collective: np.ndarray = field(repr=False)
     cruise_collective: np.ndarray = field(repr=False)
-    r_star: float = 0.0
-    twist_star: float = 0.0
-    cost_star: float = 0.0
-    index: tuple = (0, 0)
+    r_star: float
+    twist_star: float
+    cost_star: float
+    index: tuple
 
     def summary_dict(self):
         return {
@@ -389,7 +389,7 @@ class OptimizationResult:
             "cost_star": self.cost_star,
         }
 
-    def surface_csv_lines(self, which="cost"):
+    def surface_csv_lines(self, which):
         """Matrix CSV: rows = radius, columns = twist [deg]."""
         surface = getattr(self, which)
         header = "radius_m\\twist_deg," + ",".join(
@@ -449,7 +449,7 @@ def _evaluate_twist(args):
                                      thrust[branch], thetas[branch])
 
     trimmed = np.flatnonzero(np.isfinite(theta_h))
-    scan_lo, scan_hi, scan_step = spec.cruise_scan
+    scan_lo, scan_hi, scan_step = CRUISE_SCAN
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
     r, dr = bemt.station_grid(reference.root_cutout, spec.n_stations)
     hover = bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho)
@@ -470,7 +470,7 @@ def _evaluate_twist(args):
     return fm, eta, theta_h, theta_c
 
 
-def optimize(spec=None, polar=None, workers=1):
+def optimize(spec=None, workers=1):
     """Fill the radius x twist surfaces and locate the best cell.
 
     Infeasible cells (hover target unreachable or no cruise solution)
@@ -478,7 +478,7 @@ def optimize(spec=None, polar=None, workers=1):
     smaller twist magnitude.
     """
     spec = OptimizationSpec() if spec is None else spec
-    polar = airfoil.AirfoilPolar.bundled(spec.polar_name) if polar is None else polar
+    polar = airfoil.AirfoilPolar.bundled(spec.polar_name)
 
     radii = spec.radii()
     twists = spec.twists()

@@ -14,7 +14,8 @@ The PID loops and the RK4 rigid-body step run in plain Python floats;
 ``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
 oracle.  A mission refuses, before its first step, a timeout or hold
 longer than ``MAX_WAYPOINT_STEPS`` steps, and a capture radius that is
-not positive and finite.
+not positive and finite.  The PID gains and the final hold are
+module constants.
 """
 
 import math
@@ -28,11 +29,22 @@ from .errors import ConfigError, MissionTimeout, SimulationAbort
 
 GIMBAL_LIMIT = math.radians(85.0)
 MAX_DT = 0.01   # [s]
-# A waypoint may take timeout / dt steps and the final hold hold_time / dt,
+# A waypoint may take timeout / dt steps and the final hold HOLD_TIME / dt,
 # each logged in full (~1 kB a step).  The default mission takes 4,000 per
 # waypoint; the cap turns a tiny dt or a huge timeout into a ConfigError
 # up front instead of hours of stepping and gigabytes of log.
 MAX_WAYPOINT_STEPS = 100_000
+HOLD_TIME = 1.0   # [s] position hold after the last capture
+
+# PID gains per axis: attitude (roll, pitch, yaw), position (x, y, z)
+ATT_P = (86.0, 61.0, 37.0)
+ATT_I = (2.0, 2.0, 1.0)
+ATT_D = (23.0, 16.0, 20.0)
+POS_P = (1.44, 1.44, 1.44)
+POS_I = (0.05, 0.05, 0.05)
+POS_D = (2.16, 2.16, 2.16)
+ATT_INTEGRATOR_LIMIT = 0.5
+POS_INTEGRATOR_LIMIT = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +78,8 @@ class VehicleParams:
         return self.k_f * self.rotor_radius * math.sqrt(self.ct_hover / 2.0)
 
 
-def default_params(mass=presets.GROSS_MASS, rotor_radius=presets.FINAL_RADIUS):
-    """Parameters for the reference vehicle.
+def default_params(rotor_radius=presets.FINAL_RADIUS):
+    """Parameters for the reference vehicle at ``presets.GROSS_MASS``.
 
     K_F is the thrust nondimensionalization at the sea-level hover tip
     speed, so C_T here is the same coefficient the rotor solver reports.
@@ -75,7 +87,7 @@ def default_params(mass=presets.GROSS_MASS, rotor_radius=presets.FINAL_RADIUS):
     """
     tip_speed = presets.HOVER_RPM * math.pi / 30.0 * rotor_radius
     k_f = RHO_SL * math.pi * rotor_radius ** 2 * tip_speed ** 2
-    return VehicleParams(mass=mass, inertia=presets.INERTIA,
+    return VehicleParams(mass=presets.GROSS_MASS, inertia=presets.INERTIA,
                          arm_length=presets.ARM_LENGTH, k_f=k_f,
                          rotor_radius=rotor_radius)
 
@@ -86,10 +98,6 @@ class VehicleState:
     velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
     euler: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rates: np.ndarray = field(default_factory=lambda: np.zeros(3))  # body
-
-    def copy(self):
-        return VehicleState(self.position.copy(), self.velocity.copy(),
-                            self.euler.copy(), self.rates.copy())
 
     def pack(self):
         return np.concatenate([self.position, self.velocity,
@@ -128,31 +136,6 @@ def _euler_rates(phi, theta, p, q, r):
 # ---------------------------------------------------------------------------
 # controllers
 
-@dataclass(frozen=True)
-class GainSet:
-    """Per-axis PID gains; attitude axes (roll, pitch, yaw), position (x, y, z)."""
-
-    att_p: tuple = (86.0, 61.0, 37.0)
-    att_i: tuple = (2.0, 2.0, 1.0)
-    att_d: tuple = (23.0, 16.0, 20.0)
-    pos_p: tuple = (1.44, 1.44, 1.44)
-    pos_i: tuple = (0.05, 0.05, 0.05)
-    pos_d: tuple = (2.16, 2.16, 2.16)
-    att_integrator_limit: float = 0.5
-    pos_integrator_limit: float = 1.0
-
-    def __post_init__(self):
-        gains = (self.att_p + self.att_i + self.att_d
-                 + self.pos_p + self.pos_i + self.pos_d)
-        if min(gains) < 0.0:
-            raise ConfigError("PID gains must be non-negative")
-        if self.att_integrator_limit <= 0.0 or self.pos_integrator_limit <= 0.0:
-            raise ConfigError("integrator limits must be positive")
-
-
-DEFAULT_GAINS = GainSet()
-
-
 def _pid(integral, errors, rates, gains_p, gains_i, gains_d, limit, dt):
     """Per-axis -(P e + I int(e) + D rate) in floats.  ``integral`` is
     advanced in place and clamped to +-limit."""
@@ -172,12 +155,11 @@ class AttitudeController:
         self.integral = [0.0, 0.0, 0.0]
 
     def update(self, state, euler_desired, dt):
-        g = DEFAULT_GAINS
         euler = state.euler.tolist()
         error = [a - float(d) for a, d in zip(euler, euler_desired)]
         euler_rates = _euler_rates(euler[0], euler[1], *state.rates.tolist())
-        return np.array(_pid(self.integral, error, euler_rates, g.att_p,
-                             g.att_i, g.att_d, g.att_integrator_limit, dt))
+        return np.array(_pid(self.integral, error, euler_rates, ATT_P,
+                             ATT_I, ATT_D, ATT_INTEGRATOR_LIMIT, dt))
 
 
 class PositionController:
@@ -189,15 +171,14 @@ class PositionController:
         self.tilt_limited = False
         self.thrust_clamped = False
 
-    def update(self, state, position_desired, yaw_desired, dt,
-               accel_feedforward=(0.0, 0.0, 0.0)):
-        g = DEFAULT_GAINS
+    def update(self, state, position_desired, yaw_desired, dt):
         p = self.params
         error = [x - float(d)
                  for x, d in zip(state.position.tolist(), position_desired)]
-        accel_fb = _pid(self.integral, error, state.velocity.tolist(),
-                        g.pos_p, g.pos_i, g.pos_d, g.pos_integrator_limit, dt)
-        accel = [float(ff) + a for ff, a in zip(accel_feedforward, accel_fb)]
+        # 0.0 + turns the PID's -0.0 at rest into +0.0, the sign of zero
+        # that the tilt commands, and so the logged trajectory, carry
+        accel = [0.0 + a for a in _pid(self.integral, error, state.velocity.tolist(),
+                                       POS_P, POS_I, POS_D, POS_INTEGRATOR_LIMIT, dt)]
         # demanded specific force: desired accel minus gravity (z down)
         accel[2] -= G
         thrust = p.mass * math.hypot(*accel)
@@ -380,7 +361,7 @@ class MissionLog:
     moments: np.ndarray = field(repr=False)        # [N, 3]
     cts: np.ndarray = field(repr=False)            # [N, 4]
     pitches: np.ndarray = field(repr=False)        # [N, 4] collective [rad]
-    capture_times: tuple = ()
+    capture_times: tuple
     CSV_HEADER = ("t,x,y,z,phi,theta,psi,T,l,m,n,"
                   "ct1,ct2,ct3,ct4,theta01,theta02,theta03,theta04")
     CSV_ROW = "{:.4f}" + ",{:.6g}" * 18
@@ -399,13 +380,13 @@ class MissionLog:
 
 def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
                 capture_radius=presets.MISSION_CAPTURE_RADIUS,
-                timeout=presets.MISSION_TIMEOUT, pitch_map=None, initial_state=None,
-                hold_time=1.0):
+                timeout=presets.MISSION_TIMEOUT, pitch_map=None):
     """Fly the waypoint list and log every step.
 
     Each waypoint is (x, y, z, yaw); the next one engages once the
-    vehicle is inside ``capture_radius``.  After the last capture the
-    controller holds position for ``hold_time`` to settle.  A waypoint
+    vehicle is inside ``capture_radius``.  The vehicle starts at rest at
+    the origin; after the last capture the controller holds position for
+    ``HOLD_TIME`` to settle.  A waypoint
     that stays uncaptured past ``timeout`` raises a mission timeout
     carrying the distance still to go.  Either span may cover at most
     ``MAX_WAYPOINT_STEPS`` steps, and ``capture_radius`` must be positive
@@ -419,14 +400,14 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
     if not 0.0 < capture_radius < math.inf:
         raise ConfigError(f"capture_radius must be positive and finite, "
                           f"got {capture_radius}")
-    for name, span in (("timeout", timeout), ("hold_time", hold_time)):
+    for name, span in (("timeout", timeout), ("hold_time", HOLD_TIME)):
         # "not <=" also refuses the inf of an overflowing quotient and NaN
         if not span / dt <= MAX_WAYPOINT_STEPS:
             raise ConfigError(
                 f"{name} / dt = {span / dt:.3g} steps exceeds the "
                 f"cap of {MAX_WAYPOINT_STEPS} per waypoint")
     params = default_params() if params is None else params
-    state = VehicleState() if initial_state is None else initial_state.copy()
+    state = VehicleState()
 
     att = AttitudeController()
     pos = PositionController(params)
@@ -477,7 +458,7 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
                     wp_index += 1
                     wp_clock = 0.0
                 else:
-                    settle = hold_time
+                    settle = HOLD_TIME
             elif wp_clock > timeout:
                 raise MissionTimeout(
                     f"waypoint {wp_index} not captured after {timeout:.0f} s",

@@ -4,7 +4,7 @@ The transmission is a single engine driving four rotors through a
 two-stage 4:1 spur reduction plus 1:1 bevel sets at the wing stations.
 Gear strength uses the Lewis/AGMA bending form in metric units
 (N, mm, MPa).  The gross-weight loop iterates the component buildup to
-a fixed point.
+a fixed point.  The engine rating is a set of module constants.
 """
 
 import math
@@ -19,44 +19,33 @@ SPUR_PRESSURE_ANGLE = math.radians(20.0)
 # stress concentration; and the allowable bending stress [MPa]
 K_V, K_O, K_M, K_F = 1.4, 1.25, 1.3, 1.1
 SIGMA_ALLOW = 200.0
+MAX_ITERATIONS = 50   # passes of the gross-weight loop
 
 
 # ---------------------------------------------------------------------------
 # engine
 
-@dataclass(frozen=True)
-class EngineSpec:
-    """Rating record for a small single-cylinder helicopter engine."""
-
-    rated_power: float = 3.75 * HP_TO_W   # [W]
-    rated_rpm: float = 15000.0
-    mass: float = 0.596                   # [kg]
-    idle_rpm: float = 2000.0
-    max_rpm: float = 16500.0
-
-    def __post_init__(self):
-        if not 0.0 < self.idle_rpm < self.rated_rpm <= self.max_rpm:
-            raise ConfigError("engine RPM limits must be ordered "
-                              "idle < rated <= max")
-        if self.rated_power <= 0.0 or self.mass <= 0.0:
-            raise ConfigError("engine rating and mass must be positive")
-
-    def power_available(self, rpm):
-        """Shaft power [W] at the given speed.
-
-        No curve is published for this class of engine, so available
-        power ramps linearly from zero at idle to the rating at rated
-        speed and holds flat up to the redline.
-        """
-        if rpm <= self.idle_rpm or rpm > self.max_rpm:
-            return 0.0
-        if rpm >= self.rated_rpm:
-            return self.rated_power
-        frac = (rpm - self.idle_rpm) / (self.rated_rpm - self.idle_rpm)
-        return self.rated_power * frac
+# rating of a small single-cylinder helicopter engine
+ENGINE_RATED_POWER = 3.75 * HP_TO_W   # [W]
+ENGINE_RATED_RPM = 15000.0
+ENGINE_MASS = 0.596                   # [kg]
+ENGINE_IDLE_RPM = 2000.0
+ENGINE_MAX_RPM = 16500.0
 
 
-DEFAULT_ENGINE = EngineSpec()
+def power_available(rpm):
+    """Engine shaft power [W] at the given speed.
+
+    No curve is published for this class of engine, so available
+    power ramps linearly from zero at idle to the rating at rated
+    speed and holds flat up to the redline.
+    """
+    if rpm <= ENGINE_IDLE_RPM or rpm > ENGINE_MAX_RPM:
+        return 0.0
+    if rpm >= ENGINE_RATED_RPM:
+        return ENGINE_RATED_POWER
+    frac = (rpm - ENGINE_IDLE_RPM) / (ENGINE_RATED_RPM - ENGINE_IDLE_RPM)
+    return ENGINE_RATED_POWER * frac
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +81,12 @@ def power_budget(hover_perf, cruise_perf, margin=0.10):
 
     ``hover_perf`` and ``cruise_perf`` are the per-rotor performance
     records at the two design points.  The installed requirement is
-    hover power grown by ``margin``, and it must fit under
-    ``DEFAULT_ENGINE``'s available power at the hover speed times
+    hover power grown by ``margin``, which must be finite, and it must fit
+    under the engine's :func:`power_available` at the hover speed times
     ``train_reduction()``.
     """
+    if not math.isfinite(margin):
+        raise ConfigError(f"margin must be finite, got {margin}")
     hover_perf = list(hover_perf)
     cruise_perf = list(cruise_perf)
     if not hover_perf or not cruise_perf:
@@ -106,7 +97,7 @@ def power_budget(hover_perf, cruise_perf, margin=0.10):
         raise ConfigError("hover power must be positive")
     required = p_hover * (1.0 + margin)
     engine_rpm = hover_perf[0].rpm * train_reduction()
-    available = DEFAULT_ENGINE.power_available(engine_rpm)
+    available = power_available(engine_rpm)
     if required > available:
         raise EngineCapacityError(
             f"installed requirement {required:.0f} W exceeds engine "
@@ -141,7 +132,7 @@ class GearSpec:
     module: float             # [mm]
     face_width: float         # [mm]
     catalog_diameter: float   # [mm]
-    kind: str = "spur"
+    kind: str
     dedendum: float = 1.25
 
     def __post_init__(self):
@@ -168,11 +159,11 @@ class GearSpec:
         }
 
 
-def min_pinion_teeth(gear_ratio, pressure_angle=SPUR_PRESSURE_ANGLE):
+def min_pinion_teeth(gear_ratio):
     """Smallest pinion tooth count that avoids involute interference.
 
-    With G the pinion/gear tooth ratio (1/gear_ratio) and full-depth
-    teeth (addendum one module), the bound is
+    With G the pinion/gear tooth ratio (1/gear_ratio), full-depth teeth
+    (addendum one module) and the spur pressure angle phi, the bound is
 
         T1 >= 2 G / (sqrt(1 + G (G + 2) sin^2 phi) - 1),
 
@@ -182,7 +173,7 @@ def min_pinion_teeth(gear_ratio, pressure_angle=SPUR_PRESSURE_ANGLE):
     if gear_ratio < 1.0:
         raise ConfigError("gear_ratio must be >= 1 (gear at least pinion-size)")
     g = 1.0 / gear_ratio
-    s2 = math.sin(pressure_angle) ** 2
+    s2 = math.sin(SPUR_PRESSURE_ANGLE) ** 2
     bound = 2.0 * g / (math.sqrt(1.0 + g * (g + 2.0) * s2) - 1.0)
     return math.ceil(bound - 1e-12)
 
@@ -231,10 +222,10 @@ def build_gear_train():
     )
 
 
-def train_reduction(train=None):
-    """Overall speed ratio engine:rotor as an exact integer ratio."""
-    train = build_gear_train() if train is None else train
-    by_role = {g.role: g for g in train}
+def train_reduction():
+    """Overall speed ratio engine:rotor of :func:`build_gear_train` as an
+    exact integer ratio."""
+    by_role = {g.role: g for g in build_gear_train()}
     stage1 = by_role["M1"].teeth / by_role["E"].teeth
     stage2 = by_role["S1"].teeth / by_role["M1"].teeth
     bevel = 1.0   # identical pair
@@ -251,8 +242,8 @@ class MassEntry:
     quantity: int = 1
 
     def __post_init__(self):
-        if self.unit_mass < 0.0 or self.quantity < 0:
-            raise ConfigError(f"mass entry {self.name}: negative value")
+        if not 0.0 <= self.unit_mass < math.inf or self.quantity < 0:
+            raise ConfigError(f"mass entry {self.name}: negative or non-finite value")
 
     @property
     def total(self):
@@ -283,7 +274,7 @@ class ScalableMass:
 
     name: str
     model: object               # callable gross_kg -> unit_kg
-    quantity: int = 1
+    quantity: int
 
 
 # calibration point: converged vehicle, rotor radius 0.38 m, wing
@@ -307,7 +298,7 @@ def wing_mass_model(gross):
 def default_fixed_masses(payload=presets.PAYLOAD_MASS):
     """Component buildup that does not scale with gross mass [kg]."""
     return WeightLedger(entries=(
-        MassEntry("engine", DEFAULT_ENGINE.mass),
+        MassEntry("engine", ENGINE_MASS),
         MassEntry("transmission", 0.850),
         MassEntry("fuel system", 1.400),
         MassEntry("avionics", 0.750),
@@ -319,32 +310,32 @@ def default_fixed_masses(payload=presets.PAYLOAD_MASS):
     ))
 
 
-def default_scalable_masses():
-    return (
-        ScalableMass("rotor assembly", rotor_mass_model, quantity=4),
-        ScalableMass("wing", wing_mass_model, quantity=2),
-    )
+SCALABLE_MASSES = (
+    ScalableMass("rotor assembly", rotor_mass_model, quantity=4),
+    ScalableMass("wing", wing_mass_model, quantity=2),
+)
 
 
-def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
-                         start=presets.GROSS_MASS_START, max_iterations=50):
+def iterate_gross_weight(fixed=None, tolerance=0.01, start=presets.GROSS_MASS_START):
     """Converge the gross mass by cycling sizing and the mass buildup.
 
-    Each pass resizes the scalable components at the current gross mass
+    Each pass resizes the ``SCALABLE_MASSES`` at the current gross mass
     and re-sums the ledger; convergence is declared when successive
-    gross masses agree within ``tolerance`` kg.
+    gross masses agree within ``tolerance`` kg, and a loop that has not
+    converged after ``MAX_ITERATIONS`` passes is a divergence.
+    ``tolerance`` and ``start`` must be positive and finite.
     """
     fixed = default_fixed_masses() if fixed is None else fixed
-    scalables = default_scalable_masses() if scalables is None else scalables
-    if tolerance <= 0.0 or start <= 0.0:
-        raise ConfigError("tolerance and start must be positive")
+    for name, value in (("tolerance", tolerance), ("start", start)):
+        if not 0.0 < value < math.inf:   # NaN fails here too
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     gross = start
     history = [gross]
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         scaled = tuple(
             MassEntry(s.name, s.model(gross), s.quantity)
-            for s in scalables)
+            for s in SCALABLE_MASSES)
         entries = fixed.entries + scaled
         new_gross = sum(e.total for e in entries)
         history.append(new_gross)
@@ -352,7 +343,7 @@ def iterate_gross_weight(fixed=None, scalables=None, tolerance=0.01,
             return WeightLedger(entries=entries, history=tuple(history))
         gross = new_gross
     raise DivergenceError(
-        f"gross-mass loop did not settle within {max_iterations} passes",
+        f"gross-mass loop did not settle within {MAX_ITERATIONS} passes",
         history=tuple(history))
 
 

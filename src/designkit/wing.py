@@ -17,13 +17,18 @@ import numpy as np
 from . import presets
 from .constants import RHO_CRUISE, RHO_SL
 from .errors import ConfigError, StallLimitError
-from .schema import NUMBER, Key, read
+from .schema import NUMBER, Key
 
 #: lift retained by each wing of the pair relative to an isolated wing,
 #: reported alongside sizing results; not fed back into the areas.
 BIPLANE_LIFT_FACTOR = 0.9
 
 MIN_GAP_CHORD_RATIO = 1.5
+
+#: parasite drag coefficient, referred to the wing area, of everything the
+#: clean-wing CD0 does not carry: fuselage, hubs and pylons, and biplane
+#: interference
+EXTRA_CD0 = 0.010
 
 
 @dataclass(frozen=True)
@@ -79,10 +84,6 @@ class WingDesignInputs:
     def to_dict(self):
         return {key: getattr(self, entry.field) for key, entry in INPUT_KEYS.items()}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**read(INPUT_KEYS, data))
-
 
 #: JSON keys of :class:`WingDesignInputs`
 INPUT_KEYS = {
@@ -116,14 +117,6 @@ class WingPlanform:
     tip_chord: float     # [m]
     aspect_ratio: float
     root_bay: float      # [m] rectangular section half-span
-
-    @property
-    def mean_chord(self):
-        return self.area / self.span
-
-    @property
-    def taper(self):
-        return self.tip_chord / self.root_chord
 
     def to_dict(self):
         return {
@@ -245,19 +238,17 @@ def stall_wing_loading(inputs, rho=None):
     return 0.5 * rho * inputs.stall_speed ** 2 * inputs.cl_max
 
 
-def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
-    """Trim drag [N] in level cruise at the chosen wing loading.
-
-    ``extra_cd0`` carries everything the clean-wing CD0 does not:
-    fuselage, hubs and pylons, and biplane interference, referred to
-    the wing area.  Returns the total and its breakdown.
+def cruise_drag(inputs, wing_loading):
+    """Trim drag [N] in level cruise at the chosen wing loading, with
+    ``EXTRA_CD0`` added to the clean-wing CD0.  Returns the total and its
+    breakdown.
     """
     if wing_loading <= 0.0:
         raise ConfigError("wing loading must be positive")
     q = inputs.dynamic_pressure
     area = inputs.gross_weight / wing_loading
     cl = wing_loading / q
-    cd_parasite = inputs.cd0 + extra_cd0
+    cd_parasite = inputs.cd0 + EXTRA_CD0
     cd_induced = inputs.induced_factor * cl ** 2
     parasite = q * area * cd_parasite
     induced = q * area * cd_induced
@@ -270,23 +261,23 @@ def cruise_drag(inputs, wing_loading, extra_cd0=0.010):
     }
 
 
-def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION,
-                 root_bay=presets.ARM_LENGTH, stall_rho=RHO_SL):
+def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION):
     """Dimension the identical wing pair at the chosen wing loading.
 
     The total area follows from W/(W/S) and splits equally; each wing's
     span comes from its aspect ratio.  The planform is rectangular from
-    the centerline out to ``root_bay`` (the rotor station) and tapers
-    linearly to the tip, and the chords are solved so that shape closes
-    the required area.  The gap defaults to the rotor separation and
-    the bay to the rotor arm.
+    the centerline out to the rotor arm ``presets.ARM_LENGTH`` (the rotor
+    station) and tapers linearly to the tip, and the chords are solved so
+    that shape closes the required area.  The gap defaults to the rotor
+    separation.
 
-    The stall gate is evaluated at ``stall_rho`` (sea level by default):
-    the slow end of the envelope is the near-ground transition, not
-    cruise altitude, which is why a loading above the cruise-altitude
-    stall value can still be accepted here.
+    The stall gate is evaluated at sea level: the slow end of the
+    envelope is the near-ground transition, not cruise altitude, which
+    is why a loading above the cruise-altitude stall value can still be
+    accepted here.
     """
-    limit = stall_wing_loading(inputs, stall_rho)
+    root_bay = presets.ARM_LENGTH
+    limit = stall_wing_loading(inputs, RHO_SL)
     if wing_loading > limit:
         raise StallLimitError(
             f"wing loading {wing_loading:.1f} N/m^2 exceeds the stall "
@@ -298,7 +289,7 @@ def size_biplane(inputs, wing_loading, gap=presets.ROTOR_SEPARATION,
     area = 0.5 * total_area                        # per wing
     span = math.sqrt(inputs.aspect_ratio * area)
     half = 0.5 * span
-    if not 0.0 <= root_bay < half:
+    if not root_bay < half:
         raise ConfigError(
             f"root bay {root_bay} m must lie inside the half-span {half:.3f} m")
 

@@ -87,14 +87,15 @@ def test_cruise_rpm_subchecks_reject_small_separation():
         "difference >= 0.10"]
 
 
-def test_efficiency_bands_skipped_without_paper_polar(tmp_path):
-    result = acceptance.check_efficiency_bands(tmp_path / "absent.csv")
+def test_efficiency_bands_skipped_without_paper_polar(tmp_path, monkeypatch):
+    monkeypatch.setattr(acceptance, "PAPER_POLAR_PATH", tmp_path / "absent.csv")
+    result = acceptance.check_efficiency_bands()
     assert result.passed
     assert "eta(2000) in [0.69, 0.85] skipped" in result.detail
     assert "eta(3200) in [0.53, 0.69] skipped" in result.detail
 
 
-def test_efficiency_bands_gate_levels_with_paper_polar(tmp_path):
+def test_efficiency_bands_gate_levels_with_paper_polar(tmp_path, monkeypatch):
     """With a polar file present the bands are live.  The stand-in table
     lands above both (0.861/0.732); the same table with twice the drag
     lands inside them (0.800/0.669).  The doubled drag only exercises the
@@ -102,7 +103,8 @@ def test_efficiency_bands_gate_levels_with_paper_polar(tmp_path):
     raises the design hover power to 2.55 hp, outside power-budget."""
     standin = tmp_path / "standin.csv"
     shutil.copy(acceptance.PAPER_POLAR_PATH.with_name("sc1095.csv"), standin)
-    result = acceptance.check_efficiency_bands(standin)
+    monkeypatch.setattr(acceptance, "PAPER_POLAR_PATH", standin)
+    result = acceptance.check_efficiency_bands()
     assert not result.passed
     assert "eta(2000) in [0.69, 0.85] FAIL (0.8608)" in result.detail
     assert "eta(3200) in [0.53, 0.69] FAIL (0.7320)" in result.detail
@@ -113,7 +115,8 @@ def test_efficiency_bands_gate_levels_with_paper_polar(tmp_path):
     rows = zip(np.degrees(polar.alpha), polar.cl, 2.0 * polar.cd)
     draggy.write_text("alpha_deg,cl,cd\n" + "".join(
         f"{a:.17g},{cl:.17g},{cd:.17g}\n" for a, cl, cd in rows))
-    result = acceptance.check_efficiency_bands(draggy)
+    monkeypatch.setattr(acceptance, "PAPER_POLAR_PATH", draggy)
+    result = acceptance.check_efficiency_bands()
     assert result.passed, result.detail
     assert "eta(2000) in [0.69, 0.85] ok (0.8005)" in result.detail
     assert "eta(3200) in [0.53, 0.69] ok (0.6691)" in result.detail

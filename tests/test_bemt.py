@@ -16,7 +16,9 @@ Everything else is exact identities (nondimensional invariance,
 recovery relations) or validation of the public contracts.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ import pytest
 from designkit import bemt
 from designkit.bemt import BladeGeometry, OperatingPoint
 from designkit.errors import GeometryError, NoRootError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def hover_op(collective_deg, rpm=3200.0):
@@ -63,7 +67,6 @@ def test_scalar_descriptors():
     assert rotor.mean_chord == pytest.approx(0.04, abs=1e-15)
     assert rotor.aspect_ratio == pytest.approx(10.0, abs=1e-12)
     assert rotor.taper_ratio == pytest.approx(5.0 / 3.0, abs=1e-12)
-    assert rotor.solidity == pytest.approx(2 * 0.04 / (math.pi * 0.4), abs=1e-15)
     assert rotor.disc_area == pytest.approx(math.pi * 0.16, abs=1e-15)
     assert rotor.local_solidity(0.0) == pytest.approx(
         2 * 0.05 / (math.pi * 0.4), abs=1e-15)
@@ -96,6 +99,8 @@ def test_geometry_validation():
     with pytest.raises(GeometryError):
         BladeGeometry(radius=0.4, root_chord=0.05,
                       pitch_table=[[0.1, 0.3], [0.1, 0.2]])
+    with pytest.raises(GeometryError, match="pitch_table must be"):
+        BladeGeometry(radius=0.4, root_chord=0.05, pitch_table=[[0.1, 0.3]])
     assert bemt.station_grid(0.1, bemt.MAX_STATIONS)[0].size == bemt.MAX_STATIONS
     for n_stations in (15, bemt.MAX_STATIONS + 1, 10 ** 12):
         with pytest.raises(GeometryError, match="stations"):
@@ -114,20 +119,26 @@ def test_table_distributions_interpolate():
         rotor.pitch(0.55, 0.0) + 0.1, abs=1e-15)
 
 
-def test_dict_round_trip_linear(final_rotor):
-    clone = BladeGeometry.from_dict(final_rotor.to_dict())
+def test_dict_round_trip_linear(baseline_rotor):
+    """``configs/baseline.json`` is the baseline preset written out as a
+    rotor description, and reads back as that preset."""
+    clone = BladeGeometry.from_dict(json.loads((CONFIGS / "baseline.json").read_text()))
     r = np.linspace(0.1, 1.0, 7)
-    assert np.allclose(clone.chord(r), final_rotor.chord(r), atol=1e-15)
-    assert np.allclose(clone.pitch(r, 0.1), final_rotor.pitch(r, 0.1), atol=1e-12)
-    assert clone.n_blades == final_rotor.n_blades
-    assert clone.name == final_rotor.name
+    assert np.allclose(clone.chord(r), baseline_rotor.chord(r), atol=1e-15)
+    assert np.allclose(clone.pitch(r, 0.1), baseline_rotor.pitch(r, 0.1), atol=1e-12)
+    assert clone.n_blades == baseline_rotor.n_blades
+    assert clone.name == baseline_rotor.name
 
 
 def test_dict_round_trip_tables():
+    """A rotor description's tables, pitch in degrees, read back as the
+    blade built from the same tables in radians."""
     rotor = BladeGeometry(
         radius=0.3, chord_table=[[0.1, 0.04], [0.6, 0.05], [1.0, 0.02]],
         pitch_table=[[0.1, math.radians(25.0)], [1.0, math.radians(5.0)]])
-    clone = BladeGeometry.from_dict(rotor.to_dict())
+    clone = BladeGeometry.from_dict({
+        "radius_m": 0.3, "chord_table": [[0.1, 0.04], [0.6, 0.05], [1.0, 0.02]],
+        "pitch_table": [[0.1, 25.0], [1.0, 5.0]]})
     r = np.linspace(0.1, 1.0, 9)
     assert np.allclose(clone.chord(r), rotor.chord(r), atol=1e-15)
     assert np.allclose(clone.pitch(r, 0.0), rotor.pitch(r, 0.0), atol=1e-12)
@@ -171,9 +182,15 @@ def test_station_grid_midpoints():
         bemt.station_grid(0.1, 8)
 
 
-def test_solve_station_bounds(baseline_rotor, naca0012):
+def test_solve_station_bounds(baseline_rotor, naca0012, rpm_study_rotor, sc1095):
     with pytest.raises(GeometryError):
         bemt.solve_station(baseline_rotor, hover_op(8.0), naca0012, 1.5)
+    # a root station far past stall at 240 m/s has no inflow root on either side
+    stalled = OperatingPoint.from_rpm(3200.0, v_inf=240.0, rho=1.167,
+                                      collective=math.radians(75.0))
+    with pytest.raises(NoRootError, match="r=0.1135") as info:
+        bemt.solve_station(rpm_study_rotor, stalled, sc1095, 0.1135)
+    assert list(info.value.stations) == [0.1135]
 
 
 def test_station_recovery_identities(baseline_rotor, naca0012):
@@ -598,15 +615,6 @@ def test_rising_branch(values, expected):
     branch = bemt.rising_branch(values)
     assert branch.dtype.kind == "i"
     assert branch.tolist() == expected
-
-
-def test_thrust_curve_csv(baseline_rotor, naca0012):
-    curve = bemt.thrust_curve(baseline_rotor, naca0012, 3200.0,
-                              np.radians([4.0, 8.0]))
-    lines = curve.csv_lines()
-    assert lines[0] == bemt.RotorPerformance.CSV_HEADER
-    assert len(lines) == 3
-    assert len(lines[1].split(",")) == len(lines[0].split(","))
 
 
 def test_csv_row_blank_fm_in_axial_flight(rpm_study_rotor, sc1095):

@@ -137,10 +137,8 @@ def test_analyze_leaves_eta_blank_when_windmilling(capsys, v_inf, collective):
     assert fields["eta_p"] == "" and fields["FM"] == ""
 
 
-def test_analyze_rotor_file(tmp_path, capsys, baseline_rotor):
-    path = tmp_path / "rotor.json"
-    path.write_text(json.dumps(baseline_rotor.to_dict()))
-    rc, out, _ = run(capsys, "analyze", "--rotor", str(path),
+def test_analyze_rotor_file(capsys):
+    rc, out, _ = run(capsys, "analyze", "--rotor", str(CONFIGS / "baseline.json"),
                      "--polar", "naca0012", "--collective", "8.5")
     assert rc == 0
     header, row, _ = out.split("\n")
@@ -328,6 +326,50 @@ def test_weights_artifacts(tmp_path, capsys):
     assert payload["gross_mass_kg"] == pytest.approx(18.505, abs=0.01)
     assert payload["iterations"] <= 20
     assert payload["history_kg"][0] == 16.0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "nan"), ("--tolerance", "inf"), ("--start", "inf"),
+    ("--start", "-inf"), ("--start", "nan"), ("--payload", "nan"), ("--payload", "inf")])
+def test_weights_refuses_non_finite_flags(capsys, flag, value):
+    """A NaN or infinite flag is a ConfigError naming it, not 50 passes
+    that end in a DivergenceError with a null history."""
+    rc, _, err = run(capsys, "weights", f"{flag}={value}")
+    assert_config_error(rc, err, flag.removeprefix("--"))
+
+
+def test_weights_far_start_diverges(capsys):
+    rc, _, err = run(capsys, "weights", "--start", "1e308")
+    assert rc == 1
+    payload = strict_json(err)
+    assert payload["error"] == "DivergenceError"
+    assert len(payload["history"]) == 51
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_budget_refuses_non_finite_margin(capsys, margin):
+    rc, _, err = run(capsys, "budget", f"--margin={margin}")
+    assert_config_error(rc, err, "margin")
+
+
+def test_budget_negative_margin_is_an_answer(capsys):
+    rc, out, _ = run(capsys, "budget", "--margin", "-0.5")
+    assert rc == 0
+    budget = strict_json(out)["budget"]
+    assert budget["margin_fraction"] == -0.5
+    assert budget["required_installed_power_w"] == 0.5 * budget["hover_power_w"]
+
+
+def test_optimize_refuses_non_positive_aspect_ratio(capsys):
+    """OptimizationSpec takes any aspect ratio; the grid's first blade
+    refuses a negative one with a GeometryError."""
+    rc, _, err = run(capsys, "optimize", "--set", "aspect_ratio=-1",
+                     "--set", "radius_grid_m=[0.38, 0.38, 0.01]",
+                     "--set", "twist_grid_deg=[-26, -26, 1]")
+    assert rc == 1
+    payload = strict_json(err)
+    assert payload["error"] == "GeometryError"
+    assert "aspect_ratio and taper_ratio must be positive" in payload["message"]
 
 
 def test_optimize_via_overrides(tmp_path, capsys):

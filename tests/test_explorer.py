@@ -118,7 +118,7 @@ def test_thrust_sweep_matches_direct_calls(baseline_rotor, naca0012, rpm_study_r
     spec = SweepSpec(base_geometry=baseline_rotor, base_op=hover_op(),
                      parameter="rpm", values=(3200.0,), response="thrust",
                      polar_name="naca0012", collectives=collectives)
-    table = run_sweep(spec, polar=naca0012)
+    table = run_sweep(spec)
     assert len(table.rows) == 2 and not table.gaps
     for (value, x_deg, thrust), theta in zip(table.rows, collectives):
         direct = bemt.evaluate_rotor(
@@ -141,14 +141,31 @@ def test_thrust_sweep_matches_direct_calls(baseline_rotor, naca0012, rpm_study_r
         spec = SweepSpec(base_geometry=rpm_study_rotor, base_op=stalled,
                          parameter="rpm", values=(3200.0,), response=response,
                          collectives=(math.radians(75.0),))
-        assert run_sweep(spec, polar=sc1095).gaps == ((3200.0, 75.0, str(info.value)),)
+        assert run_sweep(spec).gaps == ((3200.0, 75.0, str(info.value)),)
 
 
-def test_power_loading_sweep_structure(baseline_rotor, naca0012):
+def test_power_sweep_points_are_thrust_curve_powers(baseline_rotor, naca0012):
+    """Each point of a "power" sweep is (collective, power) of the
+    thrust_curve at its swept rpm, bit for bit."""
+    collectives = tuple(np.radians([2.0, 6.0, 10.0]))
     spec = SweepSpec(base_geometry=baseline_rotor, base_op=hover_op(),
-                     parameter="aspect_ratio", values=(8.0, 12.0),
+                     parameter="rpm", values=(2600.0, 3200.0), response="power",
+                     polar_name="naca0012", collectives=collectives)
+    table = run_sweep(spec)
+    assert not table.gaps and len(table.rows) == 6
+    for value in spec.values:
+        _, op = apply_parameter(baseline_rotor, spec.base_op, "rpm", value)
+        curve = bemt.thrust_curve(baseline_rotor, naca0012, op.rpm, collectives, rho=op.rho)
+        assert [(x, y) for v, x, y in table.rows if v == value] == [
+            (math.degrees(theta), power)
+            for theta, power in zip(collectives, curve.column("power").tolist())]
+
+
+def test_power_loading_sweep_structure(baseline_rotor):
+    spec = SweepSpec(base_geometry=baseline_rotor, base_op=hover_op(),
+                     parameter="aspect_ratio", values=(8.0, 12.0), polar_name="naca0012",
                      collectives=tuple(np.radians([2.0, 5.0, 8.0, 11.0])))
-    table = run_sweep(spec, polar=naca0012)
+    table = run_sweep(spec)
     assert len(table.rows) + len(table.gaps) == 2 * 4
     for ar in (8.0, 12.0):
         thrust, loading = sweep_curve(table, ar)
@@ -161,7 +178,7 @@ def test_power_loading_sweep_structure(baseline_rotor, naca0012):
     assert all(line.startswith("aspect_ratio,") for line in lines[1:])
 
 
-def test_efficiency_sweep_rpm_ordering(rpm_study_rotor, sc1095):
+def test_efficiency_sweep_rpm_ordering(rpm_study_rotor):
     """Slowing from 3200 to 2000 RPM at fixed pitch raises cruise
     efficiency at the design speed."""
     spec = SweepSpec(
@@ -170,14 +187,14 @@ def test_efficiency_sweep_rpm_ordering(rpm_study_rotor, sc1095):
                                              collective=math.radians(16.0)),
         parameter="rpm", values=(2000.0, 3200.0), response="eta_vs_V",
         speeds=(20.0,))
-    table = run_sweep(spec, polar=sc1095)
+    table = run_sweep(spec)
     _, eta_slow = sweep_curve(table, 2000.0)
     _, eta_fast = sweep_curve(table, 3200.0)
     assert eta_slow[0] > eta_fast[0]
     assert 0.5 < eta_fast[0] < eta_slow[0] < 0.95
 
 
-def test_efficiency_sweep_gaps_windmill(baseline_rotor, sc1095):
+def test_efficiency_sweep_gaps_windmill(baseline_rotor):
     """Fast and flat enough the rotor stops pulling: those points drop
     out as gaps instead of reporting a meaningless efficiency."""
     spec = SweepSpec(
@@ -186,7 +203,7 @@ def test_efficiency_sweep_gaps_windmill(baseline_rotor, sc1095):
                                              collective=math.radians(2.0)),
         parameter="rpm", values=(3200.0,), response="eta_vs_V",
         speeds=(5.0, 30.0))
-    table = run_sweep(spec, polar=sc1095)
+    table = run_sweep(spec)
     assert len(table.rows) + len(table.gaps) == 2
     assert any(reason == "non-propulsive" for _, _, reason in table.gaps)
     for _, _, eta in table.rows:
@@ -228,7 +245,7 @@ def test_batched_efficiency_sweep_equals_per_speed_solves(figure, polar_name):
     data["speeds"] = [0.0, 30.0, 240.0]
     specs.append(cli._sweep_spec_from_json(data))
 
-    tables = [run_sweep(spec, polar=polar) for spec in specs]
+    tables = [run_sweep(spec) for spec in specs]
     for spec, table in zip(specs, tables):
         assert (table.rows, table.gaps) == per_speed_sweep(spec, polar)
     (rows, gaps), (_, stalled_gaps) = [(t.rows, t.gaps) for t in tables]
@@ -299,7 +316,7 @@ def test_sweep_solved_together_equals_per_value_curves(figure, polar_name, jitte
             grid = data.get("collectives_deg", np.degrees(explorer.DEFAULT_COLLECTIVES))
             data["collectives_deg"] = (np.array(grid) + rng.uniform(-0.25, 0.25)).tolist()
     spec = cli._sweep_spec_from_json(data)
-    table = run_sweep(spec, polar=polar)
+    table = run_sweep(spec)
     assert (table.rows, table.gaps) == per_value_sweep(spec, polar)
     n_points = len(spec.speeds if spec.response == "eta_vs_V" else spec.collectives)
     assert len(table.rows) + len(table.gaps) == len(spec.values) * n_points
@@ -318,12 +335,12 @@ def test_stalled_sweep_solved_together_carries_no_root_gaps(rpm_study_rotor, sc1
                      parameter="twist", values=tuple(np.radians([-30.0, -10.0, 0.0])),
                      response=response, collectives=tuple(np.radians([10.0, 75.0, 85.0])),
                      speeds=(0.0, 30.0, 240.0))
-    table = run_sweep(spec, polar=sc1095)
+    table = run_sweep(spec)
     assert (table.rows, table.gaps) == per_value_sweep(spec, sc1095)
     assert any(reason.startswith("inflow solve failed at ") for *_, reason in table.gaps)
 
 
-def test_sweep_memory_does_not_grow_with_its_values(sc1095):
+def test_sweep_memory_does_not_grow_with_its_values():
     """The rows of a sweep are built and solved a chunk at a time, so 64
     taper ratios peak within 1.5x of the memory of 2."""
     def peak(n):
@@ -332,7 +349,7 @@ def test_sweep_memory_does_not_grow_with_its_values(sc1095):
         spec = cli._sweep_spec_from_json(data)
         tracemalloc.start()
         try:
-            table = run_sweep(spec, polar=sc1095)
+            table = run_sweep(spec)
             return tracemalloc.get_traced_memory()[1], table
         finally:
             tracemalloc.stop()
@@ -343,7 +360,7 @@ def test_sweep_memory_does_not_grow_with_its_values(sc1095):
     assert large <= 1.5 * small
 
 
-def test_twist_raises_peak_efficiency(rpm_study_rotor, sc1095):
+def test_twist_raises_peak_efficiency(rpm_study_rotor):
     """More negative twist moves the efficiency peak up and to higher
     speed at fixed pitch input."""
     spec = SweepSpec(
@@ -353,7 +370,7 @@ def test_twist_raises_peak_efficiency(rpm_study_rotor, sc1095):
         parameter="twist",
         values=(0.0, math.radians(-45.0)), response="eta_vs_V",
         speeds=tuple(np.arange(4.0, 30.01, 2.0)))
-    table = run_sweep(spec, polar=sc1095)
+    table = run_sweep(spec)
     v_flat, eta_flat = sweep_curve(table, 0.0)
     v_twist, eta_twist = sweep_curve(table, math.radians(-45.0))
     assert np.max(eta_twist) > np.max(eta_flat)
@@ -552,13 +569,12 @@ def tiny_spec(weights=(0.3, 0.7)):
         radius_grid=(0.37, 0.39, 0.01),
         twist_grid=(math.radians(-27.0), math.radians(-25.0), math.radians(1.0)),
         weights=weights,
-        cruise_scan=(math.radians(8.0), math.radians(18.0), math.radians(2.0)),
         n_stations=60)
 
 
 @pytest.fixture(scope="module")
-def tiny_result(sc1095):
-    return optimize(tiny_spec(), polar=sc1095, workers=1)
+def tiny_result():
+    return optimize(tiny_spec(), workers=1)
 
 
 def test_optimization_spec_validation():
@@ -576,7 +592,7 @@ def test_optimization_spec_validation():
     # infinite or NaN bound or step, or an overflowing count is refused
     cap = explorer.MAX_GRID_POINTS
     assert OptimizationSpec(radius_grid=(0.2, 1.199, 0.001)).radii().size == cap
-    for name in ("radius_grid", "twist_grid", "cruise_scan"):
+    for name in ("radius_grid", "twist_grid"):
         OptimizationSpec(**{name: (0.0, cap - 1.0, 1.0)})
         for grid in ((0.0, float(cap), 1.0), (0.0, 1.0, math.inf), (0.0, math.inf, 1.0),
                      (-math.inf, 0.0, 1.0), (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1),
@@ -622,8 +638,8 @@ def test_grid_search_internal_consistency(tiny_result):
                                                 rel=1e-12)
 
 
-def test_grid_search_multiprocess_identical(sc1095, tiny_result):
-    parallel = optimize(tiny_spec(), polar=sc1095, workers=2)
+def test_grid_search_multiprocess_identical(tiny_result):
+    parallel = optimize(tiny_spec(), workers=2)
     for name in ("fm", "eta", "cost", "feasible",
                  "hover_collective", "cruise_collective"):
         assert np.array_equal(getattr(parallel, name), getattr(tiny_result, name))
@@ -635,9 +651,8 @@ def test_grid_search_matches_per_cell_solves(sc1095, tiny_result):
     """Batching oracle: each cell solved on its own geometry, with
     ``evaluate_rotor`` at the trimmed collective and a cruise scan."""
     spec, res = tiny_spec(), tiny_result
-    scan = np.arange(spec.cruise_scan[0],
-                     spec.cruise_scan[1] + 0.5 * spec.cruise_scan[2],
-                     spec.cruise_scan[2])
+    lo, hi, step = explorer.CRUISE_SCAN
+    scan = np.arange(lo, hi + 0.5 * step, step)
     for i, radius in enumerate(res.radii):
         for j, twist in enumerate(res.twists):
             geom = bemt.BladeGeometry.from_aspect_ratio(
@@ -667,9 +682,7 @@ def test_cruise_scan_per_twist_is_thrust_curve_per_radius(sc1095, monkeypatch):
     at -26 deg) is left out of the solve and stays infeasible."""
     twist = math.radians(-26.0)
     spec = OptimizationSpec(radius_grid=(0.33, 0.37, 0.02),
-                            twist_grid=(twist, twist, math.radians(1.0)),
-                            cruise_scan=(math.radians(2.0), math.radians(24.0),
-                                         math.radians(2.0)))
+                            twist_grid=(twist, twist, math.radians(1.0)))
     solves = []
     batched = bemt._curves
 
@@ -712,7 +725,7 @@ def test_grid_trim_takes_first_crossing_of_wavy_branch(naca0012):
         radius_grid=(0.38, 0.38, 0.01),
         twist_grid=(twist, twist, math.radians(1.0)),
         polar_name="naca0012", thrust_constraint=56.633)
-    res = optimize(spec, polar=naca0012, workers=1)
+    res = optimize(spec, workers=1)
     geom = bemt.BladeGeometry.from_aspect_ratio(
         0.38, spec.aspect_ratio, taper_ratio=spec.taper_ratio,
         twist=twist, preset=-twist)
@@ -722,8 +735,8 @@ def test_grid_trim_takes_first_crossing_of_wavy_branch(naca0012):
     assert abs(math.degrees(res.hover_collective[0, 0] - trimmed)) < 0.5
 
 
-def test_pure_hover_weighting_selects_fm(sc1095, tiny_result):
-    res = optimize(tiny_spec(weights=(1.0, 0.0)), polar=sc1095, workers=1)
+def test_pure_hover_weighting_selects_fm(tiny_result):
+    res = optimize(tiny_spec(weights=(1.0, 0.0)), workers=1)
     masked = np.where(res.feasible, res.fm, -np.inf)
     assert res.index == np.unravel_index(int(np.argmax(masked)), masked.shape)
     assert np.array_equal(res.fm, tiny_result.fm)    # weights only re-rank

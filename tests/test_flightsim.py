@@ -13,8 +13,9 @@ import pytest
 
 from designkit.constants import G
 from designkit.errors import ConfigError, MissionTimeout, SimulationAbort
-from designkit.flightsim import (DEFAULT_GAINS, MAX_WAYPOINT_STEPS,
-                                 AttitudeController, ControlCommand, GainSet,
+from designkit.flightsim import (ATT_D, ATT_I, ATT_INTEGRATOR_LIMIT, ATT_P,
+                                 HOLD_TIME, MAX_WAYPOINT_STEPS, POS_D,
+                                 AttitudeController, ControlCommand,
                                  MissionLog, PitchMap, PositionController,
                                  VehicleParams, VehicleState, allocate,
                                  default_params, mixing_forward, run_mission,
@@ -47,7 +48,8 @@ def test_default_params_consistency(params):
 
 def test_params_validation(params):
     with pytest.raises(ConfigError):
-        default_params(mass=-1.0)
+        VehicleParams(mass=-1.0, inertia=(2.4, 1.7, 4.1), arm_length=0.5,
+                      k_f=1.0, rotor_radius=0.38)
     with pytest.raises(ConfigError):
         VehicleParams(mass=18.5, inertia=(2.4, 1.7, 4.1), arm_length=0.5,
                       k_f=0.0, rotor_radius=0.38)
@@ -61,9 +63,6 @@ def test_state_pack_round_trip():
     clone = VehicleState.unpack(state.pack())
     assert np.array_equal(clone.position, state.position)
     assert np.array_equal(clone.rates, state.rates)
-    copy = state.copy()
-    copy.position[0] = -1.0
-    assert state.position[0] == 1.0                  # deep enough copy
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +72,8 @@ def test_attitude_pid_arithmetic():
     state = VehicleState(euler=np.array([0.1, -0.05, 0.2]))
     dt = 0.005
     moments = AttitudeController().update(state, np.zeros(3), dt)
-    g = DEFAULT_GAINS
-    expected = -(np.asarray(g.att_p) * state.euler
-                 + np.asarray(g.att_i) * (state.euler * dt))
+    expected = -(np.asarray(ATT_P) * state.euler
+                 + np.asarray(ATT_I) * (state.euler * dt))
     assert np.allclose(moments, expected, rtol=1e-14, atol=0.0)
 
 
@@ -83,7 +81,7 @@ def test_attitude_pid_damps_rates():
     state = VehicleState(rates=np.array([0.3, -0.2, 0.1]))
     moments = AttitudeController().update(state, np.zeros(3), 0.005)
     # at zero attitude the rate map is the identity: pure -Kd * omega
-    assert np.allclose(moments, -np.asarray(DEFAULT_GAINS.att_d) * state.rates,
+    assert np.allclose(moments, -np.asarray(ATT_D) * state.rates,
                        rtol=1e-14, atol=0.0)
 
 
@@ -92,7 +90,7 @@ def test_attitude_integrator_clamps():
     state = VehicleState(euler=np.array([2.0, 0.0, 0.0]))
     for _ in range(1000):
         ctrl.update(state, np.zeros(3), 0.005)
-    assert ctrl.integral[0] == DEFAULT_GAINS.att_integrator_limit
+    assert ctrl.integral[0] == ATT_INTEGRATOR_LIMIT
     # every controller carries its own integrator
     assert AttitudeController().integral == [0.0, 0.0, 0.0]
 
@@ -119,23 +117,16 @@ def test_position_tilt_signs(params):
 
 
 def test_position_thrust_clamp(params):
-    """A feedforward that cancels gravity zeroes the demanded specific
-    force; the controller falls back to hover thrust and says so."""
+    """Climbing through the target at G / Kd, the damping term asks for
+    exactly 1 g downward, which zeroes the demanded specific force; the
+    controller falls back to hover thrust and says so."""
     ctrl = PositionController(params=params)
-    thrust, phi_d, theta_d = ctrl.update(
-        VehicleState(), np.zeros(3), 0.0, 0.005,
-        accel_feedforward=(0.0, 0.0, G))
+    climbing = VehicleState(velocity=np.array([0.0, 0.0, -G / POS_D[2]]))
+    thrust, phi_d, theta_d = ctrl.update(climbing, np.zeros(3), 0.0, 0.005)
     assert ctrl.thrust_clamped
     assert thrust == params.hover_thrust
     assert phi_d == 0.0 and theta_d == 0.0
     assert not ctrl.tilt_limited
-
-
-def test_gain_validation():
-    with pytest.raises(ConfigError):
-        GainSet(att_p=(86.0, -1.0, 37.0))
-    with pytest.raises(ConfigError):
-        GainSet(pos_integrator_limit=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +273,22 @@ def test_pitch_singularity_abort(params):
 
 
 def test_mission_abort_carries_time():
-    initial = VehicleState(euler=np.array([0.0, 1.47, 0.0]),
-                           rates=np.array([0.0, 5.0, 0.0]))
+    """With no tilt limit in the position loop, a waypoint 100 km ahead
+    at a 1 rad heading pitches the vehicle past the Euler limit on the
+    seventh step."""
     with pytest.raises(SimulationAbort) as info:
-        run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005, initial_state=initial)
-    assert info.value.t == pytest.approx(0.005, abs=1e-12)
+        run_mission([(1e5, 0.0, 0.0, 1.0)], dt=0.005)
+    assert info.value.t == pytest.approx(7 * 0.005, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # missions
 
 def test_mission_immediate_capture_and_settle():
-    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005, hold_time=1.0)
+    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005)
     assert len(log.capture_times) == 1
     assert log.capture_times[0] == pytest.approx(0.005, abs=1e-12)
-    assert log.time.size == pytest.approx(201, abs=2)
+    assert log.time.size == pytest.approx(HOLD_TIME / 0.005 + 1, abs=2)
     assert np.array_equal(log.final_position, log.position[-1])
     assert np.all(np.abs(log.final_position) < 1e-3)
 
@@ -331,24 +323,19 @@ def test_mission_validation():
             run_mission([(0.0, 0.0, 0.0, 0.0)], dt=dt)
 
 
-@pytest.mark.parametrize("spans", [
-    {"timeout": 0.005 * (MAX_WAYPOINT_STEPS + 1)},
-    {"hold_time": 0.005 * (MAX_WAYPOINT_STEPS + 1)},
-    {"timeout": 1e308, "dt": 1e-9},      # the quotient overflows to inf
-    {"timeout": math.inf},
-    {"hold_time": math.nan},
+@pytest.mark.parametrize("spans, name", [
+    ({"timeout": 0.005 * (MAX_WAYPOINT_STEPS + 1)}, "timeout"),
+    # the hold alone passes the cap: HOLD_TIME / dt steps
+    ({"timeout": 0.5 * HOLD_TIME, "dt": 0.9 * HOLD_TIME / MAX_WAYPOINT_STEPS}, "hold_time"),
+    ({"timeout": 1e308, "dt": 1e-9}, "timeout"),      # the quotient overflows to inf
+    ({"timeout": math.inf}, "timeout"),
+    ({"timeout": math.nan}, "timeout"),
 ], ids=["timeout", "hold", "overflow", "inf", "nan"])
-def test_mission_step_cap(spans):
+def test_mission_step_cap(spans, name):
     """A span past the per-waypoint step cap is refused before the first
     step, so the mission never starts."""
-    with pytest.raises(ConfigError, match="cap of"):
+    with pytest.raises(ConfigError, match=f"{name} / dt = .* cap of"):
         run_mission([(1e9, 0.0, 0.0, 0.0)], **spans)
-
-
-def test_mission_initial_state_untouched():
-    initial = VehicleState(position=np.array([0.05, 0.0, 0.0]))
-    run_mission([(0.0, 0.0, 0.0, 0.0)], initial_state=initial, dt=0.005)
-    assert np.array_equal(initial.position, np.array([0.05, 0.0, 0.0]))
 
 
 def test_mission_with_pitch_map(pitch_map):

@@ -14,12 +14,12 @@ import pytest
 from designkit import powertrain as pt
 from designkit.constants import HP_TO_W
 from designkit.errors import ConfigError, DivergenceError, EngineCapacityError
-from designkit.powertrain import (DEFAULT_ENGINE, EngineSpec, GearSpec,
-                                  MassEntry, ScalableMass, WeightLedger,
+from designkit.powertrain import (GearSpec, MassEntry, WeightLedger,
                                   agma_face_width, build_gear_train,
                                   design_budget, iterate_gross_weight,
-                                  min_pinion_teeth, power_budget,
-                                  tangential_force, train_reduction)
+                                  min_pinion_teeth, power_available,
+                                  power_budget, tangential_force,
+                                  train_reduction)
 
 
 def perf(power, rpm=3200.0):
@@ -30,23 +30,13 @@ def perf(power, rpm=3200.0):
 # engine
 
 def test_engine_curve_landmarks():
-    e = DEFAULT_ENGINE
-    assert e.power_available(1000.0) == 0.0
-    assert e.power_available(2000.0) == 0.0          # at idle: nothing yet
-    mid = e.power_available(12800.0)
+    assert power_available(1000.0) == 0.0
+    assert power_available(2000.0) == 0.0            # at idle: nothing yet
+    mid = power_available(12800.0)
     assert mid == pytest.approx(3.75 * HP_TO_W * 10800.0 / 13000.0, rel=1e-12)
-    assert e.power_available(15000.0) == pytest.approx(3.75 * HP_TO_W, rel=1e-15)
-    assert e.power_available(16500.0) == pytest.approx(3.75 * HP_TO_W, rel=1e-15)
-    assert e.power_available(16501.0) == 0.0         # past redline
-
-
-def test_engine_validation():
-    with pytest.raises(ConfigError):
-        EngineSpec(idle_rpm=16000.0)                 # idle above rated
-    with pytest.raises(ConfigError):
-        EngineSpec(max_rpm=14000.0)                  # redline below rated
-    with pytest.raises(ConfigError):
-        EngineSpec(mass=0.0)
+    assert power_available(15000.0) == pytest.approx(3.75 * HP_TO_W, rel=1e-15)
+    assert power_available(16500.0) == pytest.approx(3.75 * HP_TO_W, rel=1e-15)
+    assert power_available(16501.0) == 0.0           # past redline
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +52,7 @@ def test_power_budget_exact_arithmetic():
                                                       rel=1e-15)
     assert budget.engine_rpm == pytest.approx(3200.0 * 4, rel=1e-15)
     assert budget.engine_available_power == pytest.approx(
-        DEFAULT_ENGINE.power_available(12800.0), rel=1e-15)
+        power_available(12800.0), rel=1e-15)
 
 
 def test_power_budget_capacity_gate():
@@ -70,7 +60,7 @@ def test_power_budget_capacity_gate():
         power_budget([perf(600.0)] * 4, [perf(100.0)] * 4)
     assert info.value.required_w == pytest.approx(2640.0, rel=1e-12)
     assert info.value.available_w == pytest.approx(
-        DEFAULT_ENGINE.power_available(12800.0), rel=1e-12)
+        power_available(12800.0), rel=1e-12)
 
 
 def test_power_budget_validation():
@@ -114,9 +104,6 @@ def test_min_pinion_teeth_matches_oracle(ratio):
 def test_min_pinion_teeth_trends():
     counts = [min_pinion_teeth(r) for r in (1.0, 1.5, 2.0, 3.0, 10.0, 1e6)]
     assert counts == sorted(counts)                  # bigger wheel, more teeth
-    by_angle = [min_pinion_teeth(2.0, pressure_angle=math.radians(a))
-                for a in (14.5, 20.0, 25.0)]
-    assert by_angle[0] > by_angle[1] > by_angle[2]   # steeper flank relaxes it
     with pytest.raises(ConfigError):
         min_pinion_teeth(0.5)
 
@@ -186,7 +173,7 @@ def test_train_build_sheet():
 def test_gear_spec_validation_and_dict():
     with pytest.raises(ConfigError):
         GearSpec(role="X", teeth=3, module=1.2, face_width=10.0,
-                 catalog_diameter=5.0)
+                 catalog_diameter=5.0, kind="spur")
     d = build_gear_train()[0].to_dict()
     assert d["pitch_diameter_mm"] == pytest.approx(20.4, rel=1e-12)
     assert d["pressure_angle_deg"] == pytest.approx(20.0, abs=1e-12)
@@ -247,11 +234,14 @@ def test_weight_loop_payload_monotone():
 
 
 def test_weight_loop_divergence():
-    runaway = (ScalableMass("runaway", lambda g: 1.05 * g),)
+    """From 1e308 kg the loop contracts by ~0.3 a pass and is still near
+    7e281 kg after MAX_ITERATIONS passes: an honest divergence, history
+    included."""
     with pytest.raises(DivergenceError) as info:
-        iterate_gross_weight(scalables=runaway, max_iterations=10)
-    assert len(info.value.history) == 11
-    assert info.value.history[-1] > info.value.history[1]
+        iterate_gross_weight(start=1e308)
+    assert len(info.value.history) == pt.MAX_ITERATIONS + 1
+    assert info.value.history[-1] > 1e200
+    assert all(b < a for a, b in zip(info.value.history, info.value.history[1:]))
 
 
 def test_weight_loop_validation():

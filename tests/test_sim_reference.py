@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from designkit import flightsim
 from designkit.constants import G
 from designkit.errors import SimulationAbort
-from designkit.flightsim import (DEFAULT_GAINS, GIMBAL_LIMIT,
+from designkit.flightsim import (GIMBAL_LIMIT,
                                  AttitudeController, ControlCommand,
                                  PitchMap, PositionController,
                                  VehicleState, allocate, default_params,
@@ -109,15 +110,14 @@ class ReferenceAttitude(AttitudeController):
         self.integral = np.zeros(3)
 
     def update(self, state, euler_desired, dt):
-        g = DEFAULT_GAINS
         error = state.euler - np.asarray(euler_desired, dtype=float)
         self.integral += error * dt
-        np.clip(self.integral, -g.att_integrator_limit,
-                g.att_integrator_limit, out=self.integral)
+        np.clip(self.integral, -flightsim.ATT_INTEGRATOR_LIMIT,
+                flightsim.ATT_INTEGRATOR_LIMIT, out=self.integral)
         euler_rates = euler_rate_matrix(state.euler) @ state.rates
-        moments = (-np.asarray(g.att_p) * error
-                   - np.asarray(g.att_i) * self.integral
-                   - np.asarray(g.att_d) * euler_rates)
+        moments = (-np.asarray(flightsim.ATT_P) * error
+                   - np.asarray(flightsim.ATT_I) * self.integral
+                   - np.asarray(flightsim.ATT_D) * euler_rates)
         return moments
 
 
@@ -126,20 +126,17 @@ class ReferencePosition(PositionController):
         super().__init__(params)
         self.integral = np.zeros(3)
 
-    def update(self, state, position_desired, yaw_desired, dt,
-               accel_feedforward=(0.0, 0.0, 0.0)):
-        g = DEFAULT_GAINS
+    def update(self, state, position_desired, yaw_desired, dt):
         p = self.params
         error = state.position - np.asarray(position_desired, dtype=float)
         self.integral += error * dt
-        np.clip(self.integral, -g.pos_integrator_limit,
-                g.pos_integrator_limit, out=self.integral)
-        accel_fb = (-np.asarray(g.pos_p) * error
-                    - np.asarray(g.pos_i) * self.integral
-                    - np.asarray(g.pos_d) * state.velocity)
+        np.clip(self.integral, -flightsim.POS_INTEGRATOR_LIMIT,
+                flightsim.POS_INTEGRATOR_LIMIT, out=self.integral)
+        accel_fb = (-np.asarray(flightsim.POS_P) * error
+                    - np.asarray(flightsim.POS_I) * self.integral
+                    - np.asarray(flightsim.POS_D) * state.velocity)
         # demanded specific force: desired accel minus gravity (z down)
-        accel = np.asarray(accel_feedforward, dtype=float) + accel_fb \
-            - np.array([0.0, 0.0, G])
+        accel = np.zeros(3) + accel_fb - np.array([0.0, 0.0, G])
         thrust = p.mass * float(np.linalg.norm(accel))
         self.thrust_clamped = False
         if thrust <= 0.0:

@@ -15,6 +15,7 @@ import pytest
 from designkit import wing
 from designkit.constants import RHO_CRUISE, RHO_SL
 from designkit.errors import ConfigError, StallLimitError
+from designkit.schema import read
 from designkit.wing import (WingDesignInputs, biplane_power_ratio, cruise_drag,
                             power_vs_wing_loading, size_biplane,
                             stall_wing_loading)
@@ -126,11 +127,12 @@ def test_cruise_drag_breakdown(inputs):
 
 
 def test_cruise_drag_extra_cd0_accounting(inputs):
-    total, _ = cruise_drag(inputs, 130.0)
-    clean, _ = cruise_drag(inputs, 130.0, extra_cd0=0.0)
+    _, parts = cruise_drag(inputs, 130.0)
     q = 0.5 * inputs.rho * inputs.cruise_speed ** 2
     area = inputs.gross_weight / 130.0
-    assert total - clean == pytest.approx(q * area * 0.010, rel=1e-12)
+    assert parts["cd_parasite"] == inputs.cd0 + wing.EXTRA_CD0
+    assert parts["parasite_n"] - q * area * inputs.cd0 == pytest.approx(
+        q * area * 0.010, rel=1e-9)
     with pytest.raises(ConfigError):
         cruise_drag(inputs, 0.0)
 
@@ -157,8 +159,7 @@ def test_sizing_dimensions(inputs):
 def test_sizing_internal_consistency(inputs):
     w = size_biplane(inputs, 130.0).wing
     assert w.span ** 2 / w.area == pytest.approx(inputs.aspect_ratio, rel=1e-12)
-    assert w.taper == pytest.approx(inputs.taper, rel=1e-12)
-    assert w.mean_chord == pytest.approx(w.area / w.span, rel=1e-15)
+    assert w.tip_chord / w.root_chord == pytest.approx(inputs.taper, rel=1e-12)
     # chord law closes the area: rectangular bay + trapezoidal outboard
     half = 0.5 * w.span
     closed = 2.0 * (w.root_chord * w.root_bay
@@ -173,8 +174,6 @@ def test_stall_gate_is_sea_level(inputs):
     size_biplane(inputs, 130.0)                    # accepted
     with pytest.raises(StallLimitError):
         size_biplane(inputs, 140.0)
-    with pytest.raises(StallLimitError):
-        size_biplane(inputs, 128.0, stall_rho=RHO_CRUISE)
 
 
 def test_stall_gate_boundary(inputs):
@@ -188,10 +187,9 @@ def test_stall_gate_boundary(inputs):
 def test_sizing_validation(inputs):
     with pytest.raises(ConfigError):
         size_biplane(inputs, -5.0)
-    with pytest.raises(ConfigError):
-        size_biplane(inputs, 130.0, root_bay=2.0)   # outside the half-span
-    with pytest.raises(ConfigError):
-        size_biplane(inputs, 130.0, root_bay=-0.1)
+    # a span short enough puts the rotor-arm bay outside the half-span
+    with pytest.raises(ConfigError, match="root bay"):
+        size_biplane(WingDesignInputs(aspect_ratio=1.0), 130.0)
 
 
 def test_gap_rule_boundary(inputs):
@@ -206,13 +204,14 @@ def test_gap_rule_boundary(inputs):
 # configuration plumbing
 
 def test_inputs_round_trip(inputs):
-    clone = WingDesignInputs.from_dict(inputs.to_dict())
+    """The inputs block of ``wing.json`` reads back as a wing spec."""
+    clone = WingDesignInputs(**read(wing.INPUT_KEYS, inputs.to_dict()))
     assert clone == inputs
 
 
 def test_inputs_rejects_unknown_and_invalid():
     with pytest.raises(ConfigError):
-        WingDesignInputs.from_dict({"gross_weight_n": 196.2, "colour": "red"})
+        read(wing.INPUT_KEYS, {"gross_weight_n": 196.2, "colour": "red"})
     with pytest.raises(ConfigError):
         WingDesignInputs(gross_weight=-1.0)
     with pytest.raises(ConfigError):
