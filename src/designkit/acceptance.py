@@ -69,8 +69,7 @@ def cruise_rpm_subchecks(slow, fast):
     for perf in (slow, fast):
         rpm = f"{perf.rpm:.0f}"
         ideal = ideal_propulsive_efficiency(perf)
-        subchecks.append((f"T, P > 0 at {rpm}",
-                          perf.thrust > 0.0 and perf.power > 0.0,
+        subchecks.append((f"T, P > 0 at {rpm}", perf.propulsive,
                           f"T={perf.thrust:.2f} N, P={perf.power:.1f} W"))
         subchecks.append((f"eta({rpm}) < ideal", perf.eta_p < ideal,
                           f"{perf.eta_p:.4f} < {ideal:.4f}"))

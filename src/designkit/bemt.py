@@ -61,7 +61,11 @@ solved together (:func:`_curves`).  The solve is per element, so a row's
 numbers do not depend on the rows beside it.  Thrust curves, the
 explorer's sweeps (in chunks of whole rows of at most BLOCK stations),
 its trims (hover and cruise together) and its grid search (figures of
-merit and cruise scans together) all take this path.
+merit and cruise scans together) all take this path, and one station
+(:func:`solve_station`) is a one-element case of it.  Its converged
+state is an :class:`InflowSolution`: of floats at one station, of arrays
+over a blade's span.  Where residuals are so large that the product of
+two overflows, the sign tests read the sign of the infinite product.
 
 Conventions: radial positions are nondimensional (r = y/R in [0, 1)),
 angles in radians, SI units throughout.  CT = T / (rho A (Omega R)^2),
@@ -83,6 +87,7 @@ from .schema import INTEGER, NUMBER, STRING, Key, read, rows
 # (0, pi/2) in SCAN_SLICES slices; Illinois polishes it to POLISH_TOL
 SCAN_SLICES = 200         # slices over (0, pi/2) that define which root is taken
 SCAN_EPS = 1.0e-6         # keep phi = 0 (a spurious fixed point) out of the scan
+SCAN_BRACKET = (-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS)   # both scans' span
 POLISH_TOL = 1.0e-14      # bracket width [rad] at which a polish stops
 POLISH_ITERS = 100        # cap; 2e5 random stations needed at most 22
 BLOCK = 8192              # elements per kernel call: sizes the solve's workspace
@@ -151,13 +156,8 @@ class BladeGeometry:
         if not 0.0 < self.root_cutout < 1.0:
             raise GeometryError(f"root cutout must lie in (0, 1), got {self.root_cutout}")
         if self.chord_table is not None:
-            self.chord_table = np.asarray(self.chord_table, dtype=float)
-            tab = self.chord_table
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise GeometryError("chord_table must be (N>=2, 2): columns (r, chord_m)")
-            if np.any(np.diff(tab[:, 0]) <= 0.0):
-                raise GeometryError("chord_table r column must be strictly increasing")
-            if np.any(tab[:, 1] <= 0.0):
+            self.chord_table = _table(self.chord_table, "chord_table", "chord_m")
+            if np.any(self.chord_table[:, 1] <= 0.0):
                 raise GeometryError("chord_table chords must be positive")
         elif self.root_chord is None:
             raise GeometryError("provide root_chord/tip_chord or a chord_table")
@@ -167,12 +167,7 @@ class BladeGeometry:
             if self.root_chord <= 0.0 or self.tip_chord <= 0.0:
                 raise GeometryError("chords must be positive")
         if self.pitch_table is not None:
-            self.pitch_table = np.asarray(self.pitch_table, dtype=float)
-            tab = self.pitch_table
-            if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
-                raise GeometryError("pitch_table must be (N>=2, 2): columns (r, theta_rad)")
-            if np.any(np.diff(tab[:, 0]) <= 0.0):
-                raise GeometryError("pitch_table r column must be strictly increasing")
+            self.pitch_table = _table(self.pitch_table, "pitch_table", "theta_rad")
 
     # -- distributions ---------------------------------------------------
 
@@ -238,6 +233,17 @@ class BladeGeometry:
         """Read a rotor description by :data:`ROTOR_KEYS`; ``prefix`` is
         its dotted path in an enclosing spec."""
         return cls(**read(ROTOR_KEYS, d, prefix))
+
+
+def _table(tab, name, column):
+    """A blade table as an (N >= 2, 2) float array of columns (r,
+    ``column``) whose r column strictly increases."""
+    tab = np.asarray(tab, dtype=float)
+    if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
+        raise GeometryError(f"{name} must be (N>=2, 2): columns (r, {column})")
+    if np.any(np.diff(tab[:, 0]) <= 0.0):
+        raise GeometryError(f"{name} r column must be strictly increasing")
+    return tab
 
 
 #: JSON keys of a rotor description.  A missing radius_m reaches __post_init__ as
@@ -392,7 +398,8 @@ def _polish(lo, hi, g_lo, g_hi, k, g):
                      b + np.copysign(0.5 * POLISH_TOL, a - b), c)
         c = np.where((c - a) * (c - b) < 0.0, c, 0.5 * (a + b))
         fc = g(c, k[live])
-        flip = fc * fb < 0.0
+        with np.errstate(over="ignore"):      # an overflowing product keeps its sign
+            flip = fc * fb < 0.0
         a = np.where(flip, b, a)
         fa = np.where(flip, fb, 0.5 * fa)
         b, fb = c, fc
@@ -408,7 +415,9 @@ def _polish(lo, hi, g_lo, g_hi, k, g):
 
 def _sign_change(g_prev, g_next):
     """Slices whose end residuals change sign (or touch zero); both finite."""
-    return (g_prev * g_next <= 0.0) & np.isfinite(g_prev) & np.isfinite(g_next)
+    with np.errstate(over="ignore"):          # an overflowing product keeps its sign
+        change = g_prev * g_next <= 0.0
+    return change & np.isfinite(g_prev) & np.isfinite(g_next)
 
 
 def _hull(a, b, lo, hi):
@@ -591,11 +600,16 @@ def _runs(sizes, block):
         first = last
 
 
+def _n_cells(j0, j1, width):
+    """Cells of ``width`` slices, the last one shorter, that cover each
+    range of slices [j0, j1]."""
+    return -(-(j1 - j0) // width)
+
+
 def _cut(j0, j1, width):
-    """Cut each range of slices [j0, j1] into cells of ``width`` slices,
-    the last one shorter.  Returns (range index, first node) of every
-    cell, in order."""
-    n = -(-(j1 - j0) // width)
+    """Cut each range of slices [j0, j1] into its :func:`_n_cells` cells.
+    Returns (range index, first node) of every cell, in order."""
+    n = _n_cells(j0, j1, width)
     run = np.repeat(np.arange(n.size), n)
     return run, j0[run] + width * (np.arange(run.size) - (np.cumsum(n) - n)[run])
 
@@ -607,7 +621,7 @@ def _open_cells(owner, j0, j1, width, k, grid, g):
     A cell no wider than ``width`` stays open without a new enclosure: it
     is an open cell of the stage before, or a range that short."""
     kept = [(owner[:0], j0[:0])]
-    for first, last in _runs(-(-(j1 - j0) // width), BLOCK // 2):
+    for first, last in _runs(_n_cells(j0, j1, width), BLOCK // 2):
         run, lo = _cut(j0[first:last], j1[first:last], width)
         own = owner[first:last][run]
         open_ = np.ones(run.size, dtype=bool)
@@ -714,8 +728,8 @@ def _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar):
         k, j = k[hit], j[hit]
         accept(k, *_polish(grid[j - 1], grid[j], g_lo[hit], g_hi[hit], k, g))
 
-    pos = np.linspace(SCAN_EPS, 0.5 * math.pi - SCAN_EPS, SCAN_SLICES + 1)
-    neg = np.linspace(-0.5 * math.pi + SCAN_EPS, -SCAN_EPS, SCAN_SLICES + 1)
+    pos = np.linspace(SCAN_EPS, SCAN_BRACKET[1], SCAN_SLICES + 1)
+    neg = np.linspace(SCAN_BRACKET[0], -SCAN_EPS, SCAN_SLICES + 1)
     todo = np.flatnonzero(~found)
     for s in range(0, todo.size, BLOCK):
         k = todo[s:s + BLOCK]
@@ -779,9 +793,11 @@ def _recover(phi, r, pitch, sigma, mu, n_blades, polar):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class StationSolution:
-    """Converged inflow state at one radial station (nondimensional
-    speeds are fractions of tip speed)."""
+class InflowSolution:
+    """Converged inflow state at radial stations (nondimensional speeds
+    are fractions of tip speed): floats at one station from
+    :func:`solve_station`, arrays over the blade span from
+    :func:`evaluate_rotor` with ``return_inflow=True``."""
 
     r: float
     phi: float            # inflow angle [rad]
@@ -798,27 +814,6 @@ class StationSolution:
     dct_dr: float
     dcp_dr: float
     residual: float
-
-
-@dataclass
-class InflowSolution:
-    """Arrays of the converged station states over the blade span."""
-
-    r: np.ndarray
-    phi: np.ndarray
-    alpha: np.ndarray
-    cl: np.ndarray
-    cd: np.ndarray
-    tip_loss: np.ndarray
-    k_t: np.ndarray
-    k_p: np.ndarray
-    lam: np.ndarray
-    xi: np.ndarray
-    lam_i: np.ndarray
-    xi_i: np.ndarray
-    dct_dr: np.ndarray
-    dcp_dr: np.ndarray
-    residual: np.ndarray
 
 
 @dataclass
@@ -841,12 +836,18 @@ class RotorPerformance:
 
     CSV_HEADER = "theta0_deg,v_inf,rpm,CT,CP,T_N,P_W,FM,PL,eta_p"
 
+    @property
+    def propulsive(self):
+        """T > 0 and P > 0: only then is eta_p a propulsive efficiency
+        (CT mu / CP also reads positive, even above 1, on a windmilling
+        rotor)."""
+        return self.thrust > 0.0 and self.power > 0.0
+
     def csv_row(self):
         """One CSV line; FM is blank outside hover, and eta_p unless the
-        rotor is propulsive (T > 0 and P > 0): CT mu / CP also reads
-        positive, even above 1, on a windmilling rotor."""
+        rotor is :attr:`propulsive`."""
         fm = "" if math.isnan(self.figure_of_merit) else f"{self.figure_of_merit:.6f}"
-        eta = f"{self.eta_p:.6f}" if self.thrust > 0.0 and self.power > 0.0 else ""
+        eta = f"{self.eta_p:.6f}" if self.propulsive else ""
         return (f"{math.degrees(self.collective):.4f},{self.v_inf:.4f},{self.rpm:.2f},"
                 f"{self.ct:.8e},{self.cp:.8e},{self.thrust:.6f},{self.power:.6f},"
                 f"{fm},{self.power_loading:.8f},{eta}")
@@ -866,7 +867,9 @@ def station_grid(root_cutout, n_stations):
 
 
 def solve_station(geometry, op, polar, r):
-    """Converged inflow state at a single nondimensional station r.
+    """Converged :class:`InflowSolution` (floats) at a single
+    nondimensional station r; a one-station solve of the core of
+    :func:`evaluate_rotor`.
 
     Raises :class:`NoRootError` if the residual has no sign change on
     (-pi/2, pi/2).
@@ -876,17 +879,14 @@ def solve_station(geometry, op, polar, r):
     mu = op.advance_ratio(geometry.radius)
     pitch = float(geometry.pitch(r, op.collective))
     sigma = float(geometry.local_solidity(r))
-    phi, found, res = _solve_phi_grid(np.array([r]), np.array([pitch]),
-                                      np.array([sigma]), mu, geometry.n_blades, polar)
+    # one station has no cell width; its unit-width ct and cp go unused
+    _, _, found, state = _solve_rows(np.array([r]), 1.0, np.array([pitch]),
+                                     np.array([sigma]), mu, geometry.n_blades, polar)
     if not found[0]:
         raise NoRootError(
             f"no inflow-angle root at r={r:.4f} (pitch {math.degrees(pitch):.2f} deg, "
-            f"mu {mu:.4f})", stations=[r],
-            bracket=(-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS))
-    state = _recover(phi, np.array([r]), np.array([pitch]), np.array([sigma]),
-                     mu, geometry.n_blades, polar)
-    return StationSolution(r=float(r), phi=float(phi[0]), residual=float(res[0]),
-                           **{k: float(v[0]) for k, v in state.items()})
+            f"mu {mu:.4f})", stations=[r], bracket=SCAN_BRACKET)
+    return InflowSolution(r=float(r), **{k: float(v[0]) for k, v in state.items()})
 
 
 def _solve_rows(r, dr, pitch, sigma, mu, n_blades, polar):
@@ -896,15 +896,15 @@ def _solve_rows(r, dr, pitch, sigma, mu, n_blades, polar):
     solidities ``sigma[i]`` and advance ratio ``mu[i]``; the three
     broadcast to (..., stations), so a row can differ from the next in
     collective, speed, blade or all of them.  Returns (ct, cp, found,
-    phi, residual, state): ct and cp per row (nan on a row where a
-    station has no root), the rest per element, ``state`` as
-    :func:`_recover` gives it.
+    state): ct and cp per row (nan on a row where a station has no
+    root), found and state per element, ``state`` the
+    :class:`InflowSolution` fields but ``r``.
     """
     phi, found, res = _solve_phi_grid(r, pitch, sigma, mu, n_blades, polar)
     state = _recover(phi, r, pitch, sigma, mu, n_blades, polar)
     ct = np.sum(state["dct_dr"], axis=-1) * dr
     cp = np.sum(state["dcp_dr"], axis=-1) * dr
-    return ct, cp, found, phi, res, state
+    return ct, cp, found, {"phi": phi, "residual": res, **state}
 
 
 def _no_root(bad):
@@ -912,8 +912,7 @@ def _no_root(bad):
     return NoRootError(
         f"inflow solve failed at {bad.size} station(s): r = "
         + ", ".join(f"{x:.4f}" for x in bad[:8]),
-        stations=bad.tolist(),
-        bracket=(-0.5 * math.pi + SCAN_EPS, 0.5 * math.pi - SCAN_EPS))
+        stations=bad.tolist(), bracket=SCAN_BRACKET)
 
 
 def _performance(ct, cp, geometry, op):
@@ -949,16 +948,14 @@ def evaluate_rotor(geometry, op, polar, n_stations=N_STATIONS, return_inflow=Fal
     not converge.
     """
     r, dr = station_grid(geometry.root_cutout, n_stations)
-    ct, cp, found, phi, res, state = _solve_rows(
+    ct, cp, found, state = _solve_rows(
         r, dr, geometry.pitch(r, op.collective)[None, :], geometry.local_solidity(r),
         op.advance_ratio(geometry.radius), geometry.n_blades, polar)
     if not found.all():
         raise _no_root(r[~found[0]])
     perf = _performance(float(ct[0]), float(cp[0]), geometry, op)
     if return_inflow:
-        inflow = InflowSolution(r=r, phi=phi[0], residual=res[0],
-                                **{k: v[0] for k, v in state.items()})
-        return perf, inflow
+        return perf, InflowSolution(r=r, **{k: v[0] for k, v in state.items()})
     return perf
 
 

@@ -116,6 +116,12 @@ class SweepTable:
         return lines
 
 
+def _curve_op(op):
+    """The operating point :func:`bemt.thrust_curve` builds from ``op``'s
+    rpm, speed and density, so that rows at it are that curve's rows."""
+    return bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
+
+
 def _sweep_points(spec, r):
     """(value, x, (blade, op, station pitches)) of every point of the
     sweep, value by value, built as they are read: an efficiency point is
@@ -129,8 +135,7 @@ def _sweep_points(spec, r):
             for v in spec.speeds:
                 yield value, v, (geometry, replace(op, v_inf=v), pitch)
         else:
-            base = bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
-            for row in bemt._collective_rows(geometry, base, spec.collectives, r):
+            for row in bemt._collective_rows(geometry, _curve_op(op), spec.collectives, r):
                 yield value, math.degrees(row[1].collective), row
 
 
@@ -138,7 +143,7 @@ def _sweep_point(response, perf, x):
     """Written (x, y) of a solved point, or the reason it is a gap."""
     if response == "PL_vs_T" and not perf.power > 0.0:
         return "non-positive power"
-    if response == "eta_vs_V" and not (perf.thrust > 0.0 and perf.power > 0.0):
+    if response == "eta_vs_V" and not perf.propulsive:
         return "non-propulsive"
     if response == "thrust":
         point = (x, perf.thrust)
@@ -215,8 +220,8 @@ def _trim(geometry, polar, targets):
     """
     r, dr = bemt.station_grid(geometry.root_cutout, bemt.N_STATIONS)
     coarse = np.linspace(*TRIM_COLLECTIVES, 29)
-    coarse_rows = [row for op, _ in targets for row in bemt._collective_rows(
-        geometry, bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho), coarse, r)]
+    coarse_rows = [row for op, _ in targets
+                   for row in bemt._collective_rows(geometry, _curve_op(op), coarse, r)]
     thrusts = np.array([math.nan if perf is None else perf.thrust
                         for perf, _ in bemt._curves(coarse_rows, polar, r, dr)])
     results = [None] * len(targets)   # (collective, performance) or the error
@@ -342,17 +347,25 @@ class OptimizationSpec:
         if n_r * n_tw > MAX_GRID_CELLS:
             raise ConfigError(f"radius_grid x twist_grid is {n_r} x {n_tw} = {n_r * n_tw} "
                               f"cells; the cap is {MAX_GRID_CELLS}")
-        # the trim scales CT to thrust by rho A (omega R)^2 as _evaluate_twist
-        # does, largest at the largest radius.  An rpm whose omega is already
-        # infinite makes every thrust infinite, and the trim finds no crossing.
-        omega = self.hover_rpm * math.pi / 30.0
+        # the trim scales CT to thrust by hover_thrust_scale, largest at the
+        # largest radius.  An rpm whose omega is already infinite makes every
+        # thrust infinite, and the trim finds no crossing.
         radius = np.max(np.abs(self.radii()))
         with np.errstate(over="ignore"):
-            scale = self.hover_rho * (math.pi * radius ** 2) * (omega * radius) ** 2
-        if math.isfinite(omega) and not math.isfinite(scale):
+            scale = self.hover_thrust_scale(radius)
+        if math.isfinite(self.hover_omega) and not math.isfinite(scale):
             raise ConfigError(f"hover_rpm {self.hover_rpm:g} and hover_rho {self.hover_rho:g} "
                               f"overflow the hover thrust scale rho A (omega R)^2 "
                               f"at radius {radius:g} m")
+
+    @property
+    def hover_omega(self):
+        """Hover rotor speed [rad/s]."""
+        return self.hover_rpm * math.pi / 30.0
+
+    def hover_thrust_scale(self, radius):
+        """rho A (omega R)^2 [N]: hover thrust per unit CT at ``radius``."""
+        return self.hover_rho * (math.pi * radius ** 2) * (self.hover_omega * radius) ** 2
 
     def radii(self):
         return _grid(*self.radius_grid)
@@ -440,10 +453,8 @@ def _evaluate_twist(args):
     ct_ref = bemt.thrust_curve(reference, polar, spec.hover_rpm, thetas,
                                v_inf=0.0, rho=spec.hover_rho,
                                n_stations=spec.n_stations).column("ct")
-    omega = spec.hover_rpm * math.pi / 30.0
     for i, radius in enumerate(radii):
-        disc_area = math.pi * radius ** 2
-        thrust = ct_ref * (spec.hover_rho * disc_area * (omega * radius) ** 2)
+        thrust = ct_ref * spec.hover_thrust_scale(radius)
         branch = bemt.rising_branch(thrust)
         theta_h[i] = _first_crossing(spec.thrust_constraint,
                                      thrust[branch], thetas[branch])
@@ -462,8 +473,8 @@ def _evaluate_twist(args):
     fm[trimmed] = [math.nan if p is None else p.figure_of_merit
                    for p in itertools.islice(solved, trimmed.size)]
     for i in trimmed:
-        etas = np.array([p.eta_p if p is not None and p.power > 0.0 and p.thrust > 0.0
-                         else -math.inf for p in itertools.islice(solved, scan.size)])
+        etas = np.array([p.eta_p if p is not None and p.propulsive else -math.inf
+                         for p in itertools.islice(solved, scan.size)])
         k = int(np.argmax(etas))
         if etas[k] > -math.inf and math.isfinite(fm[i]):
             eta[i], theta_c[i] = etas[k], scan[k]

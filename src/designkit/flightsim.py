@@ -323,14 +323,18 @@ def _derivatives(x, wrench, params):
             (n - (wx * hy - wy * hx)) / iz)
 
 
+def _check_dt(dt):
+    if not 0.0 < dt <= MAX_DT:
+        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
+
+
 def step_dynamics(state, cts, params, dt):
     """Advance one fixed RK4 step under constant thrust coefficients.
 
     Forces and moments follow the quadrotor mixing with the exact
     3/2-power reaction torque.  Aborts near the Euler pitch singularity.
     """
-    if not 0.0 < dt <= MAX_DT:
-        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
+    _check_dt(dt)
     wrench = mixing_forward(cts, params, exact_yaw=True)
     x = state.pack().tolist()
     half = 0.5 * dt
@@ -395,8 +399,7 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
     waypoints = [tuple(map(float, w)) for w in waypoints]
     if not waypoints:
         raise ConfigError("mission needs at least one waypoint")
-    if not 0.0 < dt <= MAX_DT:
-        raise ConfigError(f"dt must lie in (0, {MAX_DT}] s")
+    _check_dt(dt)
     if not 0.0 < capture_radius < math.inf:
         raise ConfigError(f"capture_radius must be positive and finite, "
                           f"got {capture_radius}")
@@ -413,7 +416,8 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
     pos = PositionController(params)
     ct_lo, ct_hi = (0.0, math.inf) if pitch_map is None else pitch_map.ct_range
 
-    rows = {k: [] for k in ("t", "pos", "eul", "eud", "T", "M", "ct", "th")}
+    rows = {k: [] for k in ("time", "position", "euler", "euler_desired", "thrust",
+                            "moments", "cts", "pitches")}
     capture_times = []
     t = 0.0
     wp_index = 0
@@ -433,14 +437,14 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
             pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
 
         # step_dynamics returns fresh arrays, so the log needs no copies
-        rows["t"].append(t)
-        rows["pos"].append(state.position)
-        rows["eul"].append(state.euler)
-        rows["eud"].append(euler_d)
-        rows["T"].append(thrust)
-        rows["M"].append(moments)
-        rows["ct"].append(cts)
-        rows["th"].append(pitches)
+        rows["time"].append(t)
+        rows["position"].append(state.position)
+        rows["euler"].append(state.euler)
+        rows["euler_desired"].append(euler_d)
+        rows["thrust"].append(thrust)
+        rows["moments"].append(moments)
+        rows["cts"].append(cts)
+        rows["pitches"].append(pitches)
 
         try:
             state = step_dynamics(state, cts, params, dt)
@@ -468,13 +472,5 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
             if settle <= 0.0:
                 break
 
-    return MissionLog(
-        time=np.array(rows["t"]),
-        position=np.array(rows["pos"]),
-        euler=np.array(rows["eul"]),
-        euler_desired=np.array(rows["eud"]),
-        thrust=np.array(rows["T"]),
-        moments=np.array(rows["M"]),
-        cts=np.array(rows["ct"]),
-        pitches=np.array(rows["th"]),
-        capture_times=tuple(capture_times))
+    return MissionLog(**{k: np.array(v) for k, v in rows.items()},
+                      capture_times=tuple(capture_times))

@@ -3,12 +3,15 @@
 The transmission is a single engine driving four rotors through a
 two-stage 4:1 spur reduction plus 1:1 bevel sets at the wing stations.
 Gear strength uses the Lewis/AGMA bending form in metric units
-(N, mm, MPa).  The gross-weight loop iterates the component buildup to
-a fixed point.  The engine rating is a set of module constants.
+(N, mm, MPa).  The power budget counts ``presets.N_ROTORS`` rotors that
+each draw one rotor record's power.  The gross-weight loop iterates the
+component buildup to a fixed point, scaling the ``SCALABLE_MASSES`` in
+proportion to the gross mass from their unit masses at
+``presets.GROSS_MASS``.  The engine rating is a set of module constants.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import presets
 from .constants import G, HP_TO_W, RPM_TO_RAD_S
@@ -76,27 +79,28 @@ class PowerBudget:
         }
 
 
+def _check_margin(margin):
+    if not math.isfinite(margin):
+        raise ConfigError(f"margin must be finite, got {margin}")
+
+
 def power_budget(hover_perf, cruise_perf, margin=0.10):
     """Total shaft-power budget across the rotor set with install margin.
 
-    ``hover_perf`` and ``cruise_perf`` are the per-rotor performance
-    records at the two design points.  The installed requirement is
-    hover power grown by ``margin``, which must be finite, and it must fit
-    under the engine's :func:`power_available` at the hover speed times
+    ``hover_perf`` and ``cruise_perf`` are the performance records of one
+    rotor at the two design points; each of the ``presets.N_ROTORS``
+    rotors draws that power.  The installed requirement is hover power
+    grown by ``margin``, which must be finite, and it must fit under the
+    engine's :func:`power_available` at the hover speed times
     ``train_reduction()``.
     """
-    if not math.isfinite(margin):
-        raise ConfigError(f"margin must be finite, got {margin}")
-    hover_perf = list(hover_perf)
-    cruise_perf = list(cruise_perf)
-    if not hover_perf or not cruise_perf:
-        raise ConfigError("power budget needs at least one rotor per condition")
-    p_hover = sum(p.power for p in hover_perf)
-    p_cruise = sum(p.power for p in cruise_perf)
+    _check_margin(margin)
+    p_hover = presets.N_ROTORS * hover_perf.power
+    p_cruise = presets.N_ROTORS * cruise_perf.power
     if p_hover <= 0.0:
         raise ConfigError("hover power must be positive")
     required = p_hover * (1.0 + margin)
-    engine_rpm = hover_perf[0].rpm * train_reduction()
+    engine_rpm = hover_perf.rpm * train_reduction()
     available = power_available(engine_rpm)
     if required > available:
         raise EngineCapacityError(
@@ -268,33 +272,6 @@ class WeightLedger:
         return lines
 
 
-@dataclass(frozen=True)
-class ScalableMass:
-    """Component whose unit mass tracks the current gross mass."""
-
-    name: str
-    model: object               # callable gross_kg -> unit_kg
-    quantity: int
-
-
-# calibration point: converged vehicle, rotor radius 0.38 m, wing
-# loading 130 N/m^2 at 500 m density altitude
-CALIBRATION_GROSS = 18.507      # [kg]
-ROTOR_UNIT_MASS = 0.396         # [kg] blade set + hub at R = 0.38 m
-WING_UNIT_MASS = 1.985          # [kg] one wing at the calibrated area
-
-
-def rotor_mass_model(gross):
-    """Rotor assembly mass scaling: R ~ sqrt(m) at fixed disc loading,
-    blade mass ~ R^2, so unit mass scales linearly with gross mass."""
-    return ROTOR_UNIT_MASS * (gross / CALIBRATION_GROSS)
-
-
-def wing_mass_model(gross):
-    """Wing mass ~ area, and area ~ m at fixed wing loading."""
-    return WING_UNIT_MASS * (gross / CALIBRATION_GROSS)
-
-
 def default_fixed_masses(payload=presets.PAYLOAD_MASS):
     """Component buildup that does not scale with gross mass [kg]."""
     return WeightLedger(entries=(
@@ -310,9 +287,15 @@ def default_fixed_masses(payload=presets.PAYLOAD_MASS):
     ))
 
 
+#: components whose unit mass grows linearly with the gross mass, as
+#: entries at the calibration point: the converged vehicle of
+#: presets.GROSS_MASS, rotor radius 0.38 m, wing loading 130 N/m^2 at
+#: 500 m density altitude
 SCALABLE_MASSES = (
-    ScalableMass("rotor assembly", rotor_mass_model, quantity=4),
-    ScalableMass("wing", wing_mass_model, quantity=2),
+    # blade set + hub: R ~ sqrt(m) at fixed disc loading, blade mass ~ R^2
+    MassEntry("rotor assembly", 0.396, quantity=presets.N_ROTORS),
+    # one wing: wing mass ~ area, and area ~ m at fixed wing loading
+    MassEntry("wing", 1.985, quantity=2),
 )
 
 
@@ -333,10 +316,9 @@ def iterate_gross_weight(fixed=None, tolerance=0.01, start=presets.GROSS_MASS_ST
     gross = start
     history = [gross]
     for _ in range(MAX_ITERATIONS):
-        scaled = tuple(
-            MassEntry(s.name, s.model(gross), s.quantity)
+        entries = fixed.entries + tuple(
+            replace(s, unit_mass=s.unit_mass * (gross / presets.GROSS_MASS))
             for s in SCALABLE_MASSES)
-        entries = fixed.entries + scaled
         new_gross = sum(e.total for e in entries)
         history.append(new_gross)
         if abs(new_gross - gross) < tolerance:
@@ -357,9 +339,11 @@ def design_budget(margin=0.10):
     weight share at sea level and to the per-rotor cruise thrust from the
     level-flight drag buildup (both trims solved together, each returning
     its performance at the trimmed collective), and folds both into the
-    budget.  Returns (budget, ledger, details).
+    budget.  A ``margin`` that is not finite is refused before any of it
+    runs.  Returns (budget, ledger, details).
     """
     from . import explorer, wing   # the weight loop alone needs neither
+    _check_margin(margin)
     ledger = iterate_gross_weight()
     gross = ledger.gross_mass
     rotor = presets.final_rotor()
@@ -368,9 +352,10 @@ def design_budget(margin=0.10):
     inputs = wing.WingDesignInputs(gross_weight=gross * G)
     drag, drag_parts = wing.cruise_drag(inputs, presets.WING_LOADING)
     (theta_h, perf_h), (theta_c, perf_c) = explorer._trim(
-        rotor, polar, [(presets.hover_op(), gross * G / 4.0), (presets.cruise_op(), drag / 4.0)])
+        rotor, polar, [(presets.hover_op(), gross * G / presets.N_ROTORS),
+                       (presets.cruise_op(), drag / presets.N_ROTORS)])
 
-    budget = power_budget([perf_h] * 4, [perf_c] * 4, margin=margin)
+    budget = power_budget(perf_h, perf_c, margin=margin)
     details = {
         "gross_mass_kg": gross,
         "hover_collective_deg": math.degrees(theta_h),

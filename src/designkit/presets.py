@@ -17,6 +17,7 @@ HOVER_RPM = 3200.0
 CRUISE_RPM = 2000.0
 CRUISE_SPEED = 20.0         # [m/s]
 DESIGN_THRUST_PER_ROTOR = 50.0   # [N] sizing requirement per rotor
+N_ROTORS = 4                 # rotors of the quadrotor, all driven by one engine
 
 # converged vehicle
 GROSS_MASS = 18.507          # [kg] output of the weight loop

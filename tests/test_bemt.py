@@ -18,6 +18,7 @@ recovery relations) or validation of the public contracts.
 
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,18 @@ def test_station_recovery_identities(baseline_rotor, naca0012):
         assert st.xi_i == pytest.approx(r - st.xi, abs=1e-15)
         assert abs(st.residual) < 1e-10
         assert 0.0 < st.tip_loss <= 1.0
+
+
+def test_solve_station_is_a_station_of_evaluate_rotor(rpm_study_rotor, sc1095):
+    """solve_station solves through evaluate_rotor's core: at a station of
+    its grid it gives, bit for bit, that station's InflowSolution."""
+    op = OperatingPoint.from_rpm(2000.0, v_inf=20.0, rho=1.167,
+                                 collective=math.radians(16.0))
+    _, inflow = bemt.evaluate_rotor(rpm_study_rotor, op, sc1095, return_inflow=True)
+    for i in (0, 37, 99):
+        st = bemt.solve_station(rpm_study_rotor, op, sc1095, float(inflow.r[i]))
+        for f in fields(bemt.InflowSolution):
+            assert getattr(st, f.name) == getattr(inflow, f.name)[i], (i, f.name)
 
 
 def _oracle_phi(r, pitch, sigma, mu, n_blades, polar, n=4001):

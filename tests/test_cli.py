@@ -20,9 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from designkit import acceptance, bemt, cli, explorer, presets, schema, wing
+from designkit import acceptance, bemt, cli, explorer, powertrain, presets, schema, wing
 from designkit.cli import main
-from designkit.errors import NoRootError, SimulationAbort
+from designkit import errors
+from designkit.errors import DesignError, NoRootError, SimulationAbort
 
 REPO = Path(__file__).resolve().parent.parent
 FIGURES = REPO / "figures"
@@ -352,6 +353,16 @@ def test_budget_refuses_non_finite_margin(capsys, margin):
     assert_config_error(rc, err, "margin")
 
 
+def test_budget_refuses_a_bad_margin_before_it_solves(capsys, monkeypatch):
+    """The margin is checked before the weight loop and the trims run."""
+    def no_solve(*args):
+        raise AssertionError("budget solved before refusing its margin")
+    monkeypatch.setattr(bemt, "_curves", no_solve)
+    monkeypatch.setattr(powertrain, "iterate_gross_weight", no_solve)
+    rc, _, err = run(capsys, "budget", "--margin=nan")
+    assert_config_error(rc, err, "margin")
+
+
 def test_budget_negative_margin_is_an_answer(capsys):
     rc, out, _ = run(capsys, "budget", "--margin", "-0.5")
     assert rc == 0
@@ -527,6 +538,28 @@ def test_refuses_inputs_whose_outputs_overflow(capsys, argv, error, words):
     assert payload["error"] == error
     for word in words:
         assert word in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--v-inf", "1e300"],
+    ["sweep", "--spec", str(FIGURES / "fig11.json"), "--set", "speeds=[1e300]"],
+    ["sweep", "--spec", str(FIGURES / "fig08.json"), "--set", "values=[1e-300]"],
+], ids=["analyze-v-inf", "sweep-speed", "sweep-aspect-ratio"])
+def test_residuals_past_the_float_range_leak_no_warning(capsys, argv):
+    """Inputs whose station residuals are so large that the product of
+    two overflows: that product keeps its sign, so the run is an answer
+    with finite numbers or one strict-JSON DesignError, and prints no
+    NumPy warning (pytest makes a RuntimeWarning an error)."""
+    rc, out, err = run(capsys, *argv)
+    if rc == 1:
+        assert out == "" and issubclass(getattr(errors, strict_json(err)["error"]), DesignError)
+        return
+    assert (rc, err) == (0, "")
+    for line in out.strip().split("\n")[1:]:
+        cells = line.split(",")
+        if argv[0] == "sweep":
+            cells = cells[1:]                # a sweep row starts with the parameter's name
+        assert all(math.isfinite(float(x)) for x in cells if x)
 
 
 def test_sweep_whose_tip_speed_overflows_writes_only_gaps(capsys):

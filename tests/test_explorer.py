@@ -412,6 +412,22 @@ def test_trim_unreachable(baseline_rotor, naca0012):
     assert info.value.t_max == pytest.approx(130.8, abs=2.0)
 
 
+def test_trim_with_no_solved_collective(sc1095):
+    """A blade pitched past 80 deg at 1000 m/s has no inflow root at some
+    station on every coarse collective, so no thrust curve is left to
+    bracket: the TrimError says so, with a NaN t_max."""
+    blade = bemt.BladeGeometry.from_aspect_ratio(0.42, 12.0, taper_ratio=5.0 / 3.0,
+                                                 twist=math.radians(-20.0),
+                                                 preset=math.radians(100.0))
+    op = bemt.OperatingPoint.from_rpm(3200.0, v_inf=1000.0, rho=1.167)
+    coarse = np.linspace(*explorer.TRIM_COLLECTIVES, 29)
+    curve = bemt.thrust_curve(blade, sc1095, 3200.0, coarse, v_inf=1000.0, rho=1.167)
+    assert all(row is None for row in curve.rows)
+    with pytest.raises(TrimError, match="failed across the collective range") as info:
+        trim_collective(blade, op, sc1095, 50.0)
+    assert math.isnan(info.value.t_max)
+
+
 def sequential_trim(geometry, op, polar, target_thrust, solved=None):
     """``trim_collective`` as one solve per bisection step, then
     ``evaluate_rotor`` at the collective it returns: (collective,

@@ -137,6 +137,25 @@ def test_same_root_on_random_batches(polar_name):
             assert_same_root(r, pitch, sigma, mu, n_blades, polar)
 
 
+def test_sign_tests_take_an_overflowing_product_by_its_sign():
+    """A product of two residuals past the float range overflows to +-inf,
+    which keeps its sign: the slice and polish tests decide as on the
+    exact product, with no NumPy overflow warning (pytest makes a
+    RuntimeWarning an error)."""
+    g_prev = np.array([1e200, 1e200, -1e200, 1e200, 1.0, np.inf])
+    g_next = np.array([1e200, -1e200, -1e200, 0.0, -1.0, -1.0])
+    assert bemt._sign_change(g_prev, g_next).tolist() == \
+        [False, True, False, True, True, False]
+
+    def g(phi, k):
+        return 1e200 * (phi - 0.3) ** 3
+
+    k = np.array([0])
+    lo, hi = np.array([0.0]), np.array([1.0])
+    root, g_root = bemt._polish(lo, hi, g(lo, k), g(hi, k), k, g)
+    assert root[0] == pytest.approx(0.3, abs=1e-12)
+
+
 def test_multi_root_station_takes_the_first_crossing():
     """Here the residual changes sign three times on (0, pi/2): polishing
     the endpoint bracket alone lands on a later root, 1.27 rad away."""

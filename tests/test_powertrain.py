@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from designkit import presets
 from designkit import powertrain as pt
 from designkit.constants import HP_TO_W
 from designkit.errors import ConfigError, DivergenceError, EngineCapacityError
@@ -43,7 +44,7 @@ def test_engine_curve_landmarks():
 # budget arithmetic
 
 def test_power_budget_exact_arithmetic():
-    budget = power_budget([perf(350.0)] * 4, [perf(100.0)] * 4)
+    budget = power_budget(perf(350.0), perf(100.0))
     assert budget.hover_power == pytest.approx(1400.0, rel=1e-15)
     assert budget.cruise_power == pytest.approx(400.0, rel=1e-15)
     assert budget.required_installed_power == pytest.approx(
@@ -57,7 +58,7 @@ def test_power_budget_exact_arithmetic():
 
 def test_power_budget_capacity_gate():
     with pytest.raises(EngineCapacityError) as info:
-        power_budget([perf(600.0)] * 4, [perf(100.0)] * 4)
+        power_budget(perf(600.0), perf(100.0))
     assert info.value.required_w == pytest.approx(2640.0, rel=1e-12)
     assert info.value.available_w == pytest.approx(
         power_available(12800.0), rel=1e-12)
@@ -65,13 +66,11 @@ def test_power_budget_capacity_gate():
 
 def test_power_budget_validation():
     with pytest.raises(ConfigError):
-        power_budget([], [perf(100.0)])
-    with pytest.raises(ConfigError):
-        power_budget([perf(0.0)] * 4, [perf(100.0)] * 4)
+        power_budget(perf(0.0), perf(100.0))
 
 
 def test_budget_dict_units():
-    d = power_budget([perf(350.0)] * 4, [perf(100.0)] * 4).to_dict()
+    d = power_budget(perf(350.0), perf(100.0)).to_dict()
     assert d["hover_power_hp"] == pytest.approx(1400.0 / HP_TO_W, rel=1e-15)
     assert d["required_installed_power_hp"] == pytest.approx(
         1540.0 / HP_TO_W, rel=1e-15)
@@ -204,7 +203,7 @@ def test_mass_entry_validation():
 
 def analytic_fixed_point():
     fixed = pt.default_fixed_masses().gross_mass
-    slope = (4 * pt.ROTOR_UNIT_MASS + 2 * pt.WING_UNIT_MASS) / pt.CALIBRATION_GROSS
+    slope = sum(s.total for s in pt.SCALABLE_MASSES) / presets.GROSS_MASS
     return fixed / (1.0 - slope)
 
 
