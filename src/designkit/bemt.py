@@ -55,17 +55,17 @@ balance, U/(Omega R) = r / B2(phi), and all loads are recovered in closed
 form.  Integrating the per-station loads over the span (midpoint rule)
 gives CT, CP and the dimensional performance numbers.
 
-Every batched evaluation is a list of rows on one station grid, each
-row a blade, an operating point and that blade's pitch at every station,
-solved together (:func:`_curves`).  The solve is per element, so a row's
-numbers do not depend on the rows beside it.  Thrust curves, the
-explorer's sweeps (in chunks of whole rows of at most BLOCK stations),
-its trims (hover and cruise together) and its grid search (figures of
-merit and cruise scans together) all take this path, and one station
-(:func:`solve_station`) is a one-element case of it.  Its converged
-state is an :class:`InflowSolution`: of floats at one station, of arrays
-over a blade's span.  Where residuals are so large that the product of
-two overflows, the sign tests read the sign of the infinite product.
+Every batched evaluation is a list of (blade, operating point) rows
+solved together on one station grid (:func:`_curves`); the solve is per
+element, so each row is, bit for bit, :func:`evaluate_rotor` at its
+operating point.  Thrust curves, the explorer's sweeps (in chunks of
+whole rows of at most BLOCK stations), its trims (hover and cruise
+together) and its grid search (figures of merit and cruise scans
+together) all take this path, and one station (:func:`solve_station`)
+is a one-element case of it.  Its converged state is an
+:class:`InflowSolution`: of floats at one station, of arrays over a
+blade's span.  Where residuals are so large that the product of two
+overflows, the sign tests read the sign of the infinite product.
 
 Conventions: radial positions are nondimensional (r = y/R in [0, 1)),
 angles in radians, SI units throughout.  CT = T / (rho A (Omega R)^2),
@@ -109,12 +109,12 @@ class BladeGeometry:
 
     Chord and built-in pitch can be linear laws (root/tip chord, linear
     twist plus preset) or explicit tables over nondimensional radius.
-    The collective pitch law is
+    The collective pitch law adds the collective to the built-in pitch,
 
-        theta(r) = collective + preset + twist * r
+        theta(r) = collective + (preset + twist * r)
 
-    so with the usual preset = -twist coupling the tip section sits at
-    the commanded collective.  Tables give the built-in distribution at
+    so ``pitch(r, c)`` is ``c + pitch(r, 0.0)``; with preset = -twist the
+    tip sits at the collective.  Tables give the built-in distribution at
     zero collective and override the linear law.
 
     Parameters
@@ -149,7 +149,7 @@ class BladeGeometry:
     name: str = ""
 
     def __post_init__(self):
-        if self.radius is None or self.radius <= 0.0:
+        if self.radius is None or not self.radius > 0.0:    # each check fails on NaN
             raise GeometryError(f"radius must be positive, got {self.radius}")
         if self.n_blades < 1:
             raise GeometryError(f"need at least one blade, got {self.n_blades}")
@@ -157,17 +157,22 @@ class BladeGeometry:
             raise GeometryError(f"root cutout must lie in (0, 1), got {self.root_cutout}")
         if self.chord_table is not None:
             self.chord_table = _table(self.chord_table, "chord_table", "chord_m")
-            if np.any(self.chord_table[:, 1] <= 0.0):
+            if not np.all(self.chord_table[:, 1] > 0.0):
                 raise GeometryError("chord_table chords must be positive")
         elif self.root_chord is None:
             raise GeometryError("provide root_chord/tip_chord or a chord_table")
         else:
             if self.tip_chord is None:
                 self.tip_chord = self.root_chord
-            if self.root_chord <= 0.0 or self.tip_chord <= 0.0:
+            if not (self.root_chord > 0.0 and self.tip_chord > 0.0):
                 raise GeometryError("chords must be positive")
+        for name in ("twist", "preset"):
+            if not math.isfinite(getattr(self, name)):
+                raise GeometryError(f"{name} must be finite, got {getattr(self, name)}")
         if self.pitch_table is not None:
             self.pitch_table = _table(self.pitch_table, "pitch_table", "theta_rad")
+            if not np.all(np.isfinite(self.pitch_table[:, 1])):
+                raise GeometryError("pitch_table theta must be finite")
 
     # -- distributions ---------------------------------------------------
 
@@ -183,7 +188,7 @@ class BladeGeometry:
         r = np.asarray(r, dtype=float)
         if self.pitch_table is not None:
             return collective + np.interp(r, self.pitch_table[:, 0], self.pitch_table[:, 1])
-        return collective + self.preset + self.twist * r
+        return collective + (self.preset + self.twist * r)
 
     def local_solidity(self, r):
         """sigma(r) = Nb c(r) / (pi R)."""
@@ -194,7 +199,10 @@ class BladeGeometry:
     @property
     def mean_chord(self):
         """Span-mean chord [m] of the linear law (sweeps rebuild only
-        blades without tables)."""
+        blades without tables); a chord table has none."""
+        if self.chord_table is not None:
+            raise GeometryError("a blade with a chord_table has no linear-law mean chord "
+                                "or aspect ratio")
         return 0.5 * (self.root_chord + self.tip_chord)
 
     @property
@@ -219,7 +227,7 @@ class BladeGeometry:
                           preset=0.0, n_blades=2, root_cutout=0.10, name=""):
         """Build a linearly tapered blade from AR = R/c_mean and
         taper = c_root/c_tip, holding the mean chord."""
-        if aspect_ratio <= 0.0 or taper_ratio <= 0.0:
+        if not (aspect_ratio > 0.0 and taper_ratio > 0.0):
             raise GeometryError("aspect_ratio and taper_ratio must be positive")
         c_mean = radius / aspect_ratio
         c_root = 2.0 * c_mean * taper_ratio / (1.0 + taper_ratio)
@@ -241,7 +249,7 @@ def _table(tab, name, column):
     tab = np.asarray(tab, dtype=float)
     if tab.ndim != 2 or tab.shape[1] != 2 or tab.shape[0] < 2:
         raise GeometryError(f"{name} must be (N>=2, 2): columns (r, {column})")
-    if np.any(np.diff(tab[:, 0]) <= 0.0):
+    if not np.all(np.diff(tab[:, 0]) > 0.0):
         raise GeometryError(f"{name} r column must be strictly increasing")
     return tab
 
@@ -276,11 +284,11 @@ class OperatingPoint:
     collective: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:          # written so that NaN fails each check
             raise GeometryError(f"omega must be positive, got {self.omega}")
-        if self.v_inf < 0.0:
+        if not self.v_inf >= 0.0:
             raise GeometryError(f"v_inf must be >= 0, got {self.v_inf}")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise GeometryError(f"rho must be positive, got {self.rho}")
 
     @classmethod
@@ -977,33 +985,35 @@ class RotorCurve:
         return np.array([math.nan if p is None else getattr(p, attr) for p in self.rows])
 
 
-def _curves(blade_rows, polar, r, dr):
-    """Performance of every row of ``blade_rows``, one (blade, op, pitch)
-    triple each, all in one solve: the blade at the operating point with
-    station pitches ``pitch`` on the stations ``r`` (cells ``dr``).  The
-    blades share a blade count.
+def _curves(rows, polar, n_stations):
+    """The :class:`RotorCurve` of (blade, op) ``rows`` solved together on
+    :func:`evaluate_rotor`'s grid of ``n_stations`` cells, each row what
+    that gives or raises there.  The blades must share a root cutout and
+    a blade count (else a GeometryError); each blade's solidity and
+    zero-collective pitch are read once, and a row's collective added."""
+    if not rows:
+        return RotorCurve([], [], [])
+    blades, ops = zip(*rows)
+    distinct = {id(g): g for g in blades}
+    shared = {(g.root_cutout, g.n_blades) for g in distinct.values()}
+    if len(shared) > 1:
+        raise GeometryError("the rows of one solve need one root cutout and blade count, "
+                            f"got (root_cutout, n_blades) {sorted(shared)}")
+    (root_cutout, n_blades), = shared
+    r, dr = station_grid(root_cutout, n_stations)
+    laws = {k: (g.local_solidity(r), g.pitch(r, 0.0)) for k, g in distinct.items()}
+    sigma, built_in = (np.stack(law) for law in zip(*(laws[id(g)] for g in blades)))
+    pitch = np.array([[op.collective] for op in ops]) + built_in   # each blade.pitch(r, c)
+    mu = np.array([[op.advance_ratio(g.radius)] for g, op in rows])
+    ct, cp, found, _ = _solve_rows(r, dr, pitch, sigma, mu, n_blades, polar)
+    solved = [(_performance(float(ct[i]), float(cp[i]), g, op), None) if found[i].all()
+              else (None, _no_root(r[~found[i]])) for i, (g, op) in enumerate(rows)]
+    return RotorCurve(list(ops), *map(list, zip(*solved)))
 
-    Returns one (performance, error) pair per row, in order: the
-    :class:`RotorPerformance`, or None with the :class:`NoRootError` that
-    :func:`evaluate_rotor` raises there.
-    """
-    if not blade_rows:
-        return []
-    blades, ops, pitch = zip(*blade_rows)
-    sigma = {id(g): g.local_solidity(r) for g in blades}
-    mu = np.array([op.advance_ratio(g.radius) for g, op in zip(blades, ops)])
-    ct, cp, found, *_ = _solve_rows(r, dr, np.stack(pitch),
-                                    np.stack([sigma[id(g)] for g in blades]), mu[:, None],
-                                    blades[0].n_blades, polar)
-    return [(_performance(float(ct[i]), float(cp[i]), g, op), None) if found[i].all()
-            else (None, _no_root(r[~found[i]])) for i, (g, op) in enumerate(zip(blades, ops))]
 
-
-def _collective_rows(blade, op, collectives, r):
-    """:func:`_curves` rows of ``blade`` at ``op`` with each of
-    ``collectives`` added to its zero-collective pitch at stations ``r``."""
-    pitch = blade.pitch(r, 0.0)
-    return [(blade, replace(op, collective=float(theta0)), theta0 + pitch)
+def _collective_rows(blade, op, collectives):
+    """:func:`_curves` rows of ``blade`` at ``op`` at each of ``collectives``."""
+    return [(blade, replace(op, collective=float(theta0)))
             for theta0 in np.atleast_1d(np.asarray(collectives, dtype=float))]
 
 
@@ -1011,15 +1021,12 @@ def thrust_curve(geometry, polar, rpm, collectives, v_inf=0.0, rho=RHO_SL,
                  n_stations=N_STATIONS):
     """Sweep collective at fixed RPM and axial speed; one batched solve.
 
-    One row per collective through the core of :func:`evaluate_rotor`,
-    with the collective added to the zero-collective pitch law.  Stations
-    that fail to converge invalidate only their own row.
+    One :func:`_curves` row per collective, so each row is what
+    :func:`evaluate_rotor` gives at it.  Stations that fail to converge
+    invalidate only their own row.
     """
     op = OperatingPoint.from_rpm(rpm, v_inf=v_inf, rho=rho)
-    r, dr = station_grid(geometry.root_cutout, n_stations)
-    rows = _collective_rows(geometry, op, collectives, r)
-    solved = _curves(rows, polar, r, dr)
-    return RotorCurve([o for _, o, _ in rows], [p for p, _ in solved], [e for _, e in solved])
+    return _curves(_collective_rows(geometry, op, collectives), polar, n_stations)
 
 
 def rising_branch(values):

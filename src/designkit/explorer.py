@@ -8,9 +8,10 @@ proprotor.  Sweep output is a long-format table
 same way.
 
 A sweep solves the points of all its values together, a design
-budget's trims and each twist's grid cells share solves, as rows of the
-solver's batched solve (``bemt._curves``): a sweep in chunks of whole
-rows, which keep its memory flat in its number of values.
+budget's trims and each twist's grid cells share solves, as (blade,
+operating point) rows of the solver's batched solve (``bemt._curves``),
+which builds the station grid and pitches itself: a sweep in chunks of
+whole rows, which keep its memory flat in its number of values.
 """
 
 import itertools
@@ -122,20 +123,19 @@ def _curve_op(op):
     return bemt.OperatingPoint.from_rpm(op.rpm, v_inf=op.v_inf, rho=op.rho)
 
 
-def _sweep_points(spec, r):
-    """(value, x, (blade, op, station pitches)) of every point of the
-    sweep, value by value, built as they are read: an efficiency point is
+def _sweep_points(spec):
+    """(value, x, (blade, op)) of every point of the sweep, value by
+    value, built as they are read: an efficiency point is
     :func:`bemt.evaluate_rotor`'s row at its speed, a thrust-type point
     :func:`bemt.thrust_curve`'s row at its collective."""
     for value in spec.values:
         geometry, op = apply_parameter(spec.base_geometry, spec.base_op, spec.parameter,
                                        value, couple_preset=spec.couple_preset)
         if spec.response == "eta_vs_V":
-            pitch = geometry.pitch(r, op.collective)
             for v in spec.speeds:
-                yield value, v, (geometry, replace(op, v_inf=v), pitch)
+                yield value, v, (geometry, replace(op, v_inf=v))
         else:
-            for row in bemt._collective_rows(geometry, _curve_op(op), spec.collectives, r):
+            for row in bemt._collective_rows(geometry, _curve_op(op), spec.collectives):
                 yield value, math.degrees(row[1].collective), row
 
 
@@ -171,12 +171,12 @@ def run_sweep(spec):
     ("non-finite load").
     """
     polar = airfoil.AirfoilPolar.bundled(spec.polar_name)
-    r, dr = bemt.station_grid(spec.base_geometry.root_cutout, bemt.N_STATIONS)
-    points = _sweep_points(spec, r)
+    points = _sweep_points(spec)
     rows, gaps = [], []
-    while chunk := list(itertools.islice(points, bemt.BLOCK // r.size)):
+    while chunk := list(itertools.islice(points, bemt.BLOCK // bemt.N_STATIONS)):
         values, xs, blade_rows = zip(*chunk)
-        for value, x, (perf, err) in zip(values, xs, bemt._curves(blade_rows, polar, r, dr)):
+        curve = bemt._curves(blade_rows, polar, bemt.N_STATIONS)
+        for value, x, perf, err in zip(values, xs, curve.rows, curve.errors):
             point = str(err) if perf is None else _sweep_point(spec.response, perf, x)
             if isinstance(point, str):
                 gaps.append((value, x, point))
@@ -218,12 +218,10 @@ def _trim(geometry, polar, targets):
     its result's row; a midpoint it does not take cannot fail it.  Errors
     are raised in the order of ``targets``.
     """
-    r, dr = bemt.station_grid(geometry.root_cutout, bemt.N_STATIONS)
     coarse = np.linspace(*TRIM_COLLECTIVES, 29)
     coarse_rows = [row for op, _ in targets
-                   for row in bemt._collective_rows(geometry, _curve_op(op), coarse, r)]
-    thrusts = np.array([math.nan if perf is None else perf.thrust
-                        for perf, _ in bemt._curves(coarse_rows, polar, r, dr)])
+                   for row in bemt._collective_rows(geometry, _curve_op(op), coarse)]
+    thrusts = bemt._curves(coarse_rows, polar, bemt.N_STATIONS).column("thrust")
     results = [None] * len(targets)   # (collective, performance) or the error
     live = {}                         # trim -> [a, b, steps left]
     for i, ((_, target), curve) in enumerate(zip(targets, thrusts.reshape(-1, coarse.size))):
@@ -237,9 +235,10 @@ def _trim(geometry, polar, targets):
         for i, (a, b, left) in live.items():
             mid = 0.5 * (a + b)
             cands[i] = [mid, 0.5 * (a + mid), 0.5 * (mid + b)] if left else [mid]
-        solved = iter(bemt._curves(
-            [(geometry, replace(targets[i][0], collective=theta), geometry.pitch(r, theta))
-             for i, thetas in cands.items() for theta in thetas], polar, r, dr))
+        curve = bemt._curves([(geometry, replace(targets[i][0], collective=theta))
+                              for i, thetas in cands.items() for theta in thetas],
+                             polar, bemt.N_STATIONS)
+        solved = zip(curve.rows, curve.errors)
         for i, thetas in cands.items():
             rows = list(itertools.islice(solved, len(thetas)))
             state = _bisect(*live.pop(i), *rows[0], targets[i][1])
@@ -462,14 +461,13 @@ def _evaluate_twist(args):
     trimmed = np.flatnonzero(np.isfinite(theta_h))
     scan_lo, scan_hi, scan_step = CRUISE_SCAN
     scan = np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)
-    r, dr = bemt.station_grid(reference.root_cutout, spec.n_stations)
     hover = bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho)
     cruise = bemt.OperatingPoint.from_rpm(spec.cruise_rpm, v_inf=spec.cruise_speed,
                                           rho=spec.cruise_rho)
-    rows = bemt._collective_rows(reference, hover, theta_h[trimmed], r)
+    rows = bemt._collective_rows(reference, hover, theta_h[trimmed])
     for i in trimmed:
-        rows += bemt._collective_rows(_blade(spec, float(radii[i]), twist), cruise, scan, r)
-    solved = iter(perf for perf, _ in bemt._curves(rows, polar, r, dr))
+        rows += bemt._collective_rows(_blade(spec, float(radii[i]), twist), cruise, scan)
+    solved = iter(bemt._curves(rows, polar, spec.n_stations).rows)
     fm[trimmed] = [math.nan if p is None else p.figure_of_merit
                    for p in itertools.islice(solved, trimmed.size)]
     for i in trimmed:

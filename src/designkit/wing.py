@@ -49,7 +49,7 @@ class WingDesignInputs:
     def __post_init__(self):
         for name in ("gross_weight", "cruise_speed", "stall_speed", "rho",
                      "cd0", "oswald", "cl_max", "aspect_ratio"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:      # NaN fails it too
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.span_ratio <= 1.0:
             raise ConfigError("span_ratio must lie in (0, 1]")

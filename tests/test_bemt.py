@@ -18,15 +18,17 @@ recovery relations) or validation of the public contracts.
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from designkit import bemt
 from designkit.bemt import BladeGeometry, OperatingPoint
-from designkit.errors import GeometryError, NoRootError
+from designkit.errors import ConfigError, GeometryError, NoRootError
+from designkit.wing import WingDesignInputs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -106,6 +108,84 @@ def test_geometry_validation():
     for n_stations in (15, bemt.MAX_STATIONS + 1, 10 ** 12):
         with pytest.raises(GeometryError, match="stations"):
             bemt.station_grid(0.1, n_stations)
+
+
+NAN = math.nan
+WING_POSITIVE = ("gross_weight", "cruise_speed", "stall_speed", "rho",
+                 "cd0", "oswald", "cl_max", "aspect_ratio")
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(make, error, message, id=name) for name, make, error, message in [
+        ("omega", lambda: OperatingPoint(omega=NAN), GeometryError, "omega must be positive"),
+        ("v_inf", lambda: OperatingPoint(omega=100.0, v_inf=NAN), GeometryError,
+         "v_inf must be >= 0"),
+        ("rho", lambda: OperatingPoint(omega=100.0, rho=NAN), GeometryError,
+         "rho must be positive"),
+        ("radius", lambda: BladeGeometry(radius=NAN, root_chord=0.03), GeometryError,
+         "radius must be positive"),
+        ("from_aspect_ratio-radius", lambda: BladeGeometry.from_aspect_ratio(NAN, 12.0),
+         GeometryError, "radius must be positive, got nan"),
+        ("root_chord", lambda: BladeGeometry(radius=0.4, root_chord=NAN), GeometryError,
+         "^chords must be positive$"),
+        ("tip_chord", lambda: BladeGeometry(radius=0.4, root_chord=0.03, tip_chord=NAN),
+         GeometryError, "^chords must be positive$"),
+        ("from_aspect_ratio-aspect_ratio", lambda: BladeGeometry.from_aspect_ratio(0.38, NAN),
+         GeometryError, "aspect_ratio and taper_ratio must be positive"),
+        ("chord_table-chord",
+         lambda: BladeGeometry(radius=0.4, chord_table=[[0.1, NAN], [1.0, 0.02]]),
+         GeometryError, "chord_table chords must be positive"),
+        ("chord_table-r",
+         lambda: BladeGeometry(radius=0.4, chord_table=[[NAN, 0.04], [1.0, 0.02]]),
+         GeometryError, "chord_table r column must be strictly increasing"),
+        ("pitch_table-r", lambda: BladeGeometry(radius=0.4, root_chord=0.03,
+                                                pitch_table=[[0.1, 0.2], [NAN, 0.1]]),
+         GeometryError, "pitch_table r column must be strictly increasing"),
+        ("pitch_table-theta", lambda: BladeGeometry(radius=0.4, root_chord=0.03,
+                                                    pitch_table=[[0.1, NAN], [1.0, 0.1]]),
+         GeometryError, "pitch_table theta must be finite"),
+        ("twist", lambda: BladeGeometry(radius=0.4, root_chord=0.03, twist=NAN),
+         GeometryError, "twist must be finite"),
+        ("preset", lambda: BladeGeometry(radius=0.4, root_chord=0.03, preset=NAN),
+         GeometryError, "preset must be finite"),
+        ("from_aspect_ratio-twist",
+         lambda: BladeGeometry.from_aspect_ratio(0.38, 12.0, twist=NAN),
+         GeometryError, "twist must be finite, got nan"),
+        *[(f"wing-{name}", lambda name=name: WingDesignInputs(**{name: NAN}), ConfigError,
+           f"^{name} must be positive$") for name in WING_POSITIVE],
+    ]])
+def test_records_refuse_nan(make, error, message):
+    """A NaN fails each range check of the public records with the
+    check's own message, as a value out of range does."""
+    with pytest.raises(error, match=message):
+        make()
+
+
+def test_table_blade_has_no_linear_law_mean_chord():
+    rotor = BladeGeometry(radius=0.4, chord_table=[[0.1, 0.04], [1.0, 0.02]])
+    for name in ("mean_chord", "aspect_ratio"):
+        with pytest.raises(GeometryError, match="chord_table"):
+            getattr(rotor, name)
+
+
+angles = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(collective=angles, preset=angles, twist=angles,
+       thetas=st.lists(angles, min_size=2, max_size=6), table=st.booleans(),
+       r=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+def test_pitch_is_collective_plus_built_in_pitch(collective, preset, twist, thetas, table, r):
+    """The one pitch law: the collective is added to the zero-collective
+    pitch, on linear and table blades, so a batched solve that adds each
+    row's collective to one built-in pitch gives the blade's own pitch
+    (equal as floats; only the sign of a zero may differ)."""
+    pitch_table = np.column_stack([np.linspace(0.1, 1.0, len(thetas)), thetas])
+    blade = BladeGeometry(radius=0.4, root_chord=0.03, twist=twist, preset=preset,
+                          pitch_table=pitch_table if table else None)
+    r = np.array(r)
+    assert np.array_equal(blade.pitch(r, collective), collective + blade.pitch(r, 0.0))
+    assert blade.pitch(r[0], collective) == collective + blade.pitch(r[0], 0.0)
 
 
 def test_table_distributions_interpolate():
@@ -565,8 +645,7 @@ def test_shared_core_keeps_evaluate_rotor_and_thrust_curve(rpm_study_rotor, sc10
     """evaluate_rotor and thrust_curve give, bit for bit, what a
     single-row solve and a (collective x station) solve give: the pitch
     law at the collective for the one, collective plus zero-collective
-    pitch for the other (the two differ in the last bits on a twisted
-    blade)."""
+    pitch for the other (the one pitch law makes the two the same)."""
     theta = math.radians(collective_deg)
     op = OperatingPoint.from_rpm(2600.0, v_inf=v_inf, collective=theta)
     perf, inflow = bemt.evaluate_rotor(rpm_study_rotor, op, sc1095, return_inflow=True)
@@ -585,6 +664,38 @@ def test_shared_core_keeps_evaluate_rotor_and_thrust_curve(rpm_study_rotor, sc10
     assert [(row.ct, row.cp) for row in curve.rows] == list(zip(ct.tolist(), cp.tolist()))
 
 
+@pytest.mark.parametrize("v_inf", [0.0, 20.0, 240.0])
+@pytest.mark.parametrize("rotor", ["final_rotor", "rpm_study_rotor"])
+def test_thrust_curve_rows_are_evaluate_rotor(request, sc1095, rotor, v_inf):
+    """Each row of a thrust curve is, field for field, what
+    ``evaluate_rotor`` gives at its operating point, and each failed row
+    carries the text of the NoRootError that it raises there; collectives
+    off the 0.5 deg grid, on twisted blades."""
+    geometry = request.getfixturevalue(rotor)
+    collectives = np.radians([-3.3, 1.7, 6.2, 9.9, 13.1, 17.3, 77.7])
+    curve = bemt.thrust_curve(geometry, sc1095, 3200.0, collectives, v_inf=v_inf, rho=1.167)
+    for op, row, err in zip(curve.ops, curve.rows, curve.errors, strict=True):
+        try:
+            perf = bemt.evaluate_rotor(geometry, op, sc1095)
+        except NoRootError as exc:
+            assert row is None and str(err) == str(exc)
+        else:
+            assert err is None
+            np.testing.assert_equal(vars(row), vars(perf))
+    assert any(row is None for row in curve.rows) == (v_inf == 240.0)
+
+
+@pytest.mark.parametrize("other", [{"root_cutout": 0.15}, {"n_blades": 3}])
+def test_curves_refuse_rows_off_one_station_grid(final_rotor, sc1095, other):
+    """The rows of one solve share a root cutout and a blade count; no
+    rows make an empty curve."""
+    op = OperatingPoint.from_rpm(3200.0, collective=0.1)
+    rows = [(final_rotor, op), (replace(final_rotor, **other), op)]
+    with pytest.raises(GeometryError, match="one root cutout and blade count"):
+        bemt._curves(rows, sc1095, 100)
+    assert bemt._curves([], sc1095, 100) == bemt.RotorCurve([], [], [])
+
+
 def test_thrust_curves_are_thrust_curve_per_blade(sc1095):
     """One ``_curves`` solve over the collective rows of several blades
     gives each blade its own thrust curve, field for field; rows with no
@@ -595,27 +706,27 @@ def test_thrust_curves_are_thrust_curve_per_blade(sc1095):
     blades = [BladeGeometry.from_aspect_ratio(radius, 12.0, taper_ratio=5.0 / 3.0,
                                               twist=twist, preset=-twist)
               for radius in (0.27, 0.38, 0.51)]
-    r, dr = bemt.station_grid(blades[0].root_cutout, 100)
+    r, _ = bemt.station_grid(blades[0].root_cutout, 100)
     assert not np.array_equal(blades[0].local_solidity(r), blades[1].local_solidity(r))
     collectives = np.radians([2.0, 9.0, 16.0, 75.0])
     n = collectives.size
     for v_inf in (0.0, 20.0, 240.0):
         op = OperatingPoint.from_rpm(2000.0, v_inf=v_inf, rho=1.167)
         rows = [row for blade in blades
-                for row in bemt._collective_rows(blade, op, collectives, r)]
-        solved = bemt._curves(rows, sc1095, r, dr)
+                for row in bemt._collective_rows(blade, op, collectives)]
+        solved = bemt._curves(rows, sc1095, 100)
         for i, blade in enumerate(blades):
             alone = bemt.thrust_curve(blade, sc1095, 2000.0, collectives, v_inf=v_inf,
                                       rho=1.167)
-            assert [point for _, point, _ in rows[i * n:(i + 1) * n]] == alone.ops
-            for (row, err), single, error in zip(solved[i * n:(i + 1) * n], alone.rows,
-                                                 alone.errors, strict=True):
+            assert [point for _, point in rows[i * n:(i + 1) * n]] == alone.ops
+            for row, err, single, error in zip(solved.rows[i * n:(i + 1) * n],
+                                               solved.errors[i * n:(i + 1) * n], alone.rows,
+                                               alone.errors, strict=True):
                 assert (row is None) == (single is None)
                 if row is not None:
                     np.testing.assert_equal(vars(row), vars(single))
                 assert str(err) == str(error)
-    assert any(row is None for row, _ in solved[:n])       # 240 m/s has failed rows
-    assert bemt._curves([], sc1095, r, dr) == []
+    assert any(row is None for row in solved.rows[:n])     # 240 m/s has failed rows
 
 
 @pytest.mark.parametrize("values, expected", [

@@ -257,20 +257,19 @@ def test_batched_efficiency_sweep_equals_per_speed_solves(figure, polar_name):
 
 def per_value_sweep(spec, polar):
     """A sweep as one solve per swept value: its ``thrust_curve``, or its
-    speed rows (the pitch law at the value's collective, one row per
-    speed) in one ``_curves`` call.  Its points are mapped to rows and
+    speed rows (one row per speed at the value's collective) in one
+    ``_curves`` call.  Its points are mapped to rows and
     gaps as before points with non-finite loads became gaps; the two
     mappings agree wherever loads are finite."""
     rows, gaps = [], []
-    r, dr = bemt.station_grid(spec.base_geometry.root_cutout, bemt.N_STATIONS)
     for value in spec.values:
         geometry, op = apply_parameter(spec.base_geometry, spec.base_op,
                                        spec.parameter, value,
                                        couple_preset=spec.couple_preset)
         if spec.response == "eta_vs_V":
-            ops = [replace(op, v_inf=v) for v in spec.speeds]
-            pitch = geometry.pitch(r, op.collective)
-            solved = bemt._curves([(geometry, o, pitch) for o in ops], polar, r, dr)
+            curve = bemt._curves([(geometry, replace(op, v_inf=v)) for v in spec.speeds],
+                                 polar, bemt.N_STATIONS)
+            ops, solved = curve.ops, zip(curve.rows, curve.errors)
         else:
             curve = bemt.thrust_curve(geometry, polar, op.rpm, spec.collectives,
                                       v_inf=op.v_inf, rho=op.rho)
@@ -545,13 +544,13 @@ def fail_rows_at(monkeypatch, fails):
     solve = bemt._curves
     error, failed = bemt._no_root(np.array([0.5])), []
 
-    def curves(blade_rows, polar, r, dr):
-        blade_rows = list(blade_rows)
-        for (_, op, _), solved in zip(blade_rows, solve(blade_rows, polar, r, dr)):
+    def curves(rows, polar, n_stations):
+        curve = solve(rows, polar, n_stations)
+        for i, op in enumerate(curve.ops):
             if fails(op.collective):
                 failed.append(op.collective)
-                solved = (None, error)
-            yield solved
+                curve.rows[i], curve.errors[i] = None, error
+        return curve
     monkeypatch.setattr(bemt, "_curves", curves)
     return error, failed
 
@@ -713,16 +712,16 @@ def test_cruise_scan_per_twist_is_thrust_curve_per_radius(sc1095, monkeypatch):
     assert len(solves) == 2           # hover reference curve; trimmed hover and cruise
     blade_rows, solved = solves[-1]
     hover, cruise = blade_rows[:2], blade_rows[2:]
-    assert all(op.v_inf == 0.0 and blade.radius == 0.38 for blade, op, _ in hover)
-    assert fm[1:].tolist() == [perf.figure_of_merit for perf, _ in solved[:2]]
-    scan = np.array([op.collective for _, op, _ in cruise[:len(cruise) // 2]])
+    assert all(op.v_inf == 0.0 and blade.radius == 0.38 for blade, op in hover)
+    assert fm[1:].tolist() == [perf.figure_of_merit for perf in solved.rows[:2]]
+    scan = np.array([op.collective for _, op in cruise[:len(cruise) // 2]])
     for i, first in zip((1, 2), (0, scan.size)):
         geometry = cruise[first][0]
         assert geometry.radius == spec.radii()[i]
         alone = bemt.thrust_curve(geometry, sc1095, spec.cruise_rpm, scan,
                                   v_inf=spec.cruise_speed, rho=spec.cruise_rho,
                                   n_stations=spec.n_stations)
-        rows = [perf for perf, _ in solved[2 + first:2 + first + scan.size]]
+        rows = solved.rows[2 + first:2 + first + scan.size]
         for name in ("thrust", "power", "eta_p"):
             np.testing.assert_array_equal(
                 [math.nan if p is None else getattr(p, name) for p in rows], alone.column(name))
