@@ -151,7 +151,7 @@ class BladeGeometry:
     def __post_init__(self):
         if self.radius is None or not self.radius > 0.0:    # each check fails on NaN
             raise GeometryError(f"radius must be positive, got {self.radius}")
-        if self.n_blades < 1:
+        if not self.n_blades >= 1:
             raise GeometryError(f"need at least one blade, got {self.n_blades}")
         if not 0.0 < self.root_cutout < 1.0:
             raise GeometryError(f"root cutout must lie in (0, 1), got {self.root_cutout}")
@@ -290,6 +290,8 @@ class OperatingPoint:
             raise GeometryError(f"v_inf must be >= 0, got {self.v_inf}")
         if not self.rho > 0.0:
             raise GeometryError(f"rho must be positive, got {self.rho}")
+        if not math.isfinite(self.collective):
+            raise GeometryError(f"collective must be finite, got {self.collective}")
 
     @classmethod
     def from_rpm(cls, rpm, v_inf=0.0, rho=RHO_SL, collective=0.0):

@@ -9,7 +9,7 @@ World frame is north-east-down (z positive down); attitude is ZYX Euler
 with spin directions (-, +, -, +) so adjacent rotors counter-rotate.
 Thrust per rotor is K_F * C_T; reaction torque follows the 3/2-power
 law in C_T.  Control allocation linearizes that law about hover, and
-the blade-pitch map comes from the rotor solver rather than bench data.
+every mission flies the blade-pitch map the rotor solver builds.
 The PID loops and the RK4 rigid-body step run in plain Python floats;
 ``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
 oracle.  A mission refuses, before its first step, a timeout or hold
@@ -59,8 +59,9 @@ class VehicleParams:
     rotor_radius: float              # [m]
 
     def __post_init__(self):
-        if min(self.mass, self.arm_length, self.k_f, self.rotor_radius,
-               *self.inertia) <= 0.0:
+        # each value on its own, so that a NaN fails too
+        if not all(v > 0.0 for v in (self.mass, self.arm_length, self.k_f,
+                                     self.rotor_radius, *self.inertia)):
             raise ConfigError("vehicle parameters must be positive")
 
     @property
@@ -382,19 +383,20 @@ class MissionLog:
                                     for row in table]
 
 
-def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
+def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
                 capture_radius=presets.MISSION_CAPTURE_RADIUS,
-                timeout=presets.MISSION_TIMEOUT, pitch_map=None):
-    """Fly the waypoint list and log every step.
+                timeout=presets.MISSION_TIMEOUT):
+    """Fly the waypoint list with the vehicle ``params`` and log every step.
 
-    Each waypoint is (x, y, z, yaw); the next one engages once the
-    vehicle is inside ``capture_radius``.  The vehicle starts at rest at
-    the origin; after the last capture the controller holds position for
-    ``HOLD_TIME`` to settle.  A waypoint
-    that stays uncaptured past ``timeout`` raises a mission timeout
-    carrying the distance still to go.  Either span may cover at most
-    ``MAX_WAYPOINT_STEPS`` steps, and ``capture_radius`` must be positive
-    and finite: at zero or below a waypoint is practically never captured.
+    Each step clips the allocated C_T to ``pitch_map.ct_range``, floored at
+    0, and logs the map's collectives for them.  Each waypoint is (x, y, z,
+    yaw); the next one engages once the vehicle is inside ``capture_radius``.
+    The vehicle starts at rest at the origin; after the last capture the
+    controller holds position for ``HOLD_TIME`` to settle.  A waypoint that
+    stays uncaptured past ``timeout`` raises a mission timeout carrying the
+    distance still to go.  Either span may cover at most
+    ``MAX_WAYPOINT_STEPS`` steps, and ``capture_radius`` must be positive and
+    finite: at zero or below a waypoint is practically never captured.
     """
     waypoints = [tuple(map(float, w)) for w in waypoints]
     if not waypoints:
@@ -409,12 +411,11 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
             raise ConfigError(
                 f"{name} / dt = {span / dt:.3g} steps exceeds the "
                 f"cap of {MAX_WAYPOINT_STEPS} per waypoint")
-    params = default_params() if params is None else params
     state = VehicleState()
 
     att = AttitudeController()
     pos = PositionController(params)
-    ct_lo, ct_hi = (0.0, math.inf) if pitch_map is None else pitch_map.ct_range
+    ct_lo, ct_hi = pitch_map.ct_range
 
     rows = {k: [] for k in ("time", "position", "euler", "euler_desired", "thrust",
                             "moments", "cts", "pitches")}
@@ -430,11 +431,8 @@ def run_mission(waypoints, params=None, dt=presets.MISSION_DT,
         moments = att.update(state, euler_d, dt)
         cts = allocate(ControlCommand(thrust, tuple(moments.tolist())), params)
         cts = np.clip(cts, max(ct_lo, 0.0), ct_hi)
-        if pitch_map is None:
-            pitches = (math.nan,) * 4
-        else:
-            # PitchMap.pitch of all four: cts already lie in ct_range
-            pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
+        # PitchMap.pitch of all four: cts already lie in ct_range
+        pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
 
         # step_dynamics returns fresh arrays, so the log needs no copies
         rows["time"].append(t)

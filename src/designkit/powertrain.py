@@ -140,7 +140,7 @@ class GearSpec:
     dedendum: float = 1.25
 
     def __post_init__(self):
-        if self.teeth < 4 or self.module <= 0.0 or self.face_width <= 0.0:
+        if not (self.teeth >= 4 and self.module > 0.0 and self.face_width > 0.0):
             raise ConfigError(f"gear {self.role}: bad teeth/module/width")
 
     @property
@@ -246,7 +246,7 @@ class MassEntry:
     quantity: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.unit_mass < math.inf or self.quantity < 0:
+        if not (0.0 <= self.unit_mass < math.inf and self.quantity >= 0):
             raise ConfigError(f"mass entry {self.name}: negative or non-finite value")
 
     @property

@@ -122,6 +122,10 @@ WING_POSITIVE = ("gross_weight", "cruise_speed", "stall_speed", "rho",
          "v_inf must be >= 0"),
         ("rho", lambda: OperatingPoint(omega=100.0, rho=NAN), GeometryError,
          "rho must be positive"),
+        ("collective", lambda: OperatingPoint.from_rpm(3200.0, collective=NAN), GeometryError,
+         "collective must be finite, got nan"),
+        ("n_blades", lambda: BladeGeometry(radius=0.4, root_chord=0.03, n_blades=NAN),
+         GeometryError, "need at least one blade, got nan"),
         ("radius", lambda: BladeGeometry(radius=NAN, root_chord=0.03), GeometryError,
          "radius must be positive"),
         ("from_aspect_ratio-radius", lambda: BladeGeometry.from_aspect_ratio(NAN, 12.0),

@@ -7,6 +7,7 @@ and missions for determinism and terminal accuracy.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def test_params_validation(params):
                       k_f=0.0, rotor_radius=0.38)
     # the hover trim is derived, in the order the old field was filled
     assert params.ct_hover == params.mass * G / (4.0 * params.k_f)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mass", math.nan), ("k_f", math.nan), ("inertia", (math.nan, 1.7, 4.1)),
+], ids=["mass", "k_f", "inertia"])
+def test_params_refuse_nan(params, field, value):
+    """A NaN fails the positivity check of each value on its own, so the
+    vehicle is refused before a mission can blame its control command."""
+    with pytest.raises(ConfigError, match="vehicle parameters must be positive"):
+        replace(params, **{field: value})
 
 
 def test_state_pack_round_trip():
@@ -127,6 +138,28 @@ def test_position_thrust_clamp(params):
     assert thrust == params.hover_thrust
     assert phi_d == 0.0 and theta_d == 0.0
     assert not ctrl.tilt_limited
+
+
+def test_position_tilt_clamps_keep_asin_in_domain(params):
+    """Add 1 m/s of horizontal speed to that climb and the demanded
+    specific force is horizontal, so rounding can put |s_phi| or |s_theta|
+    one ulp above 1.  Each clamp sets the flag and commands 90 deg, where
+    math.asin alone would raise."""
+    def update(heading, yaw):
+        moving = VehicleState(velocity=np.array(
+            [math.cos(heading), math.sin(heading), -G / POS_D[2]]))
+        ctrl = PositionController(params=params)
+        _, phi_d, theta_d = ctrl.update(moving, np.zeros(3), yaw, 0.005)
+        return ctrl.tilt_limited, abs(phi_d), abs(theta_d)
+
+    # along x, s_theta is -1.0000000000000002 at yaw -2.98326 rad
+    yaws = np.linspace(-math.pi, math.pi, 2000, endpoint=False).tolist()
+    limited = [update(0.0, yaw) for yaw in yaws + [-2.9832563838488677]]
+    limited = [theta_d for flag, _, theta_d in limited if flag]
+    assert len(limited) > 1
+    assert all(t == math.pi / 2 for t in limited)
+    # s_phi is -1.0000000000000002 on this heading at this yaw
+    assert update(2.659838524324996, 1.0890421975300202) == (True, math.pi / 2, math.pi / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -272,20 +305,19 @@ def test_pitch_singularity_abort(params):
 
 
 
-def test_mission_abort_carries_time():
-    """With no tilt limit in the position loop, a waypoint 100 km ahead
-    at a 1 rad heading pitches the vehicle past the Euler limit on the
-    seventh step."""
+def test_mission_abort_carries_time(params, pitch_map):
+    """A diagonal 21 m leg with a 0.5 rad yaw turn saturates the map and
+    tips the vehicle past the Euler limit on step 633."""
     with pytest.raises(SimulationAbort) as info:
-        run_mission([(1e5, 0.0, 0.0, 1.0)], dt=0.005)
-    assert info.value.t == pytest.approx(7 * 0.005, abs=1e-12)
+        run_mission([(15.0, 15.0, 0.0, 0.5)], params, pitch_map, dt=0.005)
+    assert info.value.t == pytest.approx(633 * 0.005, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # missions
 
-def test_mission_immediate_capture_and_settle():
-    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005)
+def test_mission_immediate_capture_and_settle(params, pitch_map):
+    log = run_mission([(0.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=0.005)
     assert len(log.capture_times) == 1
     assert log.capture_times[0] == pytest.approx(0.005, abs=1e-12)
     assert log.time.size == pytest.approx(HOLD_TIME / 0.005 + 1, abs=2)
@@ -293,34 +325,34 @@ def test_mission_immediate_capture_and_settle():
     assert np.all(np.abs(log.final_position) < 1e-3)
 
 
-def test_mission_climb_regression():
-    log = run_mission([(0.0, 0.0, -2.0, 0.0)], dt=0.005)
+def test_mission_climb_regression(params, pitch_map):
+    log = run_mission([(0.0, 0.0, -2.0, 0.0)], params, pitch_map, dt=0.005)
     assert abs(log.final_position[2] + 2.0) < 0.1
     assert np.all(np.abs(log.final_position[:2]) < 0.01)
     assert len(log.capture_times) == 1
 
 
-def test_mission_deterministic():
-    a = run_mission([(0.0, 0.0, -2.0, 0.0)], dt=0.005)
-    b = run_mission([(0.0, 0.0, -2.0, 0.0)], dt=0.005)
+def test_mission_deterministic(params, pitch_map):
+    a = run_mission([(0.0, 0.0, -2.0, 0.0)], params, pitch_map, dt=0.005)
+    b = run_mission([(0.0, 0.0, -2.0, 0.0)], params, pitch_map, dt=0.005)
     assert np.array_equal(a.position, b.position)
     assert np.array_equal(a.cts, b.cts)
     assert np.array_equal(a.thrust, b.thrust)
 
 
-def test_mission_timeout():
+def test_mission_timeout(params, pitch_map):
     with pytest.raises(MissionTimeout) as info:
-        run_mission([(50.0, 0.0, 0.0, 0.0)], dt=0.005, timeout=0.5)
+        run_mission([(50.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=0.005, timeout=0.5)
     assert info.value.waypoint_index == 0
     assert info.value.remaining_m > 40.0
 
 
-def test_mission_validation():
+def test_mission_validation(params, pitch_map):
     with pytest.raises(ConfigError):
-        run_mission([])
+        run_mission([], params, pitch_map)
     for dt in (0.0, -0.001, 0.011):
         with pytest.raises(ConfigError, match="dt must lie"):
-            run_mission([(0.0, 0.0, 0.0, 0.0)], dt=dt)
+            run_mission([(0.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=dt)
 
 
 @pytest.mark.parametrize("spans, name", [
@@ -331,15 +363,15 @@ def test_mission_validation():
     ({"timeout": math.inf}, "timeout"),
     ({"timeout": math.nan}, "timeout"),
 ], ids=["timeout", "hold", "overflow", "inf", "nan"])
-def test_mission_step_cap(spans, name):
+def test_mission_step_cap(params, pitch_map, spans, name):
     """A span past the per-waypoint step cap is refused before the first
     step, so the mission never starts."""
     with pytest.raises(ConfigError, match=f"{name} / dt = .* cap of"):
-        run_mission([(1e9, 0.0, 0.0, 0.0)], **spans)
+        run_mission([(1e9, 0.0, 0.0, 0.0)], params, pitch_map, **spans)
 
 
-def test_mission_with_pitch_map(pitch_map):
-    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005, pitch_map=pitch_map)
+def test_mission_with_pitch_map(params, pitch_map):
+    log = run_mission([(0.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=0.005)
     lo, hi = pitch_map.ct_range
     assert np.all(log.cts >= lo - 1e-15)
     assert np.all(log.cts <= hi + 1e-15)
@@ -348,8 +380,8 @@ def test_mission_with_pitch_map(pitch_map):
     assert np.all(log.pitches <= pitch_map.collectives[-1] + 1e-12)
 
 
-def test_mission_log_csv():
-    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005)
+def test_mission_log_csv(params, pitch_map):
+    log = run_mission([(0.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=0.005)
     lines = log.csv_lines()
     assert lines[0] == MissionLog.CSV_HEADER
     assert len(lines) == log.time.size + 1

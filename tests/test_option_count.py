@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "designkit"
 
-MAX_DEFAULTED = 104
+MAX_DEFAULTED = 102
 
 
 def _is_dataclass(node):

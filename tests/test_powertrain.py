@@ -201,6 +201,20 @@ def test_mass_entry_validation():
         MassEntry("bad", 0.1, quantity=-1)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: GearSpec(role="E", teeth=17, module=math.nan, face_width=36.0,
+                      catalog_diameter=20.0, kind="spur"), "gear E: bad teeth/module/width"),
+    (lambda: GearSpec(role="E", teeth=math.nan, module=1.2, face_width=36.0,
+                      catalog_diameter=20.0, kind="spur"), "gear E: bad teeth/module/width"),
+    (lambda: MassEntry("x", 1.0, quantity=math.nan),
+     "mass entry x: negative or non-finite value"),
+], ids=["gear-module", "gear-teeth", "mass-quantity"])
+def test_records_refuse_nan(make, message):
+    """A NaN fails each range check with the check's own message."""
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
 def analytic_fixed_point():
     fixed = pt.default_fixed_masses().gross_mass
     slope = sum(s.total for s in pt.SCALABLE_MASSES) / presets.GROSS_MASS

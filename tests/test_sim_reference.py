@@ -363,9 +363,3 @@ def test_mission_matches_reference(params, pitch_map, waypoints):
                       (log.pitches, rows["th"])):
         assert np.max(np.abs(got - want)) <= TOL
     assert log.csv_lines() == reference_csv_lines(log)
-
-
-def test_csv_lines_keep_nan_pitches():
-    log = run_mission([(0.0, 0.0, 0.0, 0.0)], dt=0.005)
-    assert np.all(np.isnan(log.pitches))
-    assert log.csv_lines() == reference_csv_lines(log)
