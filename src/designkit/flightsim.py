@@ -10,11 +10,16 @@ with spin directions (-, +, -, +) so adjacent rotors counter-rotate.
 Thrust per rotor is K_F * C_T; reaction torque follows the 3/2-power
 law in C_T.  Control allocation linearizes that law about hover, and
 every mission flies the blade-pitch map the rotor solver builds.
-The PID loops and the RK4 rigid-body step run in plain Python floats;
+A mission steps one list of 12 plain floats (``VehicleState.x``) from
+the first step to the log: the PID loops, the C_T clip and the RK4
+rigid-body step read and write floats, and the collectives of every
+logged C_T come from one ``np.interp`` after the loop.
 ``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
-oracle.  A mission refuses, before its first step, a timeout or hold
-longer than ``MAX_WAYPOINT_STEPS`` steps, and a capture radius that is
-not positive and finite.  The PID gains and the final hold are
+oracle, and the step and loop that still used arrays per step as a
+second one that the logs must match bit for bit.  A mission refuses,
+before its first step, a malformed or non-finite waypoint, a timeout or
+hold longer than ``MAX_WAYPOINT_STEPS`` steps, and a capture radius that
+is not positive and finite.  The PID gains and the final hold are
 module constants.
 """
 
@@ -93,21 +98,40 @@ def default_params(rotor_radius=presets.FINAL_RADIUS):
                          rotor_radius=rotor_radius)
 
 
-@dataclass
 class VehicleState:
-    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    euler: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rates: np.ndarray = field(default_factory=lambda: np.zeros(3))  # body
+    """Position and velocity (world, NED), ZYX Euler angles and body rates.
+
+    The state is one list ``x`` of 12 plain floats in that order, which
+    ``step_dynamics`` and the controllers read and write without NumPy.
+    Each of the four attributes returns a new array, so a write into one
+    (``state.position[0] = ...``) is lost: build a new state instead.
+    """
+
+    __slots__ = ("x",)
+
+    def __init__(self, position=(0.0,) * 3, velocity=(0.0,) * 3,
+                 euler=(0.0,) * 3, rates=(0.0,) * 3):
+        self.x = [float(v) for part in (position, velocity, euler, rates)
+                  for v in part]
+
+    @classmethod
+    def _of(cls, x):
+        """The state held by the 12-float list ``x``, not copied."""
+        state = cls.__new__(cls)
+        state.x = x
+        return state
+
+    position = property(lambda self: np.array(self.x[0:3]))
+    velocity = property(lambda self: np.array(self.x[3:6]))
+    euler = property(lambda self: np.array(self.x[6:9]))
+    rates = property(lambda self: np.array(self.x[9:12]))   # body
 
     def pack(self):
-        return np.concatenate([self.position, self.velocity,
-                               self.euler, self.rates])
+        return np.array(self.x)
 
     @classmethod
     def unpack(cls, vec):
-        return cls(vec[0:3].copy(), vec[3:6].copy(),
-                   vec[6:9].copy(), vec[9:12].copy())
+        return cls._of([float(v) for v in vec])
 
 
 @dataclass(frozen=True)
@@ -116,8 +140,7 @@ class ControlCommand:
     moments: tuple                   # (l, m, n) [N m]
 
     def __post_init__(self):
-        values = (self.thrust, *self.moments)
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, (self.thrust, *self.moments))):
             raise ConfigError("control command must be finite")
 
 
@@ -156,11 +179,12 @@ class AttitudeController:
         self.integral = [0.0, 0.0, 0.0]
 
     def update(self, state, euler_desired, dt):
-        euler = state.euler.tolist()
-        error = [a - float(d) for a, d in zip(euler, euler_desired)]
-        euler_rates = _euler_rates(euler[0], euler[1], *state.rates.tolist())
-        return np.array(_pid(self.integral, error, euler_rates, ATT_P,
-                             ATT_I, ATT_D, ATT_INTEGRATOR_LIMIT, dt))
+        """Moments (l, m, n) [N m] as a tuple of floats."""
+        x = state.x
+        error = [a - float(d) for a, d in zip(x[6:9], euler_desired)]
+        euler_rates = _euler_rates(x[6], x[7], x[9], x[10], x[11])
+        return tuple(_pid(self.integral, error, euler_rates, ATT_P,
+                          ATT_I, ATT_D, ATT_INTEGRATOR_LIMIT, dt))
 
 
 class PositionController:
@@ -174,11 +198,11 @@ class PositionController:
 
     def update(self, state, position_desired, yaw_desired, dt):
         p = self.params
-        error = [x - float(d)
-                 for x, d in zip(state.position.tolist(), position_desired)]
+        x = state.x
+        error = [a - float(d) for a, d in zip(x[0:3], position_desired)]
         # 0.0 + turns the PID's -0.0 at rest into +0.0, the sign of zero
         # that the tilt commands, and so the logged trajectory, carry
-        accel = [0.0 + a for a in _pid(self.integral, error, state.velocity.tolist(),
+        accel = [0.0 + a for a in _pid(self.integral, error, x[3:6],
                                        POS_P, POS_I, POS_D, POS_INTEGRATOR_LIMIT, dt)]
         # demanded specific force: desired accel minus gravity (z down)
         accel[2] -= G
@@ -230,24 +254,28 @@ def allocate(command, params):
     b = l / (p.k_f * p.arm_length)
     c = m / (p.k_f * p.arm_length)
     d = n / p.yaw_gain
-    return 0.25 * np.array([
-        a - b + c - d,
-        a - b - c + d,
-        a + b - c - d,
-        a + b + c + d,
+    return np.array([
+        0.25 * (a - b + c - d),
+        0.25 * (a - b - c + d),
+        0.25 * (a + b - c - d),
+        0.25 * (a + b + c + d),
     ])
 
 
 def mixing_forward(cts, params, exact_yaw=False):
     """(T, l, m, n) produced by the given thrust coefficients."""
     p = params
-    cts = np.asarray(cts, dtype=float)
-    c1, c2, c3, c4 = cts.tolist()
+    c1, c2, c3, c4 = cts = [float(c) for c in cts]
     thrust = p.k_f * (c1 + c2 + c3 + c4)
     l = p.k_f * p.arm_length * (-c1 - c2 + c3 + c4)
     m = p.k_f * p.arm_length * (c1 - c2 - c3 + c4)
     if exact_yaw:
-        t1, t2, t3, t4 = (np.sign(cts) * np.abs(cts) ** 1.5).tolist()
+        # NumPy's array power, not the float **: on an AVX-512 build NumPy's
+        # SIMD pow and libm's differ in the last bit for ~5% of C_T in
+        # [0, 0.01], and every logged trajectory carries NumPy's.  The sign
+        # is np.sign(c) * |c|^(3/2) written in floats (+0.0 for c = -0.0)
+        t1, t2, t3, t4 = [w if c >= 0.0 else -w for c, w in
+                          zip(cts, (np.abs(cts) ** 1.5).tolist())]
         n = p.k_f * p.rotor_radius / math.sqrt(2.0) * (-t1 + t2 - t3 + t4)
     else:
         n = p.yaw_gain * (-c1 + c2 - c3 + c4)
@@ -269,6 +297,12 @@ class PitchMap:
     def __init__(self, collectives, cts):
         collectives = np.asarray(collectives, dtype=float)
         cts = np.asarray(cts, dtype=float)
+        if collectives.ndim != 1 or collectives.shape != cts.shape:
+            raise ConfigError(f"pitch map needs one C_T per collective, got "
+                              f"{collectives.size} collectives and {cts.size} C_T")
+        if not np.all(np.isfinite(collectives)):
+            raise ConfigError("pitch map collectives must be finite")
+        # NaN C_T (unsolved rows) may stay: rising_branch drops them
         if np.count_nonzero(np.isfinite(cts)) < 3:
             raise ConfigError("pitch map needs at least three valid points")
         branch = bemt.rising_branch(cts)
@@ -299,19 +333,16 @@ class PitchMap:
 # ---------------------------------------------------------------------------
 # rigid-body dynamics
 
-def _derivatives(x, wrench, params):
+def _derivatives(x, f, l, m, n, ix, iy, iz):
     """Rate of the 12 state components (position, velocity, euler, body
-    rates) under the body wrench (T, l, m, n), in floats."""
-    p = params
-    thrust, l, m, n = wrench
-    phi, theta, psi, wx, wy, wz = x[6:]
+    rates) under the specific thrust ``f`` = T / mass and the body moments
+    (l, m, n), with the principal inertias (ix, iy, iz), in floats."""
+    _, _, _, vx, vy, vz, phi, theta, psi, wx, wy, wz = x
     cph, sph = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cps, sps = math.cos(psi), math.sin(psi)
-    f = thrust / p.mass
-    ix, iy, iz = p.inertia
     hx, hy, hz = ix * wx, iy * wy, iz * wz
-    return (x[3], x[4], x[5],
+    return (vx, vy, vz,
             # gravity minus thrust along body z, the third column of the
             # ZYX body-to-world rotation
             0.0 - f * (cph * sth * cps + sph * sps),
@@ -336,13 +367,15 @@ def step_dynamics(state, cts, params, dt):
     3/2-power reaction torque.  Aborts near the Euler pitch singularity.
     """
     _check_dt(dt)
-    wrench = mixing_forward(cts, params, exact_yaw=True)
-    x = state.pack().tolist()
+    thrust, *moments = mixing_forward(cts, params, exact_yaw=True)
+    # f, the moments and the inertias hold for all four stages
+    args = (thrust / params.mass, *moments, *map(float, params.inertia))
+    x = state.x
     half = 0.5 * dt
-    k1 = _derivatives(x, wrench, params)
-    k2 = _derivatives([a + half * b for a, b in zip(x, k1)], wrench, params)
-    k3 = _derivatives([a + half * b for a, b in zip(x, k2)], wrench, params)
-    k4 = _derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params)
+    k1 = _derivatives(x, *args)
+    k2 = _derivatives([a + half * b for a, b in zip(x, k1)], *args)
+    k3 = _derivatives([a + half * b for a, b in zip(x, k2)], *args)
+    k4 = _derivatives([a + dt * b for a, b in zip(x, k3)], *args)
     sixth = dt / 6.0
     new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
@@ -350,7 +383,7 @@ def step_dynamics(state, cts, params, dt):
         raise SimulationAbort(
             f"pitch {math.degrees(new[7]):.1f} deg beyond the "
             f"{math.degrees(GIMBAL_LIMIT):.0f} deg Euler limit")
-    return VehicleState.unpack(np.array(new))
+    return VehicleState._of(new)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +402,7 @@ class MissionLog:
     capture_times: tuple
     CSV_HEADER = ("t,x,y,z,phi,theta,psi,T,l,m,n,"
                   "ct1,ct2,ct3,ct4,theta01,theta02,theta03,theta04")
-    CSV_ROW = "{:.4f}" + ",{:.6g}" * 18
+    CSV_ROW = "%.4f" + ",%.6g" * 18
 
     @property
     def final_position(self):
@@ -379,7 +412,7 @@ class MissionLog:
         table = np.column_stack([self.time, self.position, self.euler,
                                  self.thrust, self.moments, self.cts,
                                  self.pitches])
-        return [self.CSV_HEADER] + [self.CSV_ROW.format(*row.tolist())
+        return [self.CSV_HEADER] + [self.CSV_ROW % tuple(row.tolist())
                                     for row in table]
 
 
@@ -395,10 +428,15 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
     controller holds position for ``HOLD_TIME`` to settle.  A waypoint that
     stays uncaptured past ``timeout`` raises a mission timeout carrying the
     distance still to go.  Either span may cover at most
-    ``MAX_WAYPOINT_STEPS`` steps, and ``capture_radius`` must be positive and
-    finite: at zero or below a waypoint is practically never captured.
+    ``MAX_WAYPOINT_STEPS`` steps, ``capture_radius`` must be positive and
+    finite (at zero or below a waypoint is practically never captured), and
+    every waypoint must hold 4 finite numbers.
     """
     waypoints = [tuple(map(float, w)) for w in waypoints]
+    for index, w in enumerate(waypoints):
+        if len(w) != 4 or not all(map(math.isfinite, w)):
+            raise ConfigError(f"waypoint {index} must be 4 finite numbers "
+                              f"(x, y, z, yaw), got {w}")
     if not waypoints:
         raise ConfigError("mission needs at least one waypoint")
     _check_dt(dt)
@@ -416,9 +454,10 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
     att = AttitudeController()
     pos = PositionController(params)
     ct_lo, ct_hi = pitch_map.ct_range
+    ct_floor = max(ct_lo, 0.0)
 
     rows = {k: [] for k in ("time", "position", "euler", "euler_desired", "thrust",
-                            "moments", "cts", "pitches")}
+                            "moments", "cts")}
     capture_times = []
     t = 0.0
     wp_index = 0
@@ -429,20 +468,16 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
         thrust, phi_d, theta_d = pos.update(state, target[:3], target[3], dt)
         euler_d = (phi_d, theta_d, target[3])
         moments = att.update(state, euler_d, dt)
-        cts = allocate(ControlCommand(thrust, tuple(moments.tolist())), params)
-        cts = np.clip(cts, max(ct_lo, 0.0), ct_hi)
-        # PitchMap.pitch of all four: cts already lie in ct_range
-        pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
+        cts = [min(max(c, ct_floor), ct_hi) for c in
+               allocate(ControlCommand(thrust, moments), params).tolist()]
 
-        # step_dynamics returns fresh arrays, so the log needs no copies
         rows["time"].append(t)
-        rows["position"].append(state.position)
-        rows["euler"].append(state.euler)
+        rows["position"].append(state.x[0:3])
+        rows["euler"].append(state.x[6:9])
         rows["euler_desired"].append(euler_d)
         rows["thrust"].append(thrust)
         rows["moments"].append(moments)
         rows["cts"].append(cts)
-        rows["pitches"].append(pitches)
 
         try:
             state = step_dynamics(state, cts, params, dt)
@@ -452,7 +487,7 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
         t += dt
         wp_clock += dt
 
-        distance = math.dist(state.position, target[:3])
+        distance = math.dist(state.x[0:3], target[:3])
         if settle is None:
             if distance <= capture_radius:
                 capture_times.append(t)
@@ -470,5 +505,7 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
             if settle <= 0.0:
                 break
 
-    return MissionLog(**{k: np.array(v) for k, v in rows.items()},
-                      capture_times=tuple(capture_times))
+    log = {k: np.array(v) for k, v in rows.items()}
+    # PitchMap.pitch of every logged C_T at once: they lie in ct_range
+    pitches = np.interp(log["cts"], pitch_map.cts, pitch_map.collectives)
+    return MissionLog(**log, pitches=pitches, capture_times=tuple(capture_times))

@@ -250,6 +250,18 @@ def test_pitch_map_validation():
     assert pm.cts.size == 3
 
 
+@pytest.mark.parametrize("collectives, match", [
+    ([0.0, 0.1, 0.2], "one C_T per collective"),
+    ([0.0, 0.1, 0.2, 0.3, 0.4], "one C_T per collective"),
+    ([0.0, math.nan, 0.2, 0.3], "collectives must be finite"),
+], ids=["shorter", "longer", "nan"])
+def test_pitch_map_refuses_tables_it_cannot_interpolate(collectives, match):
+    """Fewer collectives than C_T would fail on indexing and more would be
+    dropped in silence; a NaN collective would be interpolated into the log."""
+    with pytest.raises(ConfigError, match=match):
+        PitchMap(collectives, [0.001, 0.002, 0.003, 0.004])
+
+
 # ---------------------------------------------------------------------------
 # dynamics
 
@@ -368,6 +380,31 @@ def test_mission_step_cap(params, pitch_map, spans, name):
     step, so the mission never starts."""
     with pytest.raises(ConfigError, match=f"{name} / dt = .* cap of"):
         run_mission([(1e9, 0.0, 0.0, 0.0)], params, pitch_map, **spans)
+
+
+@pytest.mark.parametrize("waypoint", [
+    (0.0, 0.0, -2.0),
+    (0.0, 0.0, -2.0, math.inf),
+    (math.nan, 0.0, 0.0, 0.0),
+    (math.inf, 0.0, 0.0, 0.0),
+    (0.0, 0.0, -2.0, math.nan),
+    (0.0, 0.0, -2.0, 0.0, 9.0),
+], ids=["short", "inf-yaw", "nan-x", "inf-x", "nan-yaw", "long"])
+def test_mission_refuses_malformed_waypoints(params, pitch_map, waypoint):
+    """Each waypoint must be 4 finite numbers, as the CLI's schema asks; the
+    refusal names the waypoint before the first step, instead of an
+    IndexError, a math domain error, a blamed control command or a dropped
+    entry."""
+    waypoints = [(0.0, 0.0, -1.0, 0.0), waypoint]
+    with pytest.raises(ConfigError, match=r"waypoint 1 must be 4 finite numbers"
+                       r" \(x, y, z, yaw\), got \("):
+        run_mission(waypoints, params, pitch_map)
+
+
+def test_mission_far_finite_waypoint_times_out(params, pitch_map):
+    """A huge but finite waypoint is flown, and is not captured in time."""
+    with pytest.raises(MissionTimeout):
+        run_mission([(1e300, 0.0, 0.0, 0.0)], params, pitch_map, timeout=0.5)
 
 
 def test_mission_with_pitch_map(params, pitch_map):

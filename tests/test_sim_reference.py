@@ -8,23 +8,30 @@ match to 1e-12 per state component
 (relative, absolute near zero), the gimbal abort must fire on the same
 inputs, and missions must take the same steps and capture times with
 position, attitude, C_T, thrust and pitch within 1e-12.
+
+The float step and mission loop as they stood while the state was three
+arrays per step are kept verbatim too, as a second oracle: every array of
+a mission log, and its capture times, must match it bit for bit.
 """
 
 import math
+import random
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from designkit import flightsim
+from designkit import flightsim, presets
 from designkit.constants import G
 from designkit.errors import SimulationAbort
-from designkit.flightsim import (GIMBAL_LIMIT,
+from designkit.flightsim import (GIMBAL_LIMIT, HOLD_TIME,
                                  AttitudeController, ControlCommand,
-                                 PitchMap, PositionController,
-                                 VehicleState, allocate, default_params,
-                                 mixing_forward, run_mission, step_dynamics)
+                                 MissionLog, PitchMap, PositionController,
+                                 VehicleState, _check_dt, _euler_rates, _pid,
+                                 allocate, default_params, mixing_forward,
+                                 run_mission, step_dynamics)
 
 TOL = 1e-12
 SPIN = np.array([-1.0, 1.0, -1.0, 1.0])
@@ -218,6 +225,211 @@ def reference_csv_lines(log):
 
 
 # ---------------------------------------------------------------------------
+# the float step and loop, as they stood while the state was arrays
+
+@dataclass
+class ArrayState:
+    position: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    euler: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    rates: np.ndarray = field(default_factory=lambda: np.zeros(3))  # body
+
+    def pack(self):
+        return np.concatenate([self.position, self.velocity,
+                               self.euler, self.rates])
+
+    @classmethod
+    def unpack(cls, vec):
+        return cls(vec[0:3].copy(), vec[3:6].copy(),
+                   vec[6:9].copy(), vec[9:12].copy())
+
+
+class ArrayAttitude(AttitudeController):
+    def update(self, state, euler_desired, dt):
+        euler = state.euler.tolist()
+        error = [a - float(d) for a, d in zip(euler, euler_desired)]
+        euler_rates = _euler_rates(euler[0], euler[1], *state.rates.tolist())
+        return np.array(_pid(self.integral, error, euler_rates, flightsim.ATT_P,
+                             flightsim.ATT_I, flightsim.ATT_D,
+                             flightsim.ATT_INTEGRATOR_LIMIT, dt))
+
+
+class ArrayPosition(PositionController):
+    def update(self, state, position_desired, yaw_desired, dt):
+        p = self.params
+        error = [x - float(d)
+                 for x, d in zip(state.position.tolist(), position_desired)]
+        # 0.0 + turns the PID's -0.0 at rest into +0.0, the sign of zero
+        # that the tilt commands, and so the logged trajectory, carry
+        accel = [0.0 + a for a in _pid(self.integral, error, state.velocity.tolist(),
+                                       flightsim.POS_P, flightsim.POS_I, flightsim.POS_D,
+                                       flightsim.POS_INTEGRATOR_LIMIT, dt)]
+        # demanded specific force: desired accel minus gravity (z down)
+        accel[2] -= G
+        thrust = p.mass * math.hypot(*accel)
+        self.thrust_clamped = False
+        if thrust <= 0.0:
+            thrust = p.hover_thrust
+            self.thrust_clamped = True
+            u = (0.0, 0.0, 1.0)
+        else:
+            u = [-p.mass * a / thrust for a in accel]
+
+        cps, sps = math.cos(yaw_desired), math.sin(yaw_desired)
+        self.tilt_limited = False
+        s_phi = u[0] * sps - u[1] * cps
+        if abs(s_phi) > 1.0:
+            s_phi = math.copysign(1.0, s_phi)
+            self.tilt_limited = True
+        phi_d = math.asin(s_phi)
+        s_theta = (u[0] * cps + u[1] * sps) / math.cos(phi_d)
+        if abs(s_theta) > 1.0:
+            s_theta = math.copysign(1.0, s_theta)
+            self.tilt_limited = True
+        theta_d = math.asin(s_theta)
+        return thrust, phi_d, theta_d
+
+
+def array_allocate(command, params):
+    p = params
+    l, m, n = command.moments
+    a = command.thrust / p.k_f
+    b = l / (p.k_f * p.arm_length)
+    c = m / (p.k_f * p.arm_length)
+    d = n / p.yaw_gain
+    return 0.25 * np.array([
+        a - b + c - d,
+        a - b - c + d,
+        a + b - c - d,
+        a + b + c + d,
+    ])
+
+
+def array_mixing_forward(cts, params, exact_yaw=False):
+    p = params
+    cts = np.asarray(cts, dtype=float)
+    c1, c2, c3, c4 = cts.tolist()
+    thrust = p.k_f * (c1 + c2 + c3 + c4)
+    l = p.k_f * p.arm_length * (-c1 - c2 + c3 + c4)
+    m = p.k_f * p.arm_length * (c1 - c2 - c3 + c4)
+    if exact_yaw:
+        t1, t2, t3, t4 = (np.sign(cts) * np.abs(cts) ** 1.5).tolist()
+        n = p.k_f * p.rotor_radius / math.sqrt(2.0) * (-t1 + t2 - t3 + t4)
+    else:
+        n = p.yaw_gain * (-c1 + c2 - c3 + c4)
+    return thrust, l, m, n
+
+
+def array_derivatives(x, wrench, params):
+    p = params
+    thrust, l, m, n = wrench
+    phi, theta, psi, wx, wy, wz = x[6:]
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, sth = math.cos(theta), math.sin(theta)
+    cps, sps = math.cos(psi), math.sin(psi)
+    f = thrust / p.mass
+    ix, iy, iz = p.inertia
+    hx, hy, hz = ix * wx, iy * wy, iz * wz
+    return (x[3], x[4], x[5],
+            # gravity minus thrust along body z, the third column of the
+            # ZYX body-to-world rotation
+            0.0 - f * (cph * sth * cps + sph * sps),
+            0.0 - f * (cph * sth * sps - sph * cps),
+            G - f * (cph * cth),
+            *_euler_rates(phi, theta, wx, wy, wz),
+            # Euler's equations, (M - omega x I omega) / I
+            (l - (wy * hz - wz * hy)) / ix,
+            (m - (wz * hx - wx * hz)) / iy,
+            (n - (wx * hy - wy * hx)) / iz)
+
+
+def array_step(state, cts, params, dt):
+    _check_dt(dt)
+    wrench = array_mixing_forward(cts, params, exact_yaw=True)
+    x = state.pack().tolist()
+    half = 0.5 * dt
+    k1 = array_derivatives(x, wrench, params)
+    k2 = array_derivatives([a + half * b for a, b in zip(x, k1)], wrench, params)
+    k3 = array_derivatives([a + half * b for a, b in zip(x, k2)], wrench, params)
+    k4 = array_derivatives([a + dt * b for a, b in zip(x, k3)], wrench, params)
+    sixth = dt / 6.0
+    new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if abs(new[7]) > GIMBAL_LIMIT:
+        raise SimulationAbort(
+            f"pitch {math.degrees(new[7]):.1f} deg beyond the "
+            f"{math.degrees(GIMBAL_LIMIT):.0f} deg Euler limit")
+    return ArrayState.unpack(np.array(new))
+
+
+def array_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
+                  capture_radius=presets.MISSION_CAPTURE_RADIUS,
+                  timeout=presets.MISSION_TIMEOUT):
+    """The old ``run_mission`` loop on the array state; its up-front
+    refusals are left out."""
+    waypoints = [tuple(map(float, w)) for w in waypoints]
+    state = ArrayState()
+
+    att = ArrayAttitude()
+    pos = ArrayPosition(params)
+    ct_lo, ct_hi = pitch_map.ct_range
+
+    rows = {k: [] for k in ("time", "position", "euler", "euler_desired", "thrust",
+                            "moments", "cts", "pitches")}
+    capture_times = []
+    t = 0.0
+    wp_index = 0
+    wp_clock = 0.0
+    settle = None
+    while True:
+        target = waypoints[wp_index]
+        thrust, phi_d, theta_d = pos.update(state, target[:3], target[3], dt)
+        euler_d = (phi_d, theta_d, target[3])
+        moments = att.update(state, euler_d, dt)
+        cts = array_allocate(ControlCommand(thrust, tuple(moments.tolist())), params)
+        cts = np.clip(cts, max(ct_lo, 0.0), ct_hi)
+        # PitchMap.pitch of all four: cts already lie in ct_range
+        pitches = np.interp(cts, pitch_map.cts, pitch_map.collectives)
+
+        # step_dynamics returns fresh arrays, so the log needs no copies
+        rows["time"].append(t)
+        rows["position"].append(state.position)
+        rows["euler"].append(state.euler)
+        rows["euler_desired"].append(euler_d)
+        rows["thrust"].append(thrust)
+        rows["moments"].append(moments)
+        rows["cts"].append(cts)
+        rows["pitches"].append(pitches)
+
+        try:
+            state = array_step(state, cts, params, dt)
+        except SimulationAbort as exc:
+            exc.t = t + dt
+            raise
+        t += dt
+        wp_clock += dt
+
+        distance = math.dist(state.position, target[:3])
+        if settle is None:
+            if distance <= capture_radius:
+                capture_times.append(t)
+                if wp_index + 1 < len(waypoints):
+                    wp_index += 1
+                    wp_clock = 0.0
+                else:
+                    settle = HOLD_TIME
+            elif wp_clock > timeout:
+                raise AssertionError(f"waypoint {wp_index} not captured")
+        else:
+            settle -= dt
+            if settle <= 0.0:
+                break
+
+    return MissionLog(**{k: np.array(v) for k, v in rows.items()},
+                      capture_times=tuple(capture_times))
+
+
+# ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def params():
@@ -363,3 +575,40 @@ def test_mission_matches_reference(params, pitch_map, waypoints):
                       (log.pitches, rows["th"])):
         assert np.max(np.abs(got - want)) <= TOL
     assert log.csv_lines() == reference_csv_lines(log)
+
+
+def turned(waypoints, seed):
+    """The waypoints turned about the start point, as the benchmark's
+    ``mission`` workload turns them for a seed."""
+    turn = math.radians(random.Random(seed).uniform(-180.0, 180.0))
+    c, s = math.cos(turn), math.sin(turn)
+    return [(round(c * x - s * y, 9), round(s * x + c * y, 9), z, yaw)
+            for x, y, z, yaw in waypoints]
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+SQUARE = [(x, y, z, math.radians(yaw)) for x, y, z, yaw in presets.MISSION_WAYPOINTS]
+
+
+@pytest.mark.parametrize("waypoints", [
+    SQUARE,
+    # reaches both ends of the pitch map
+    [(0.0, 0.0, -1.0, 0.0), (0.5, -0.5, -1.0, 0.3)],
+    turned(SQUARE, 17),
+], ids=["square", "sidestep", "square-turned-17"])
+def test_mission_bits_match_array_loop(params, pitch_map, waypoints):
+    """The float-state loop logs the very bits of the array-state loop, and
+    each collective is ``PitchMap.pitch`` of its logged C_T."""
+    log = run_mission(waypoints, params=params, pitch_map=pitch_map)
+    want = array_mission(waypoints, params, pitch_map)
+    for name in ("time", "position", "euler", "euler_desired", "thrust",
+                 "moments", "cts", "pitches"):
+        assert same_bits(getattr(log, name), getattr(want, name)), name
+    assert log.capture_times == want.capture_times
+    pitches = [[pitch_map.pitch(c)[0] for c in row] for row in log.cts.tolist()]
+    assert same_bits(log.pitches, pitches)
