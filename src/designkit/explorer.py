@@ -332,7 +332,7 @@ class OptimizationSpec:
                 raise ConfigError(f"{name} needs {size} values, "
                                   f"got {getattr(self, name)!r}")
         w_fm, w_eta = self.weights
-        if w_fm < 0.0 or w_eta < 0.0 or abs(w_fm + w_eta - 1.0) > 1e-9:
+        if not w_fm >= 0.0 or not w_eta >= 0.0 or abs(w_fm + w_eta - 1.0) > 1e-9:   # NaN fails
             raise ConfigError("weights must be non-negative and sum to 1")
         for name in ("radius_grid", "twist_grid"):
             lo, hi, step = getattr(self, name)

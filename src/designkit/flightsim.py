@@ -105,14 +105,18 @@ class VehicleState:
     ``step_dynamics`` and the controllers read and write without NumPy.
     Each of the four attributes returns a new array, so a write into one
     (``state.position[0] = ...``) is lost: build a new state instead.
+    The constructor refuses a part that is not 3 numbers, and
+    :meth:`unpack` a vector that is not 12, with a ConfigError.
     """
 
     __slots__ = ("x",)
 
     def __init__(self, position=(0.0,) * 3, velocity=(0.0,) * 3,
                  euler=(0.0,) * 3, rates=(0.0,) * 3):
-        self.x = [float(v) for part in (position, velocity, euler, rates)
-                  for v in part]
+        self.x = []
+        for name, part in (("position", position), ("velocity", velocity),
+                           ("euler", euler), ("rates", rates)):
+            self.x += _floats(part, 3, f"VehicleState {name}")
 
     @classmethod
     def _of(cls, x):
@@ -131,7 +135,19 @@ class VehicleState:
 
     @classmethod
     def unpack(cls, vec):
-        return cls._of([float(v) for v in vec])
+        return cls._of(_floats(vec, 12, "VehicleState.unpack vector"))
+
+
+def _floats(values, n, what):
+    """``values`` as a list of ``n`` floats; a ConfigError naming ``what``
+    if it is not ``n`` numbers."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        out = None
+    if out is None or len(out) != n:
+        raise ConfigError(f"{what} must be {n} numbers, got {values!r}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -223,3 +223,111 @@ def test_polar_bounds_hold_every_lookup(polar, a, width, t):
         rows = slice(first, max(np.searchsorted(polar.alpha, a + width), first + 1) + 1)
         assert (cl_min[0], cl_max[0]) == (polar.cl[rows].min(), polar.cl[rows].max())
         assert (cd_min[0], cd_max[0]) == (polar.cd[rows].min(), polar.cd[rows].max())
+
+
+# ---------------------------------------------------------------------------
+# boxes: rows that differ only by collective, certified together
+
+@settings(max_examples=400, deadline=None)
+@given(cell=cells(), offsets=st.lists(st.floats(-0.5 * bemt.BOX_SPAN, 0.5 * bemt.BOX_SPAN),
+                                      max_size=12))
+def test_box_enclosure_holds_every_member_enclosure(cell, offsets):
+    """A box over the pitches of its members bounds each member's own
+    enclosure, so a cell the box certifies is certified for each."""
+    nodes, (r, pitch, sigma, mu, n_blades, polar) = cell
+    pitches = pitch + np.array([0.0, *offsets])
+    lo, hi = np.array([nodes[0]]), np.array([nodes[-1]])
+    lower, upper = bemt._enclose_box(lo, hi, r, np.array([pitches.min()]),
+                                     np.array([pitches.max()]), sigma, mu, n_blades, polar,
+                                     None)
+    for p in pitches:
+        own_lower, own_upper = _enclose(lo, hi, r, np.array([p]), sigma, mu, n_blades, polar)
+        assert lower[0] <= own_lower[0] and own_upper[0] <= upper[0]
+
+
+def box_residual(r, pitch, sigma, mu, n_blades, polar):
+    """The solve's ``_Residual`` of a (row x station) grid: elements in
+    its box order, with their (box, station) groups."""
+    shape = np.broadcast_shapes(np.shape(r), np.shape(pitch), np.shape(sigma), np.shape(mu))
+    flat = [np.broadcast_to(np.asarray(x, dtype=float), shape).ravel()
+            for x in (r, pitch, sigma, mu)]
+    order, group = bemt._boxes(shape, *flat)
+    assert order is not None
+    g = bemt._Residual(*(x[order] for x in flat), n_blades, polar)
+    g.group = group
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(polar=polars, mu=advance_ratios, side=st.sampled_from(sorted(GRIDS)),
+       n_blades=st.integers(2, 5), data=st.data(),
+       stations=st.lists(st.tuples(st.floats(0.05, 0.995), st.floats(-40.0, 60.0),
+                                   st.floats(0.01, 0.4)), min_size=1, max_size=6),
+       steps=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=15))
+def test_box_first_change_equals_dense_scan(polar, mu, side, n_blades, data, stations,
+                                            steps):
+    """Rows at a few stations whose collectives move by up to 2 deg
+    either way from row to row, so they fall in boxes of one or more
+    rows; any subset of the elements, each with its own stop."""
+    r, built_in, sigma = (np.array(col) for col in zip(*stations))
+    collectives = np.cumsum([0.0, *steps])
+    pitch = np.radians(built_in + collectives[:, None])
+    g = box_residual(r, pitch, sigma, mu, n_blades, polar)
+    taken = data.draw(st.lists(st.booleans(), min_size=pitch.size, max_size=pitch.size))
+    k = np.flatnonzero(taken)
+    stop = np.array(data.draw(st.lists(
+        st.one_of(st.just(1), st.integers(2, 31), st.integers(1, SCAN_SLICES),
+                  st.just(SCAN_SLICES)), min_size=k.size, max_size=k.size)), dtype=int)
+    grid = GRIDS[side]
+    g_start, expected = dense_first_change(k, stop, grid, g)
+    got = bemt._first_change(k, stop, g_start, grid, g)
+    assert np.array_equal(got[0], expected[0])
+    for a, b in zip(got[1:], expected[1:]):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_box_certifies_up_to_its_earliest_member(final_rotor):
+    """A hover box of 13 collectives 0.25 deg apart, as the grid search
+    solves it: the members cross in different slices, stop at different
+    slices (their own crossing, as in the verify, or the whole scan), and
+    the box certifies a run of slices ending before its earliest
+    crossing."""
+    polar = POLARS["sc1095"]
+    r, _ = bemt.station_grid(final_rotor.root_cutout, 20)
+    collectives = np.radians(np.arange(13) * 0.25)
+    pitch = final_rotor.pitch(r, collectives[:, None])
+    g = box_residual(r, pitch, final_rotor.local_solidity(r), 0.0, final_rotor.n_blades,
+                     polar)
+    k = np.arange(pitch.size)
+    grid = GRIDS[1]
+    g_start, (crossing, _, _) = dense_first_change(k, SCAN_SLICES, grid, g)
+    stop = np.where(k % 2 == 0, crossing - 1, SCAN_SLICES)
+    prefix = bemt._box_prefix(k, stop, grid, g)
+    group = g.group[k]
+    earliest = np.array([crossing[group == i].min() for i in group])
+    assert np.all(crossing > 0) and np.any(crossing != earliest)
+    assert np.all(prefix < earliest) and np.mean(prefix) > 0.5 * np.mean(earliest)
+    _, expected = dense_first_change(k, stop, grid, g)
+    got = bemt._first_change(k, stop, g_start, grid, g)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def test_box_holds_members_on_both_sides_of_zero_lift():
+    """Hover rows of a symmetric section whose collectives straddle zero
+    lift: the lower members have no crossing on (0, pi/2) and the upper
+    ones cross in its first few slices, so a box enclosed at its lowest
+    pitch alone would certify their crossings away."""
+    polar = POLARS["naca0012"]
+    r = np.array([0.139, 0.215, 0.424])
+    pitch = np.radians(np.array([-0.88, -1.47, -1.96]) + np.arange(13)[:, None] * 0.25)
+    g = box_residual(r, pitch, np.array([0.121, 0.394, 0.326]), 0.0, 2, polar)
+    k = np.arange(pitch.size)
+    grid = GRIDS[1]
+    g_start, expected = dense_first_change(k, SCAN_SLICES, grid, g)
+    got = bemt._first_change(k, SCAN_SLICES, g_start, grid, g)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b, equal_nan=True)
+    for i in np.unique(g.group):
+        member = g.group == i
+        assert np.any(got[0][member] == 0) and np.any(got[0][member] == 1)

@@ -592,6 +592,17 @@ def tiny_result():
     return optimize(tiny_spec(), workers=1)
 
 
+@pytest.mark.parametrize("weights", [(math.nan, 0.7), (0.3, math.nan)], ids=["w_fm", "w_eta"])
+def test_nan_weight_is_refused_before_any_solve(weights, monkeypatch):
+    """NaN passed a check written ``w < 0.0``; optimize then solved the
+    whole grid and failed on an empty ``min``."""
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+    monkeypatch.setattr(bemt, "_curves", no_solve)
+    with pytest.raises(ConfigError, match="weights must be non-negative and sum to 1"):
+        optimize(OptimizationSpec(weights=weights))
+
+
 def test_optimization_spec_validation():
     with pytest.raises(ConfigError):
         OptimizationSpec(weights=(0.5, 0.6))

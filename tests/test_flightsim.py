@@ -76,6 +76,23 @@ def test_state_pack_round_trip():
     assert np.array_equal(clone.rates, state.rates)
 
 
+@pytest.mark.parametrize("part, value", [
+    ("position", [1.0, 2.0]), ("velocity", np.zeros(4)), ("euler", 0.5),
+    ("rates", [0.0] * 4), ("rates", ["p", "q", "r"]),
+], ids=["position-2", "velocity-4", "euler-scalar", "rates-4", "rates-text"])
+def test_state_refuses_a_part_that_is_not_3_numbers(part, value):
+    """A short or long part once reached step_dynamics as a bare
+    ValueError about unpacking; it is refused where it is given."""
+    with pytest.raises(ConfigError, match=f"VehicleState {part} must be 3 numbers"):
+        VehicleState(**{part: value})
+
+
+@pytest.mark.parametrize("size", [11, 13])
+def test_unpack_refuses_a_vector_that_is_not_12_numbers(size):
+    with pytest.raises(ConfigError, match="VehicleState.unpack vector must be 12 numbers"):
+        VehicleState.unpack(np.zeros(size))
+
+
 # ---------------------------------------------------------------------------
 # controllers
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from designkit import bemt
 from designkit.airfoil import AirfoilPolar
 from designkit.bemt import SCAN_EPS, SCAN_SLICES, ZERO_LIFT_CL, _residual
+from designkit.explorer import CRUISE_SCAN, OptimizationSpec, _blade
 
 BISECT_ITERS = 60
 POLARS = {name: AirfoilPolar.bundled(name) for name in ("sc1095", "naca0012")}
@@ -233,3 +234,39 @@ def test_stacked_mu_grid_equals_separate_solves(final_rotor):
         assert np.array_equal(res[i], res_i, equal_nan=True)
     assert phi[0, 30] == 0.0 and res[0, 30] == 0.0
     assert phi[1, 30] != 0.0
+
+
+# ---------------------------------------------------------------------------
+# boxes of rows
+
+def test_boxed_rows_equal_row_by_row_solves():
+    """A grid twist's rows: the 145-collective hover curve of the
+    reference blade and one radius's cruise scan, solved together in
+    boxes of neighbouring collectives, give bit for bit what each row
+    gives solved alone (one row forms no box)."""
+    polar = POLARS["sc1095"]
+    spec = OptimizationSpec()
+    twist = math.radians(-24.0)
+    hover = bemt.OperatingPoint.from_rpm(spec.hover_rpm, rho=spec.hover_rho)
+    cruise = bemt.OperatingPoint.from_rpm(spec.cruise_rpm, v_inf=spec.cruise_speed,
+                                          rho=spec.cruise_rho)
+    scan_lo, scan_hi, scan_step = CRUISE_SCAN
+    rows = (bemt._collective_rows(_blade(spec, 0.38, twist), hover,
+                                  np.radians(np.arange(-12.0, 24.01, 0.25)))
+            + bemt._collective_rows(_blade(spec, 0.42, twist), cruise,
+                                    np.arange(scan_lo, scan_hi + 0.5 * scan_step, scan_step)))
+    r, _ = bemt.station_grid(0.10, bemt.N_STATIONS)
+    pitch = np.array([blade.pitch(r, op.collective) for blade, op in rows])
+    sigma = np.array([blade.local_solidity(r) for blade, _ in rows])
+    mu = np.array([[op.advance_ratio(blade.radius)] for blade, op in rows])
+    assert pitch.shape == (145 + 23, r.size)
+    order, group = bemt._boxes(pitch.shape, *(np.broadcast_to(x, pitch.shape).ravel()
+                                              for x in (r, pitch, sigma, mu)))
+    assert order is not None and group[-1] + 1 == (12 + 6) * r.size   # 13 and 4 rows a box
+
+    phi, found, res = bemt._solve_phi_grid(r, pitch, sigma, mu, 2, polar)
+    for i in range(len(rows)):
+        phi_i, found_i, res_i = bemt._solve_phi_grid(r, pitch[i], sigma[i], mu[i, 0], 2, polar)
+        assert np.array_equal(phi[i], phi_i, equal_nan=True)
+        assert np.array_equal(found[i], found_i)
+        assert np.array_equal(res[i], res_i, equal_nan=True)
