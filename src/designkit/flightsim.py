@@ -13,14 +13,18 @@ every mission flies the blade-pitch map the rotor solver builds.
 A mission steps one list of 12 plain floats (``VehicleState.x``) from
 the first step to the log: the PID loops, the C_T clip and the RK4
 rigid-body step read and write floats, and the collectives of every
-logged C_T come from one ``np.interp`` after the loop.
+logged C_T come from one ``np.interp`` after the loop.  Each PID runs
+its three axes inline, and each RK4 stage passes ``_derivatives`` only
+the nine components it reads (velocity, Euler angles, body rates), which
+also forms the Euler rates from its own trig.  Every step still calls
+``step_dynamics``, both controllers' ``update`` and ``allocate``.
 ``tests/test_sim_reference.py`` keeps the NumPy matrix form as their
 oracle, and the step and loop that still used arrays per step as a
 second one that the logs must match bit for bit.  A mission refuses,
-before its first step, a malformed or non-finite waypoint, a timeout or
-hold longer than ``MAX_WAYPOINT_STEPS`` steps, and a capture radius that
-is not positive and finite.  The PID gains and the final hold are
-module constants.
+before its first step, a malformed or non-finite waypoint, a timeout
+that is not positive, a timeout or hold longer than
+``MAX_WAYPOINT_STEPS`` steps, and a capture radius that is not positive
+and finite.  The PID gains and the final hold are module constants.
 """
 
 import math
@@ -64,9 +68,12 @@ class VehicleParams:
     rotor_radius: float              # [m]
 
     def __post_init__(self):
+        # 3 floats, unpacked as they are by every dynamics step
+        inertia = tuple(_floats(self.inertia, 3, "VehicleParams inertia"))
+        object.__setattr__(self, "inertia", inertia)
         # each value on its own, so that a NaN fails too
         if not all(v > 0.0 for v in (self.mass, self.arm_length, self.k_f,
-                                     self.rotor_radius, *self.inertia)):
+                                     self.rotor_radius, *inertia)):
             raise ConfigError("vehicle parameters must be positive")
 
     @property
@@ -176,18 +183,6 @@ def _euler_rates(phi, theta, p, q, r):
 # ---------------------------------------------------------------------------
 # controllers
 
-def _pid(integral, errors, rates, gains_p, gains_i, gains_d, limit, dt):
-    """Per-axis -(P e + I int(e) + D rate) in floats.  ``integral`` is
-    advanced in place and clamped to +-limit."""
-    out = []
-    for axis, (error, rate) in enumerate(zip(errors, rates)):
-        total = min(max(integral[axis] + error * dt, -limit), limit)
-        integral[axis] = total
-        out.append(-gains_p[axis] * error - gains_i[axis] * total
-                   - gains_d[axis] * rate)
-    return out
-
-
 class AttitudeController:
     """PID on Euler-angle error; moments oppose the error."""
 
@@ -196,11 +191,18 @@ class AttitudeController:
 
     def update(self, state, euler_desired, dt):
         """Moments (l, m, n) [N m] as a tuple of floats."""
-        x = state.x
-        error = [a - float(d) for a, d in zip(x[6:9], euler_desired)]
-        euler_rates = _euler_rates(x[6], x[7], x[9], x[10], x[11])
-        return tuple(_pid(self.integral, error, euler_rates, ATT_P,
-                          ATT_I, ATT_D, ATT_INTEGRATOR_LIMIT, dt))
+        _, _, _, _, _, _, phi, theta, psi, p, q, r = state.x
+        phi_d, theta_d, psi_d = euler_desired
+        e_phi, e_theta, e_psi = (phi - float(phi_d), theta - float(theta_d),
+                                 psi - float(psi_d))
+        rate_phi, rate_theta, rate_psi = _euler_rates(phi, theta, p, q, r)
+        i, lim = self.integral, ATT_INTEGRATOR_LIMIT
+        i[0] = i_phi = min(max(i[0] + e_phi * dt, -lim), lim)
+        i[1] = i_theta = min(max(i[1] + e_theta * dt, -lim), lim)
+        i[2] = i_psi = min(max(i[2] + e_psi * dt, -lim), lim)
+        return (-ATT_P[0] * e_phi - ATT_I[0] * i_phi - ATT_D[0] * rate_phi,
+                -ATT_P[1] * e_theta - ATT_I[1] * i_theta - ATT_D[1] * rate_theta,
+                -ATT_P[2] * e_psi - ATT_I[2] * i_psi - ATT_D[2] * rate_psi)
 
 
 class PositionController:
@@ -214,31 +216,37 @@ class PositionController:
 
     def update(self, state, position_desired, yaw_desired, dt):
         p = self.params
-        x = state.x
-        error = [a - float(d) for a, d in zip(x[0:3], position_desired)]
+        x, y, z, vx, vy, vz = state.x[0:6]
+        x_d, y_d, z_d = position_desired
+        e_x, e_y, e_z = x - float(x_d), y - float(y_d), z - float(z_d)
+        i, lim = self.integral, POS_INTEGRATOR_LIMIT
+        i[0] = i_x = min(max(i[0] + e_x * dt, -lim), lim)
+        i[1] = i_y = min(max(i[1] + e_y * dt, -lim), lim)
+        i[2] = i_z = min(max(i[2] + e_z * dt, -lim), lim)
         # 0.0 + turns the PID's -0.0 at rest into +0.0, the sign of zero
         # that the tilt commands, and so the logged trajectory, carry
-        accel = [0.0 + a for a in _pid(self.integral, error, x[3:6],
-                                       POS_P, POS_I, POS_D, POS_INTEGRATOR_LIMIT, dt)]
+        a_x = 0.0 + (-POS_P[0] * e_x - POS_I[0] * i_x - POS_D[0] * vx)
+        a_y = 0.0 + (-POS_P[1] * e_y - POS_I[1] * i_y - POS_D[1] * vy)
         # demanded specific force: desired accel minus gravity (z down)
-        accel[2] -= G
-        thrust = p.mass * math.hypot(*accel)
+        a_z = 0.0 + (-POS_P[2] * e_z - POS_I[2] * i_z - POS_D[2] * vz) - G
+        thrust = p.mass * math.hypot(a_x, a_y, a_z)
         self.thrust_clamped = False
         if thrust <= 0.0:
             thrust = p.hover_thrust
             self.thrust_clamped = True
-            u = (0.0, 0.0, 1.0)
+            u_x = u_y = 0.0
         else:
-            u = [-p.mass * a / thrust for a in accel]
+            # the unit thrust direction; its z part is not needed
+            u_x, u_y = -p.mass * a_x / thrust, -p.mass * a_y / thrust
 
         cps, sps = math.cos(yaw_desired), math.sin(yaw_desired)
         self.tilt_limited = False
-        s_phi = u[0] * sps - u[1] * cps
+        s_phi = u_x * sps - u_y * cps
         if abs(s_phi) > 1.0:
             s_phi = math.copysign(1.0, s_phi)
             self.tilt_limited = True
         phi_d = math.asin(s_phi)
-        s_theta = (u[0] * cps + u[1] * sps) / math.cos(phi_d)
+        s_theta = (u_x * cps + u_y * sps) / math.cos(phi_d)
         if abs(s_theta) > 1.0:
             s_theta = math.copysign(1.0, s_theta)
             self.tilt_limited = True
@@ -290,8 +298,11 @@ def mixing_forward(cts, params, exact_yaw=False):
         # SIMD pow and libm's differ in the last bit for ~5% of C_T in
         # [0, 0.01], and every logged trajectory carries NumPy's.  The sign
         # is np.sign(c) * |c|^(3/2) written in floats (+0.0 for c = -0.0)
-        t1, t2, t3, t4 = [w if c >= 0.0 else -w for c, w in
-                          zip(cts, (np.abs(cts) ** 1.5).tolist())]
+        w1, w2, w3, w4 = (np.abs(cts) ** 1.5).tolist()
+        t1 = w1 if c1 >= 0.0 else -w1
+        t2 = w2 if c2 >= 0.0 else -w2
+        t3 = w3 if c3 >= 0.0 else -w3
+        t4 = w4 if c4 >= 0.0 else -w4
         n = p.k_f * p.rotor_radius / math.sqrt(2.0) * (-t1 + t2 - t3 + t4)
     else:
         n = p.yaw_gain * (-c1 + c2 - c3 + c4)
@@ -349,14 +360,16 @@ class PitchMap:
 # ---------------------------------------------------------------------------
 # rigid-body dynamics
 
-def _derivatives(x, f, l, m, n, ix, iy, iz):
+def _derivatives(vx, vy, vz, phi, theta, psi, wx, wy, wz, f, l, m, n, ix, iy, iz):
     """Rate of the 12 state components (position, velocity, euler, body
-    rates) under the specific thrust ``f`` = T / mass and the body moments
-    (l, m, n), with the principal inertias (ix, iy, iz), in floats."""
-    _, _, _, vx, vy, vz, phi, theta, psi, wx, wy, wz = x
+    rates) at the velocity, Euler angles and body rates given (no rate
+    reads the position), under the specific thrust ``f`` = T / mass and
+    the body moments (l, m, n), with the principal inertias (ix, iy, iz),
+    in floats."""
     cph, sph = math.cos(phi), math.sin(phi)
     cth, sth = math.cos(theta), math.sin(theta)
     cps, sps = math.cos(psi), math.sin(psi)
+    tth = math.tan(theta)
     hx, hy, hz = ix * wx, iy * wy, iz * wz
     return (vx, vy, vz,
             # gravity minus thrust along body z, the third column of the
@@ -364,7 +377,10 @@ def _derivatives(x, f, l, m, n, ix, iy, iz):
             0.0 - f * (cph * sth * cps + sph * sps),
             0.0 - f * (cph * sth * sps - sph * cps),
             G - f * (cph * cth),
-            *_euler_rates(phi, theta, wx, wy, wz),
+            # Euler-angle rates in _euler_rates' operation order, so with its bits
+            wx + sph * tth * wy + cph * tth * wz,
+            cph * wy - sph * wz,
+            sph / cth * wy + cph / cth * wz,
             # Euler's equations, (M - omega x I omega) / I
             (l - (wy * hz - wz * hy)) / ix,
             (m - (wz * hx - wx * hz)) / iy,
@@ -383,15 +399,30 @@ def step_dynamics(state, cts, params, dt):
     3/2-power reaction torque.  Aborts near the Euler pitch singularity.
     """
     _check_dt(dt)
-    thrust, *moments = mixing_forward(cts, params, exact_yaw=True)
+    thrust, l, m, n = mixing_forward(cts, params, exact_yaw=True)
     # f, the moments and the inertias hold for all four stages
-    args = (thrust / params.mass, *moments, *map(float, params.inertia))
+    f = thrust / params.mass
+    ix, iy, iz = params.inertia
     x = state.x
+    _, _, _, vx, vy, vz, phi, theta, psi, wx, wy, wz = x
+    k1 = _derivatives(vx, vy, vz, phi, theta, psi, wx, wy, wz, f, l, m, n, ix, iy, iz)
+    # the later stages at x + h k, formed only where _derivatives reads
     half = 0.5 * dt
-    k1 = _derivatives(x, *args)
-    k2 = _derivatives([a + half * b for a, b in zip(x, k1)], *args)
-    k3 = _derivatives([a + half * b for a, b in zip(x, k2)], *args)
-    k4 = _derivatives([a + dt * b for a, b in zip(x, k3)], *args)
+    _, _, _, dvx, dvy, dvz, dphi, dtheta, dpsi, dwx, dwy, dwz = k1
+    k2 = _derivatives(vx + half * dvx, vy + half * dvy, vz + half * dvz,
+                      phi + half * dphi, theta + half * dtheta, psi + half * dpsi,
+                      wx + half * dwx, wy + half * dwy, wz + half * dwz,
+                      f, l, m, n, ix, iy, iz)
+    _, _, _, dvx, dvy, dvz, dphi, dtheta, dpsi, dwx, dwy, dwz = k2
+    k3 = _derivatives(vx + half * dvx, vy + half * dvy, vz + half * dvz,
+                      phi + half * dphi, theta + half * dtheta, psi + half * dpsi,
+                      wx + half * dwx, wy + half * dwy, wz + half * dwz,
+                      f, l, m, n, ix, iy, iz)
+    _, _, _, dvx, dvy, dvz, dphi, dtheta, dpsi, dwx, dwy, dwz = k3
+    k4 = _derivatives(vx + dt * dvx, vy + dt * dvy, vz + dt * dvz,
+                      phi + dt * dphi, theta + dt * dtheta, psi + dt * dpsi,
+                      wx + dt * dwx, wy + dt * dwy, wz + dt * dwz,
+                      f, l, m, n, ix, iy, iz)
     sixth = dt / 6.0
     new = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
@@ -443,10 +474,10 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
     The vehicle starts at rest at the origin; after the last capture the
     controller holds position for ``HOLD_TIME`` to settle.  A waypoint that
     stays uncaptured past ``timeout`` raises a mission timeout carrying the
-    distance still to go.  Either span may cover at most
-    ``MAX_WAYPOINT_STEPS`` steps, ``capture_radius`` must be positive and
-    finite (at zero or below a waypoint is practically never captured), and
-    every waypoint must hold 4 finite numbers.
+    distance still to go.  ``timeout`` must be positive, either span may
+    cover at most ``MAX_WAYPOINT_STEPS`` steps, ``capture_radius`` must be
+    positive and finite (at zero or below a waypoint is practically never
+    captured), and every waypoint must hold 4 finite numbers.
     """
     waypoints = [tuple(map(float, w)) for w in waypoints]
     for index, w in enumerate(waypoints):
@@ -459,6 +490,9 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
     if not 0.0 < capture_radius < math.inf:
         raise ConfigError(f"capture_radius must be positive and finite, "
                           f"got {capture_radius}")
+    # a NaN timeout is refused by the step cap below
+    if timeout <= 0.0:
+        raise ConfigError(f"timeout must be positive, got {timeout}")
     for name, span in (("timeout", timeout), ("hold_time", HOLD_TIME)):
         # "not <=" also refuses the inf of an overflowing quotient and NaN
         if not span / dt <= MAX_WAYPOINT_STEPS:
@@ -474,6 +508,8 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
 
     rows = {k: [] for k in ("time", "position", "euler", "euler_desired", "thrust",
                             "moments", "cts")}
+    (log_time, log_position, log_euler, log_euler_desired, log_thrust,
+     log_moments, log_cts) = [column.append for column in rows.values()]
     capture_times = []
     t = 0.0
     wp_index = 0
@@ -484,16 +520,17 @@ def run_mission(waypoints, params, pitch_map, dt=presets.MISSION_DT,
         thrust, phi_d, theta_d = pos.update(state, target[:3], target[3], dt)
         euler_d = (phi_d, theta_d, target[3])
         moments = att.update(state, euler_d, dt)
-        cts = [min(max(c, ct_floor), ct_hi) for c in
-               allocate(ControlCommand(thrust, moments), params).tolist()]
+        c1, c2, c3, c4 = allocate(ControlCommand(thrust, moments), params).tolist()
+        cts = [min(max(c1, ct_floor), ct_hi), min(max(c2, ct_floor), ct_hi),
+               min(max(c3, ct_floor), ct_hi), min(max(c4, ct_floor), ct_hi)]
 
-        rows["time"].append(t)
-        rows["position"].append(state.x[0:3])
-        rows["euler"].append(state.x[6:9])
-        rows["euler_desired"].append(euler_d)
-        rows["thrust"].append(thrust)
-        rows["moments"].append(moments)
-        rows["cts"].append(cts)
+        log_time(t)
+        log_position(state.x[0:3])
+        log_euler(state.x[6:9])
+        log_euler_desired(euler_d)
+        log_thrust(thrust)
+        log_moments(moments)
+        log_cts(cts)
 
         try:
             state = step_dynamics(state, cts, params, dt)

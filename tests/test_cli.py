@@ -669,12 +669,15 @@ def test_scalar_where_list_expected(capsys, argv, key):
     (["analyze", "--rho", "inf"], "rho"),
     # in type but out of range: no waypoint is captured within -1 m
     (["simulate", "--set", "capture_radius_m=-1"], "capture_radius"),
+    # once flew one step and then timed out "after -5 s"
+    (["simulate", "--set", "timeout_s=-5"], "timeout must be positive"),
 ], ids=["argv0-n_stations", "argv1-hover_rpm", "argv2-op.rpm", "argv3-dt_s",
         "argv4-waypoints", "argv5-op", "argv6-polar", "argv7-polar", "argv8-rotor",
         "argv9-rotor.pitch_table", "argv10-rotor.n_blades", "argv11-couple_preset",
         "argv12-op.rpm", "argv13-hover_rpm", "argv14-README.md",
         "argv15-not_an_object.json", "argv16-such.csv", "argv17-collective_deg",
-        "argv18-rpm", "argv19-v_inf", "argv20-rho", "argv21-capture_radius"])
+        "argv18-rpm", "argv19-v_inf", "argv20-rho", "argv21-capture_radius",
+        "argv22-timeout"])
 def test_config_value_of_wrong_json_type(capsys, argv, key):
     rc, _, err = run(capsys, *argv)
     assert_config_error(rc, err, key)

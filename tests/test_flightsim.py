@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from designkit import flightsim, presets
 from designkit.constants import G
 from designkit.errors import ConfigError, MissionTimeout, SimulationAbort
 from designkit.flightsim import (ATT_D, ATT_I, ATT_INTEGRATOR_LIMIT, ATT_P,
@@ -66,6 +67,23 @@ def test_params_refuse_nan(params, field, value):
     vehicle is refused before a mission can blame its control command."""
     with pytest.raises(ConfigError, match="vehicle parameters must be positive"):
         replace(params, **{field: value})
+
+
+@pytest.mark.parametrize("inertia", [
+    (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), 1.0, ("a", "b", "c"),
+], ids=["two", "four", "scalar", "text"])
+def test_params_refuse_an_inertia_that_is_not_3_numbers(params, inertia):
+    """A short or long inertia once reached the first dynamics step as a
+    bare TypeError from the derivative, and a scalar failed the positivity
+    check with one; it is refused where it is given."""
+    with pytest.raises(ConfigError, match="VehicleParams inertia must be 3 numbers"):
+        replace(params, inertia=inertia)
+
+
+def test_params_store_the_inertia_as_3_floats(params):
+    vehicle = replace(params, inertia=np.array([2.4, 1.7, 4.1]))
+    assert vehicle.inertia == (2.4, 1.7, 4.1)
+    assert all(type(v) is float for v in vehicle.inertia)
 
 
 def test_state_pack_round_trip():
@@ -384,18 +402,24 @@ def test_mission_validation(params, pitch_map):
             run_mission([(0.0, 0.0, 0.0, 0.0)], params, pitch_map, dt=dt)
 
 
-@pytest.mark.parametrize("spans, name", [
-    ({"timeout": 0.005 * (MAX_WAYPOINT_STEPS + 1)}, "timeout"),
+@pytest.mark.parametrize("spans, match", [
+    ({"timeout": 0.005 * (MAX_WAYPOINT_STEPS + 1)}, "timeout / dt = .* cap of"),
     # the hold alone passes the cap: HOLD_TIME / dt steps
-    ({"timeout": 0.5 * HOLD_TIME, "dt": 0.9 * HOLD_TIME / MAX_WAYPOINT_STEPS}, "hold_time"),
-    ({"timeout": 1e308, "dt": 1e-9}, "timeout"),      # the quotient overflows to inf
-    ({"timeout": math.inf}, "timeout"),
-    ({"timeout": math.nan}, "timeout"),
-], ids=["timeout", "hold", "overflow", "inf", "nan"])
-def test_mission_step_cap(params, pitch_map, spans, name):
-    """A span past the per-waypoint step cap is refused before the first
-    step, so the mission never starts."""
-    with pytest.raises(ConfigError, match=f"{name} / dt = .* cap of"):
+    ({"timeout": 0.5 * HOLD_TIME, "dt": 0.9 * HOLD_TIME / MAX_WAYPOINT_STEPS},
+     "hold_time / dt = .* cap of"),
+    # the quotient overflows to inf
+    ({"timeout": 1e308, "dt": 1e-9}, "timeout / dt = .* cap of"),
+    ({"timeout": math.inf}, "timeout / dt = .* cap of"),
+    ({"timeout": math.nan}, "timeout / dt = .* cap of"),
+    # once flew one step and then timed out "after -5 s"
+    ({"timeout": -5.0}, "timeout must be positive, got -5.0"),
+    ({"timeout": 0.0}, "timeout must be positive, got 0.0"),
+], ids=["timeout", "hold", "overflow", "inf", "nan", "negative", "zero"])
+def test_mission_step_cap(params, pitch_map, spans, match):
+    """A span past the per-waypoint step cap, or a timeout that is not
+    positive, is refused before the first step, so the mission never
+    starts."""
+    with pytest.raises(ConfigError, match=match):
         run_mission([(1e9, 0.0, 0.0, 0.0)], params, pitch_map, **spans)
 
 
@@ -440,3 +464,27 @@ def test_mission_log_csv(params, pitch_map):
     assert lines[0] == MissionLog.CSV_HEADER
     assert len(lines) == log.time.size + 1
     assert all(len(line.split(",")) == 19 for line in lines)
+
+
+def test_mission_calls_each_public_step_function_once_per_step(params, pitch_map,
+                                                               monkeypatch):
+    """The benchmark's tracer counts the simulator's work by replacing these
+    four attributes with wrappers, so a mission that stepped around them
+    would read zero calls there.  The reference square logs 3,398 steps."""
+    calls = {}
+    for owner, name in ((flightsim, "step_dynamics"), (flightsim, "allocate"),
+                        (PositionController, "update"),
+                        (AttitudeController, "update")):
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, _original=getattr(owner, name), _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    square = [(x, y, z, math.radians(yaw))
+              for x, y, z, yaw in presets.MISSION_WAYPOINTS]
+    log = run_mission(square, params, pitch_map)
+    assert log.time.size == 3398
+    assert calls == dict.fromkeys(calls, 3398)

@@ -29,7 +29,7 @@ from designkit.errors import SimulationAbort
 from designkit.flightsim import (GIMBAL_LIMIT, HOLD_TIME,
                                  AttitudeController, ControlCommand,
                                  MissionLog, PitchMap, PositionController,
-                                 VehicleState, _check_dt, _euler_rates, _pid,
+                                 VehicleState, _check_dt,
                                  allocate, default_params, mixing_forward,
                                  run_mission, step_dynamics)
 
@@ -226,6 +226,28 @@ def reference_csv_lines(log):
 
 # ---------------------------------------------------------------------------
 # the float step and loop, as they stood while the state was arrays
+
+def _euler_rates(phi, theta, p, q, r):
+    """Euler-angle rates (phi, theta, psi) from the body rates (p, q, r);
+    singular at |theta| = 90 deg."""
+    cph, sph = math.cos(phi), math.sin(phi)
+    cth, tth = math.cos(theta), math.tan(theta)
+    return (p + sph * tth * q + cph * tth * r,
+            cph * q - sph * r,
+            sph / cth * q + cph / cth * r)
+
+
+def _pid(integral, errors, rates, gains_p, gains_i, gains_d, limit, dt):
+    """Per-axis -(P e + I int(e) + D rate) in floats.  ``integral`` is
+    advanced in place and clamped to +-limit."""
+    out = []
+    for axis, (error, rate) in enumerate(zip(errors, rates)):
+        total = min(max(integral[axis] + error * dt, -limit), limit)
+        integral[axis] = total
+        out.append(-gains_p[axis] * error - gains_i[axis] * total
+                   - gains_d[axis] * rate)
+    return out
+
 
 @dataclass
 class ArrayState:
